@@ -10,8 +10,6 @@ comparison).
 __version__ = "0.1.0"
 
 from .geometry import (
-    Chart,
-    ChartKind,
     Curve,
     CurveDiagnostics,
     CurvatureProfile,
@@ -19,7 +17,6 @@ from .geometry import (
     curve_diagnostics,
     enclosed_area,
     resample_arclength,
-    to_graph,
 )
 from .barriers import (
     ArcBarrier,

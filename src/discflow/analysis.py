@@ -20,7 +20,7 @@ from .errors import (
     NotExtinct,
 )
 from .flow import TRANSIENT_STEPS, Trajectory
-from .geometry import Chart, Curve, curvature_profile, curvature_vectors
+from .geometry import Curve, curvature_profile, curvature_vectors
 
 #: a state belongs to the early-time fit window while theta_bar stays below
 #: this angle (graph-representable over the x-axis with small gradient)
@@ -188,8 +188,7 @@ def _tip_frame(nodes: np.ndarray) -> np.ndarray:
     maximum gives the vertex arclength, and the circumcircle of the nearest
     node triple supplies the interpolated tip point and its inward normal.
     """
-    curve_like = Curve(nodes=nodes, chart=Chart.arclength(),
-                       dirichlet_point=nodes[0])
+    curve_like = Curve(nodes=nodes, dirichlet_point=nodes[0])
     prof = curvature_profile(curve_like)
     kap = np.abs(prof.kappa)
     j = int(np.argmax(kap))
@@ -273,8 +272,7 @@ def compare_grim_reaper(seq: BlowupSequence,
     # soliton identity kappa = cos(theta) on the inner half of the window
     # of the last member, with magnitudes so the orientation drops out
     prof_nodes = last_frame
-    curve_like = Curve(nodes=prof_nodes, chart=Chart.arclength(),
-                       dirichlet_point=prof_nodes[0])
+    curve_like = Curve(nodes=prof_nodes, dirichlet_point=prof_nodes[0])
     prof = curvature_profile(curve_like)
     cos_t = np.abs(np.cos(prof.theta))
     lo, hi = _tip_window(prof_nodes, 0.5 * window_halfwidth)

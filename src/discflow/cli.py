@@ -313,8 +313,7 @@ def cmd_blowup(args) -> int:
     members = []
     for i, nodes in enumerate(seq.rescaled_curves):
         name = f"rescaled_{i:03d}.csv"
-        curve = geo.Curve(nodes=nodes, chart=geo.Chart.arclength(),
-                          dirichlet_point=nodes[0])
+        curve = geo.Curve(nodes=nodes, dirichlet_point=nodes[0])
         (out / name).write_text(geo.curve_to_csv(curve))
         members.append({"blowup_index": i, "file": name, "time": seq.times[i],
                         "scale": seq.scales[i],
@@ -366,14 +365,21 @@ def _add_common(p, *, d=0.5, rho=0.3, nodes=128, record_every=100):
                    help="flat key=value file; explicit flags override it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="discflow",
         description="Curve shortening flow in the unit disc with mixed "
                     "Dirichlet-Neumann boundary conditions")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("verify", help="run the full invariant suite")
+    def add_command(name, help):
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
+
+    p = add_command("verify", help="run the full invariant suite")
     _add_common(p, nodes=64)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--tol-ode", dest="tol_ode", type=float, default=5e-3)
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-bc", dest="tol_bc", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify, t_end=0.5)
 
-    p = sub.add_parser("barriers", help="verify barrier inequalities on a time grid")
+    p = add_command("barriers", help="verify barrier inequalities on a time grid")
     _add_common(p)
     p.add_argument("--kind", choices=("dn", "nn", "both"), default="both")
     p.add_argument("--samples", type=int, default=256)
@@ -391,41 +397,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-count", dest="t_count", type=int, default=20)
     p.set_defaults(func=cmd_barriers)
 
-    p = sub.add_parser("pair", help="solve the orthogonal slice pairing")
+    p = add_command("pair", help="solve the orthogonal slice pairing")
     _add_common(p)
     p.add_argument("--theta", type=float, required=True,
                    help="boundary angle in (0, pi/2)")
     p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("flow", help="run one flow from a slice initial datum")
+    p = add_command("flow", help="run one flow from a slice initial datum")
     _add_common(p)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("ancient", help="sweep decreasing rho toward the ancient limit")
+    p = add_command("ancient", help="sweep decreasing rho toward the ancient limit")
     _add_common(p)
     p.add_argument("--rho-list", dest="rho_list", default="0.3,0.1,0.03",
                    help="comma-separated strictly decreasing angles")
     p.set_defaults(func=cmd_ancient)
 
-    p = sub.add_parser("blowup", help="extract the type-II blow-up sequence (d = 1)")
+    p = add_command("blowup", help="extract the type-II blow-up sequence (d = 1)")
     _add_common(p, d=1.0)
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--window", type=float, default=1.0)
     p.set_defaults(func=cmd_blowup)
 
-    p = sub.add_parser("fit", help="fit height asymptotics of a stored trajectory")
+    p = add_command("fit", help="fit height asymptotics of a stored trajectory")
     p.add_argument("--run-dir", dest="run_dir", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_fit)
-    return parser
+    return parser, commands
 
 
-def _apply_config(parser, argv):
+def _apply_config(parser, commands, argv) -> None:
+    """Install the --config file's values as defaults of the chosen
+    subcommand; string defaults go through each option's type."""
     ns, _ = parser.parse_known_args(argv)
     path = getattr(ns, "config", None)
     if not path:
-        return argv
+        return
     overrides = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -435,26 +443,19 @@ def _apply_config(parser, argv):
             raise ParameterError(f"bad config line: {line!r}")
         key, value = line.split("=", 1)
         overrides[key.strip().replace("-", "_")] = value.strip()
-    known = {a.dest for a in parser._subparsers._group_actions[0]
-             .choices[ns.command]._actions}
+    # the namespace holds every option of the subcommand
+    known = vars(ns).keys() - {"command", "func"}
     for key in overrides:
         if key not in known:
             raise ParameterError(f"unknown config key {key!r}")
-    sub = parser._subparsers._group_actions[0].choices[ns.command]
-    typed = {}
-    for action in sub._actions:
-        if action.dest in overrides:
-            raw = overrides[action.dest]
-            typed[action.dest] = action.type(raw) if action.type else raw
-    sub.set_defaults(**typed)
-    return argv
+    commands[ns.command].set_defaults(**overrides)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv = _apply_config(parser, argv)
+        _apply_config(parser, commands, argv)
         args = parser.parse_args(argv)
         _validate_common(args)
         return args.func(args)

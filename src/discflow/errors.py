@@ -14,11 +14,6 @@ class InvalidCurve(DiscFlowError, ValueError):
     nodes, self-intersection, endpoint constraints, ...)."""
 
 
-class ChartOverturn(DiscFlowError):
-    """A curve cannot be represented as a graph in the requested chart;
-    callers should switch charts."""
-
-
 class BarrierViolation(DiscFlowError):
     """A sub/supersolution inequality failed beyond round-off slack."""
 
@@ -30,11 +25,6 @@ class BarrierViolation(DiscFlowError):
 
 class StepRejected(DiscFlowError):
     """A flow step produced an invalid curve; retry with a smaller dt."""
-
-
-class InvariantViolation(DiscFlowError):
-    """A flow run broke a monotonicity/positivity invariant and cannot
-    continue."""
 
 
 class ComparisonViolation(DiscFlowError):

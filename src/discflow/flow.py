@@ -24,19 +24,20 @@ from .errors import (
     DomainError,
     InsufficientWindow,
     InvalidCurve,
+    ParameterError,
     StepRejected,
 )
 from .geometry import (
-    EPS_GEOM,
-    Chart,
     Curve,
     CurveDiagnostics,
+    _area,
     _as_complex,
     _has_proper_intersection,
     _resample_nodes,
     _turns_by_pi,
     curvature_profile,
     curve_diagnostics,
+    curve_from_csv,
     curve_to_csv,
 )
 
@@ -70,7 +71,8 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowOutcome:
-    kind: str  # converged_to_minimizer | extinct | max_time | invariant_violation
+    # converged_to_minimizer | extinct | max_time | max_steps | invariant_violation
+    kind: str
     time: float | None = None
     detail: str = ""
 
@@ -137,7 +139,7 @@ def unstable_arc(d: float, n: int) -> Curve:
     """The long critical arc from o to (1, 0): a stationary state."""
     x = np.linspace(-d, 1.0, n + 1)
     return Curve(nodes=np.column_stack([x, np.zeros(n + 1)]),
-                 chart=Chart.arclength(), dirichlet_point=np.array([-d, 0.0]))
+                 dirichlet_point=np.array([-d, 0.0]))
 
 
 def minimizing_arc(d: float, n: int) -> Curve:
@@ -146,21 +148,7 @@ def minimizing_arc(d: float, n: int) -> Curve:
         raise DomainError("minimizing arc degenerates for d = 1")
     x = np.linspace(-d, -1.0, n + 1)
     return Curve(nodes=np.column_stack([x, np.zeros(n + 1)]),
-                 chart=Chart.arclength(), dirichlet_point=np.array([-d, 0.0]))
-
-
-def radial_boundary_angle(p: np.ndarray) -> float:
-    """Exact root of the discrete Neumann constraint: the circle angle phi
-    making the segment from p to (cos phi, sin phi) radial."""
-    return math.atan2(p[1], p[0])
-
-
-def _area(z: np.ndarray) -> float:
-    # shoelace (Im of sum conj(z_i) z_{i+1}) plus the exact circle-sector
-    # closure used by enclosed_area
-    end = z[-1]
-    return 0.5 * np.vdot(z[:-1], z[1:]).imag \
-        + 0.5 * (math.pi - math.atan2(end.imag, end.real))
+                 dirichlet_point=np.array([-d, 0.0]))
 
 
 def _poly_area(nodes: np.ndarray) -> float:
@@ -253,135 +241,17 @@ def _length(nodes: np.ndarray) -> float:
     return float(np.abs(z[1:] - z[:-1]).sum())
 
 
-_STATUS_REASONS = {1: "coincident or non-finite nodes",
-                   2: "node below the x-axis",
-                   3: "node outside the unit disc"}
-
-try:  # fused hot-path kernel; the numpy pair above stays the reference
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _advance_status(nodes, d, dt):  # pragma: no cover - compiled
-        m = nodes.shape[0]
-        upd = np.empty_like(nodes)
-        for i in range(1, m - 1):
-            ax = nodes[i, 0] - nodes[i - 1, 0]
-            ay = nodes[i, 1] - nodes[i - 1, 1]
-            bx = nodes[i + 1, 0] - nodes[i, 0]
-            by = nodes[i + 1, 1] - nodes[i, 1]
-            cx = nodes[i + 1, 0] - nodes[i - 1, 0]
-            cy = nodes[i + 1, 1] - nodes[i - 1, 1]
-            la = math.sqrt(ax * ax + ay * ay)
-            lb = math.sqrt(bx * bx + by * by)
-            denom = la * lb * (cx * cx + cy * cy)
-            scale = 2.0 * (ax * by - ay * bx) / denom if denom > 0.0 else 0.0
-            upd[i, 0] = nodes[i, 0] - dt * scale * cy
-            upd[i, 1] = nodes[i, 1] + dt * scale * cx
-        upd[0, 0] = -d
-        upd[0, 1] = 0.0
-        phi = math.atan2(upd[m - 2, 1], upd[m - 2, 0])
-        upd[m - 1, 0] = math.cos(phi)
-        upd[m - 1, 1] = math.sin(phi)
-
-        s = np.empty(m)
-        s[0] = 0.0
-        for i in range(1, m):
-            dx = upd[i, 0] - upd[i - 1, 0]
-            dy = upd[i, 1] - upd[i - 1, 1]
-            s[i] = s[i - 1] + math.sqrt(dx * dx + dy * dy)
-        total = s[m - 1]
-        if not np.isfinite(total) or total <= 0.0:
-            return upd, 1, 0.0
-
-        shoe_pre = 0.0
-        for i in range(m - 1):
-            shoe_pre += upd[i, 0] * upd[i + 1, 1] - upd[i + 1, 0] * upd[i, 1]
-        area_pre = 0.5 * shoe_pre + 0.5 * (math.pi - phi)
-
-        out = np.empty_like(nodes)
-        out[0, 0] = upd[0, 0]
-        out[0, 1] = upd[0, 1]
-        out[m - 1, 0] = upd[m - 1, 0]
-        out[m - 1, 1] = upd[m - 1, 1]
-        k = 0
-        for j in range(1, m - 1):
-            target = total * j / (m - 1)
-            while s[k + 1] < target:
-                k += 1
-            seg = s[k + 1] - s[k]
-            w = (target - s[k]) / seg if seg > 0.0 else 0.0
-            out[j, 0] = upd[k, 0] + w * (upd[k + 1, 0] - upd[k, 0])
-            out[j, 1] = upd[k, 1] + w * (upd[k + 1, 1] - upd[k, 1])
-        phi = math.atan2(out[m - 2, 1], out[m - 2, 0])
-        out[m - 1, 0] = math.cos(phi)
-        out[m - 1, 1] = math.sin(phi)
-        shoe_post = 0.0
-        for i in range(m - 1):
-            shoe_post += out[i, 0] * out[i + 1, 1] - out[i + 1, 0] * out[i, 1]
-        shed = area_pre - (0.5 * shoe_post + 0.5 * (math.pi - phi))
-
-        prev = 0.0
-        amin = 0.0
-        amax = 0.0
-        for i in range(m - 1):
-            dx = out[i + 1, 0] - out[i, 0]
-            dy = out[i + 1, 1] - out[i, 1]
-            if not (dx * dx + dy * dy > 1e-30):
-                return out, 1, shed
-            ang = math.atan2(dy, dx)
-            if i == 0:
-                prev = ang
-                amin = ang
-                amax = ang
-            else:
-                dang = ang - prev
-                while dang > math.pi:
-                    dang -= 2.0 * math.pi
-                while dang < -math.pi:
-                    dang += 2.0 * math.pi
-                prev = prev + dang
-                if prev < amin:
-                    amin = prev
-                if prev > amax:
-                    amax = prev
-        for i in range(m):
-            x = out[i, 0]
-            y = out[i, 1]
-            if not (np.isfinite(x) and np.isfinite(y)):
-                return out, 1, shed
-            if y < -1e-9:
-                return out, 2, shed
-            if x * x + y * y > 1.0 + 2e-7:
-                return out, 3, shed
-        if amax - amin >= math.pi - 1e-9:
-            return out, 4, shed
-        return out, 0, shed
-
-except ImportError:  # pragma: no cover
-    _advance_status = None
-
-
 def _advance_checked(nodes: np.ndarray, d: float, dt: float,
                      n: int) -> tuple[np.ndarray, str | None, float]:
     """One candidate step plus validity check; returns
     (nodes, reason, area shed by resampling)."""
-    if _advance_status is not None:
-        out, status, shed = _advance_status(nodes, d, dt)
-        if status == 0:
-            return out, None, shed
-        if status == 4:
-            if _has_proper_intersection(out):
-                return out, "self-intersection", shed
-            return out, None, shed
-        return out, _STATUS_REASONS[status], shed
     out, shed = _advance(nodes, d, dt, n)
     return out, _step_valid(out), shed
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
                 area_shed: float = 0.0) -> FlowState:
-    curve = Curve(nodes=nodes.copy(), chart=Chart.arclength(),
-                  dirichlet_point=np.array([-d, 0.0]))
+    curve = Curve(nodes=nodes.copy(), dirichlet_point=np.array([-d, 0.0]))
     return FlowState(curve=curve, time=time,
                      diagnostics=curve_diagnostics(curve, d), step=step_i,
                      area_shed=area_shed)
@@ -426,7 +296,7 @@ def run(cfg: FlowRunConfig,
     Records one state every `record_every` steps (plus the final state),
     halves dt up to 20 times on rejected steps, and reports the outcome:
     convergence to the minimizing arc (d < 1), extinction at o (d = 1),
-    the time horizon, or an invariant violation.
+    the time horizon, the step budget, or an invariant violation.
     """
     d = cfg.d
     nodes = prepare_initial(cfg)
@@ -447,8 +317,7 @@ def run(cfg: FlowRunConfig,
             outcome = FlowOutcome(kind="max_time", time=t)
             break
         if step_i >= cfg.max_steps:
-            outcome = FlowOutcome(kind="invariant_violation", time=t,
-                                  detail="max_steps exhausted")
+            outcome = FlowOutcome(kind="max_steps", time=t)
             break
 
         length = _length(nodes)
@@ -771,30 +640,53 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
     return outdir
 
 
+#: manifest keys load_trajectory requires; rho and lambda_ref may be null
+_MANIFEST_KEYS = ("d", "n", "rho", "lambda_ref", "record_every", "dt_safety",
+                 "times", "steps", "area_shed", "diagnostics", "events",
+                 "outcome", "state_files")
+#: manifest lists with one entry per recorded state, in FlowState order
+_PER_STATE_KEYS = ("state_files", "times", "steps", "diagnostics", "area_shed")
+
+
+def _require(obj: dict, keys, where) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ParameterError(f"{where} lacks {', '.join(missing)}")
+
+
 def load_trajectory(outdir: str | Path) -> Trajectory:
+    """Read a directory written by write_trajectory.
+
+    Raises ParameterError naming an unreadable file, a missing manifest
+    key, or per-state lists whose lengths differ; nothing is defaulted.
+    """
     outdir = Path(outdir)
-    manifest = json.loads((outdir / "manifest.json").read_text())
+    path = outdir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
+    _require(manifest, _MANIFEST_KEYS, path)
+    _require(manifest["outcome"], ("kind", "time", "detail"), f"{path} outcome")
+    lengths = {k: len(manifest[k]) for k in _PER_STATE_KEYS}
+    if len(set(lengths.values())) != 1:
+        raise ParameterError(f"{path}: per-state lists differ in length {lengths}")
     d = float(manifest["d"])
     states = []
-    shed_list = manifest.get("area_shed", [0.0] * len(manifest["times"]))
-    for name, t, step_i, row, shed in zip(manifest["state_files"],
-                                          manifest["times"], manifest["steps"],
-                                          manifest["diagnostics"], shed_list):
-        text = (outdir / name).read_text()
-        rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-        nodes = np.array([[float(v) for v in ln.split(",")] for ln in rows])
-        curve = Curve(nodes=nodes, chart=Chart.arclength(),
-                      dirichlet_point=np.array([-d, 0.0]))
-        diag = CurveDiagnostics(*row)
+    for name, t, step_i, row, shed in zip(*(manifest[k] for k in _PER_STATE_KEYS)):
+        state_path = outdir / name
+        try:
+            curve = curve_from_csv(state_path.read_text(), d)
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read {state_path}: {exc}") from exc
         states.append(FlowState(curve=curve, time=float(t),
-                                diagnostics=diag, step=int(step_i),
+                                diagnostics=CurveDiagnostics(*row), step=int(step_i),
                                 area_shed=float(shed)))
-    outcome = FlowOutcome(kind=manifest["outcome"]["kind"],
-                          time=manifest["outcome"]["time"],
-                          detail=manifest["outcome"].get("detail", ""))
+    outcome = manifest["outcome"]
     return Trajectory(d=d, n=int(manifest["n"]), states=states,
                       events=[(float(t), str(name)) for t, name in manifest["events"]],
-                      outcome=outcome,
-                      rho=manifest.get("rho"), lambda_ref=manifest.get("lambda_ref"),
-                      record_every=int(manifest.get("record_every", 1)),
-                      dt_safety=float(manifest.get("dt_safety", 0.25)))
+                      outcome=FlowOutcome(kind=outcome["kind"], time=outcome["time"],
+                                          detail=outcome["detail"]),
+                      rho=manifest["rho"], lambda_ref=manifest["lambda_ref"],
+                      record_every=int(manifest["record_every"]),
+                      dt_safety=float(manifest["dt_safety"]))

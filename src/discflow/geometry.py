@@ -3,61 +3,25 @@
 A curve is a polyline with a pinned left endpoint (the Dirichlet point) and
 a right endpoint on the unit circle.  This module provides the discrete
 differential invariants used everywhere else (curvature, turning angle,
-arclength), the enclosed-area functional, arclength resampling, graph-chart
-conversion, and CSV/JSON serialization.
+arclength), the enclosed-area functional, arclength resampling, and CSV
+serialization.
 
 All functions are pure; curves are treated as immutable after construction.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ChartOverturn, InvalidCurve
+from .errors import InvalidCurve
 
 # On-circle / on-point tolerance: well above double-precision noise, far
 # below discretization error.
 EPS_GEOM = 1e-9
 
-# Chart-switch margin keeps graph-chart gradients bounded.
-CHART_MARGIN = math.radians(10.0)
-
 MIN_NODES = 9  # N >= 8 segments
-
-
-class ChartKind(Enum):
-    ARCLENGTH_POLYLINE = "arclength"
-    GRAPH_OVER_X_AXIS = "graph_x"
-    GRAPH_OVER_CHORD = "graph_chord"
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Parametrization chart of a curve; `angle` is the chord direction for
-    GRAPH_OVER_CHORD and ignored otherwise."""
-
-    kind: ChartKind
-    angle: float = 0.0
-
-    @property
-    def frame_angle(self) -> float:
-        return self.angle if self.kind is ChartKind.GRAPH_OVER_CHORD else 0.0
-
-    @staticmethod
-    def arclength() -> "Chart":
-        return Chart(ChartKind.ARCLENGTH_POLYLINE)
-
-    @staticmethod
-    def graph_x() -> "Chart":
-        return Chart(ChartKind.GRAPH_OVER_X_AXIS)
-
-    @staticmethod
-    def graph_chord(angle: float) -> "Chart":
-        return Chart(ChartKind.GRAPH_OVER_CHORD, float(angle))
 
 
 @dataclass(frozen=True)
@@ -69,7 +33,6 @@ class Curve:
     """
 
     nodes: np.ndarray
-    chart: Chart
     dirichlet_point: np.ndarray
 
     def __post_init__(self):
@@ -88,29 +51,6 @@ class Curve:
 
     def length(self) -> float:
         return float(segment_lengths(self.nodes).sum())
-
-    def validate(self, require_disc: bool = True) -> None:
-        """Raise InvalidCurve unless the structural invariants hold."""
-        nodes = self.nodes
-        if not np.all(np.isfinite(nodes)):
-            raise InvalidCurve("non-finite node coordinates")
-        seg = segment_lengths(nodes)
-        if np.any(seg <= 0.0):
-            raise InvalidCurve("coincident consecutive nodes")
-        if not is_embedded(nodes):
-            raise InvalidCurve("self-intersecting polyline")
-        if require_disc:
-            if not np.allclose(nodes[0], self.dirichlet_point, rtol=0.0, atol=0.0):
-                raise InvalidCurve("nodes[0] must equal the Dirichlet point exactly")
-            r_end = float(np.hypot(*nodes[-1]))
-            if abs(r_end - 1.0) > EPS_GEOM:
-                raise InvalidCurve(f"right endpoint off the unit circle by {r_end - 1.0:.3e}")
-            r2 = nodes[:, 0] ** 2 + nodes[:, 1] ** 2
-            if float(r2.max()) > 1.0 + 2.0 * EPS_GEOM:
-                raise InvalidCurve("node outside the closed unit disc")
-        if self.chart.kind is ChartKind.GRAPH_OVER_X_AXIS:
-            if np.any(np.diff(nodes[:, 0]) <= 0.0):
-                raise InvalidCurve("graph chart requires strictly increasing x")
 
 
 @dataclass(frozen=True)
@@ -264,16 +204,13 @@ def enclosed_area(c: Curve, d: float) -> float:
         raise InvalidCurve("curve must lie in the closed upper half disc")
     if not is_embedded(nodes):
         raise InvalidCurve("self-intersecting polyline")
-    x, y = nodes[:, 0], nodes[:, 1]
-    shoelace = 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-    phi_end = math.atan2(float(y[-1]), float(x[-1]))
-    return shoelace + 0.5 * (math.pi - phi_end)
+    return _area(_as_complex(nodes))
 
 
 def resample_arclength(c: Curve, n: int) -> Curve:
     """Resample to n+1 nodes at equal arclength along the linear interpolant.
 
-    Endpoints are preserved exactly; the chart becomes ARCLENGTH_POLYLINE.
+    Endpoints are preserved exactly.
     The placement is iterated to its fixed point so the output nodes are
     equally spaced in their own chord metric, which makes the operation
     idempotent to round-off.
@@ -288,7 +225,7 @@ def resample_arclength(c: Curve, n: int) -> Curve:
         if float(np.abs(seg - seg.mean()).max()) <= 1e-14 * max(seg.sum(), 1e-30):
             break
         nodes = _resample_nodes(nodes, n)
-    return Curve(nodes=nodes, chart=Chart.arclength(), dirichlet_point=c.dirichlet_point)
+    return Curve(nodes=nodes, dirichlet_point=c.dirichlet_point)
 
 
 def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -302,32 +239,18 @@ def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def to_graph(c: Curve, chart: Chart) -> Curve:
-    """Re-index the same geometric curve so the chart abscissa strictly
-    increases.  Raises ChartOverturn if any discrete tangent leaves
-    (-pi/2 + margin, pi/2 - margin) in the chart frame."""
-    if chart.kind is ChartKind.ARCLENGTH_POLYLINE:
-        return resample_arclength(c, c.n_segments)
-    phi = chart.frame_angle
-    d = np.diff(c.nodes, axis=0)
-    ang = np.arctan2(d[:, 1], d[:, 0]) - phi
-    ang = np.arctan2(np.sin(ang), np.cos(ang))  # wrap to (-pi, pi]
-    bound = 0.5 * math.pi - CHART_MARGIN
-    if np.all(np.abs(ang) < bound):
-        nodes = c.nodes
-    elif np.all(np.abs(np.arctan2(np.sin(ang + math.pi), np.cos(ang + math.pi))) < bound):
-        nodes = c.nodes[::-1].copy()
-    else:
-        worst = float(np.max(np.abs(ang)))
-        raise ChartOverturn(
-            f"tangent angle {worst:.4f} rad exceeds chart bound {bound:.4f} rad")
-    return Curve(nodes=nodes, chart=chart, dirichlet_point=c.dirichlet_point)
-
-
 def _as_complex(nodes: np.ndarray) -> np.ndarray:
     """Zero-copy view x + iy of an (M, 2) node array as M complex128
     values, so one numpy call handles both coordinates."""
     return np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[:, 0]
+
+
+def _area(z: np.ndarray) -> float:
+    # shoelace (Im of sum conj(z_i) z_{i+1}) over the complex nodes plus
+    # the exact circle-sector closure of enclosed_area
+    end = z[-1]
+    return 0.5 * np.vdot(z[:-1], z[1:]).imag \
+        + 0.5 * (math.pi - math.atan2(end.imag, end.real))
 
 
 def _turns_by_pi(e: np.ndarray) -> bool:
@@ -437,26 +360,7 @@ def curve_to_csv(c: Curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_from_csv(text: str, d: float, chart: Chart | None = None) -> Curve:
+def curve_from_csv(text: str, d: float) -> Curve:
     rows = [ln for ln in text.strip().splitlines()[1:] if ln]
     nodes = np.array([[float(v) for v in ln.split(",")] for ln in rows])
-    return Curve(nodes=nodes, chart=chart or Chart.arclength(),
-                 dirichlet_point=np.array([-d, 0.0]))
-
-
-def curve_to_json(c: Curve, d: float) -> str:
-    obj = {
-        "chart": {"kind": c.chart.kind.value, "angle": c.chart.angle},
-        "d": d,
-        "nodes": [[float(px), float(py)] for px, py in c.nodes],
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def curve_from_json(text: str) -> tuple[Curve, float]:
-    obj = json.loads(text)
-    chart = Chart(ChartKind(obj["chart"]["kind"]), float(obj["chart"].get("angle", 0.0)))
-    d = float(obj["d"])
-    curve = Curve(nodes=np.array(obj["nodes"], dtype=float), chart=chart,
-                  dirichlet_point=np.array([-d, 0.0]))
-    return curve, d
+    return Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))

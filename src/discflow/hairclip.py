@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidCurve
-from .geometry import Chart, Curve, _resample_nodes, curvature_profile
+from .geometry import Curve, _resample_nodes, curvature_profile
 
 _BISECT_ITERS = 80
 
@@ -185,8 +185,7 @@ def initial_curve(rho: float, d: float, n: int) -> Curve:
     nodes[0] = (-d, 0.0)
     end = np.array([math.cos(rho), math.sin(rho)])
     nodes[-1] = end / np.hypot(*end)
-    curve = Curve(nodes=nodes, chart=Chart.arclength(),
-                  dirichlet_point=np.array([-d, 0.0]))
+    curve = Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))
 
     prof = curvature_profile(curve)
     kmax = float(prof.kappa.max())

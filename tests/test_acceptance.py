@@ -28,7 +28,7 @@ from discflow.flow import (
     speed_bound_check,
     theta_bar_ode_check,
 )
-from discflow.geometry import Chart, Curve, curvature_profile, enclosed_area, sample_circle_arc
+from discflow.geometry import Curve, curvature_profile, enclosed_area, sample_circle_arc
 from discflow.hairclip import initial_curve, lambda0, pairing_function_g, solve_orthogonal_pair
 
 D_GRID = (0.3, 0.7, 1.0)
@@ -275,7 +275,7 @@ def test_criterion_9_geometry_oracles():
     for n in (64, 128, 256):
         t = np.linspace(0.2, math.pi - 0.2, n + 1)
         nodes = np.column_stack([aa * np.cos(t), bb * np.sin(t)])
-        c = Curve(nodes=nodes, chart=Chart.arclength(), dirichlet_point=nodes[0])
+        c = Curve(nodes=nodes, dirichlet_point=nodes[0])
         prof = curvature_profile(c)
         errs.append(float(np.abs(prof.kappa[1:-1] - kappa_exact(t[1:-1])).max()))
     curv_ratios = (errs[0] / errs[1], errs[1] / errs[2])
@@ -284,7 +284,7 @@ def test_criterion_9_geometry_oracles():
     for n in (32, 64, 128):
         t = np.linspace(math.pi, 0.0, n + 1)
         nodes = np.column_stack([np.cos(t), np.sin(t)])
-        c = Curve(nodes=nodes, chart=Chart.arclength(), dirichlet_point=nodes[0])
+        c = Curve(nodes=nodes, dirichlet_point=nodes[0])
         circle_exact = max(circle_exact,
                            float(np.abs(curvature_profile(c).kappa - 1.0).max()))
 
@@ -305,8 +305,7 @@ def test_criterion_9_geometry_oracles():
     area_errs = []
     for n in (64, 128, 256):
         nodes = sample_circle_arc(center, r, psi0, psi0 + dpsi, n)
-        c = Curve(nodes=nodes, chart=Chart.arclength(),
-                  dirichlet_point=np.array([-d, 0.0]))
+        c = Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))
         area_errs.append(abs(enclosed_area(c, d) - exact))
     area_ratios = (area_errs[0] / area_errs[1], area_errs[1] / area_errs[2])
 

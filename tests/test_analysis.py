@@ -15,14 +15,13 @@ from discflow.analysis import (
 from discflow.barriers import nn_arc, nn_slack, theta_plus
 from discflow.errors import EmptySequence, InsufficientWindow, NotExtinct
 from discflow.flow import FlowOutcome, FlowRunConfig, FlowState, Trajectory, run, unstable_arc
-from discflow.geometry import Chart, Curve, curvature_profile, curve_diagnostics
+from discflow.geometry import Curve, curvature_profile, curve_diagnostics
 from discflow.hairclip import lambda0
 
 
 def graph_state(xs, ys, t, step, d):
     nodes = np.column_stack([xs, ys])
-    curve = Curve(nodes=nodes, chart=Chart.graph_x(),
-                  dirichlet_point=np.array([-d, 0.0]))
+    curve = Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))
     return FlowState(curve=curve, time=t,
                      diagnostics=curve_diagnostics(curve, d), step=step)
 
@@ -120,8 +119,7 @@ class TestExtractBlowup:
     def test_rescaled_curves_normalized(self, extinct_run):
         seq = extract_blowup(extinct_run, count=6)
         for nodes in seq.rescaled_curves:
-            curve = Curve(nodes=nodes, chart=Chart.arclength(),
-                          dirichlet_point=nodes[0])
+            curve = Curve(nodes=nodes, dirichlet_point=nodes[0])
             prof = curvature_profile(curve)
             assert prof.kappa.max() == pytest.approx(1.0, abs=1e-6)
 
@@ -149,8 +147,7 @@ class TestGrimReaper:
         # kappa = cos(x) and cos(theta) = cos(x) on y = -log cos x
         xs = np.linspace(-1.0, 1.0, 257)
         nodes = np.column_stack([xs, grim_reaper_height(xs)])
-        curve = Curve(nodes=nodes, chart=Chart.graph_x(),
-                      dirichlet_point=nodes[0])
+        curve = Curve(nodes=nodes, dirichlet_point=nodes[0])
         prof = curvature_profile(curve)
         inner = slice(1, -1)
         assert np.abs(prof.kappa[inner] - np.cos(xs[inner])).max() < 1e-4

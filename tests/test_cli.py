@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file formats, determinism."""
 import json
+import shutil
 
 import pytest
 
@@ -101,6 +102,15 @@ class TestFlowAndFit:
                        "--t-end", "0.05", "--out", str(out)) == 0
         assert run_cli("fit", "--run-dir", str(out / "trajectory")) == 1
 
+    def test_fit_on_broken_run_dir_exits_2(self, flow_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(flow_dir / "trajectory", broken)
+        (broken / "state_000001.csv").unlink()
+        assert run_cli("fit", "--run-dir", str(broken)) == 2
+        assert "state_000001.csv" in capsys.readouterr().err
+        assert run_cli("fit", "--run-dir", str(tmp_path / "absent")) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
 
 class TestAncient:
     def test_sweep_summary(self, tmp_path):
@@ -137,6 +147,8 @@ class TestConfigFile:
         payload = json.loads((out / "pair.json").read_text())
         # explicit flag wins over the config value
         assert payload["theta"] == 0.6
+        # the config's nodes = 32 took effect: 33 node rows under the header
+        assert len((out / "slice.csv").read_text().splitlines()) == 1 + 33
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

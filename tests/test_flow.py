@@ -1,4 +1,5 @@
 """Flow stepper: stationary states, invariants, comparisons, export."""
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import discflow.flow as flow
 from discflow.barriers import ProblemConfig, theta_minus
-from discflow.errors import InvalidCurve, StepRejected
+from discflow.errors import InvalidCurve, ParameterError, StepRejected
 from discflow.flow import (
     FlowRunConfig,
     FlowState,
@@ -24,7 +25,6 @@ from discflow.flow import (
     write_trajectory,
 )
 from discflow.geometry import (
-    Chart,
     Curve,
     _resample_nodes,
     curvature_profile,
@@ -90,18 +90,6 @@ class TestSingleStep:
         with pytest.raises(StepRejected):
             step(make_state(c, 0.5), 10.0, d=0.5)
 
-    def test_kernel_matches_numpy_reference(self):
-        if flow._advance_status is None:
-            pytest.skip("numba unavailable")
-        c = initial_curve(0.35, 0.6, 80)
-        nodes = c.nodes
-        dt = 1e-6
-        out_k, status, shed_k = flow._advance_status(nodes, 0.6, dt)
-        assert status == 0
-        out_np, shed_np = flow._advance(nodes, 0.6, dt, 80)
-        assert np.abs(out_k - out_np).max() < 1e-13
-        assert abs(shed_k - shed_np) < 1e-15
-
 
 def reference_advance(nodes, d, dt, n):
     """The explicit step spelled out as a composition of the geometry
@@ -112,8 +100,7 @@ def reference_advance(nodes, d, dt, n):
         p[-1] = (math.cos(phi), math.sin(phi))
 
     def area(p):
-        return enclosed_area(Curve(nodes=p, chart=Chart.arclength(),
-                                   dirichlet_point=np.array([-d, 0.0])), d)
+        return enclosed_area(Curve(nodes=p, dirichlet_point=np.array([-d, 0.0])), d)
 
     out = nodes.copy()
     out[1:-1] += dt * curvature_vectors(nodes)
@@ -152,8 +139,6 @@ class TestFusedStep:
         assert abs(shed - shed_ref) < 1e-15
 
     def test_checked_step_is_advance_plus_predicate(self):
-        # with numba installed the checked step runs the compiled kernel,
-        # which agrees with the numpy reference to round-off
         nodes = initial_curve(0.3, 0.5, 64).nodes
         out, reason, shed = flow._advance_checked(nodes, 0.5, 1e-5, 64)
         out_ref, shed_ref = flow._advance(nodes, 0.5, 1e-5, 64)
@@ -244,6 +229,12 @@ class TestRunOutcomes:
         assert len(seen) >= 2
         assert all(s.curve.nodes.shape == (65, 2) for s in seen)
 
+    def test_max_steps_outcome(self):
+        c = initial_curve(0.3, 0.5, 64)
+        traj = run(FlowRunConfig(d=0.5, initial=c, n=64, t_end=1.0, max_steps=5))
+        assert traj.outcome.kind == "max_steps"
+        assert traj.states[-1].step == 5
+
     def test_invariant_violation_after_retries(self, monkeypatch):
         c = initial_curve(0.3, 0.5, 64)
         cfg = FlowRunConfig(d=0.5, initial=c, n=64, t_end=1.0)
@@ -257,7 +248,7 @@ class TestRunOutcomes:
         c = unstable_arc(0.5, 64)
         shifted = c.nodes.copy()
         shifted[:, 0] += 0.3  # endpoint leaves the circle, o mismatched
-        bad = type(c)(nodes=shifted, chart=c.chart, dirichlet_point=c.dirichlet_point)
+        bad = type(c)(nodes=shifted, dirichlet_point=c.dirichlet_point)
         with pytest.raises(InvalidCurve):
             run(FlowRunConfig(d=0.5, initial=bad, n=64, t_end=0.1))
 
@@ -390,3 +381,43 @@ class TestExport:
         out = write_trajectory(short_run, tmp_path / "run")
         first = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert first == "t,theta_min,theta_max,kappa_max,area,height_max,length"
+
+
+def edit_manifest(outdir, change):
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestStrictLoad:
+    @pytest.mark.parametrize("key", ["area_shed", "record_every", "dt_safety", "rho"])
+    def test_missing_key(self, short_run, tmp_path, key):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m.pop(key))
+        with pytest.raises(ParameterError, match=rf"lacks {key}$"):
+            load_trajectory(out)
+
+    def test_missing_outcome_detail(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m["outcome"].pop("detail"))
+        with pytest.raises(ParameterError, match="outcome lacks detail$"):
+            load_trajectory(out)
+
+    def test_null_rho_and_lambda_ref_load(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m.update(rho=None, lambda_ref=None))
+        loaded = load_trajectory(out)
+        assert loaded.rho is None and loaded.lambda_ref is None
+
+    def test_length_mismatch(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m["times"].pop())
+        with pytest.raises(ParameterError, match="differ in length"):
+            load_trajectory(out)
+
+    def test_removed_state_file(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        (out / "state_000002.csv").unlink()
+        with pytest.raises(ParameterError, match=r"cannot read .*state_000002\.csv"):
+            load_trajectory(out)

@@ -1,4 +1,4 @@
-"""Geometry oracles: exact circles, analytic areas, resampling, charts."""
+"""Geometry oracles: exact circles, analytic areas, resampling, embedding."""
 import math
 
 import numpy as np
@@ -6,28 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discflow.errors import ChartOverturn, InvalidCurve
+from discflow.errors import InvalidCurve
 from discflow.geometry import (
-    Chart,
     Curve,
     curvature_profile,
     curve_diagnostics,
     curve_from_csv,
-    curve_from_json,
     curve_to_csv,
-    curve_to_json,
     enclosed_area,
     is_embedded,
     resample_arclength,
     sample_circle_arc,
-    to_graph,
 )
 
 
 def make_curve(nodes, d=None):
     nodes = np.asarray(nodes, dtype=float)
     o = nodes[0] if d is None else np.array([-d, 0.0])
-    return Curve(nodes=nodes, chart=Chart.arclength(), dirichlet_point=o)
+    return Curve(nodes=nodes, dirichlet_point=o)
 
 
 def upper_semicircle(n):
@@ -203,31 +199,6 @@ def test_resample_length_property(n_base, turn, data):
     assert -1e-12 <= deficit <= 2.0 * total * (turn + 1.0) * (total / 64) ** 2 / total + 1e-12
 
 
-class TestToGraph:
-    def test_flat_unchanged(self):
-        x = np.linspace(-0.5, 1.0, 17)
-        c = make_curve(np.column_stack([x, np.zeros_like(x)]))
-        g = to_graph(c, Chart.graph_x())
-        assert np.all(g.nodes == c.nodes)
-        assert g.chart.kind.value == "graph_x"
-
-    def test_dn_arc_fits_x_chart(self):
-        nodes, _, _ = dn_arc_nodes(0.5, math.pi / 2 - 0.25, 64)
-        g = to_graph(make_curve(nodes, d=0.5), Chart.graph_x())
-        assert np.all(np.diff(g.nodes[:, 0]) > 0.0)
-
-    def test_overturned_curve_needs_tilted_chart(self):
-        # arc with max turning angle 3 pi / 4 overturns the x chart
-        psi = np.linspace(-math.pi / 2, math.pi / 4, 65)
-        nodes = sample_circle_arc((0.0, 1.0), 1.0, psi[0], psi[-1], 64)
-        c = make_curve(nodes)
-        with pytest.raises(ChartOverturn):
-            to_graph(c, Chart.graph_x())
-        g = to_graph(c, Chart.graph_chord(3 * math.pi / 8))
-        u = g.nodes @ np.array([math.cos(3 * math.pi / 8), math.sin(3 * math.pi / 8)])
-        assert np.all(np.diff(u) > 0.0)
-
-
 class TestEmbedding:
     def test_graph_like_fast_path(self):
         nodes, _, _ = dn_arc_nodes(0.5, 1.0, 40)
@@ -238,23 +209,6 @@ class TestEmbedding:
                           [1.0, -1.0], [0.9, -1.0], [0.9, 1.1], [0.5, 1.1],
                           [0.5, 1.2], [0.4, 1.2]])
         assert not is_embedded(nodes)
-
-
-class TestValidate:
-    def test_disc_curve_passes(self):
-        from discflow.hairclip import initial_curve
-        initial_curve(0.3, 0.5, 32).validate()
-
-    def test_off_circle_endpoint_rejected(self):
-        x = np.linspace(-0.5, 0.9, 17)
-        c = make_curve(np.column_stack([x, np.zeros_like(x)]), d=0.5)
-        with pytest.raises(InvalidCurve):
-            c.validate()
-
-    def test_non_disc_validation_skips_boundary(self):
-        x = np.linspace(-0.5, 0.9, 17)
-        c = make_curve(np.column_stack([x, np.zeros_like(x)]), d=0.5)
-        c.validate(require_disc=False)
 
 
 class TestDiagnostics:
@@ -271,11 +225,3 @@ class TestDiagnostics:
         c = make_curve(nodes, d=0.5)
         back = curve_from_csv(curve_to_csv(c), 0.5)
         assert np.abs(back.nodes - c.nodes).max() < 1e-15
-
-    def test_serialization_roundtrip_json(self):
-        nodes, _, _ = dn_arc_nodes(0.5, 1.3, 24)
-        c = make_curve(nodes, d=0.5)
-        back, d = curve_from_json(curve_to_json(c, 0.5))
-        assert d == 0.5
-        assert np.abs(back.nodes - c.nodes).max() < 1e-15
-        assert back.chart.kind == c.chart.kind
