@@ -365,19 +365,12 @@ def _add_common(p, *, d=0.5, rho=0.3, nodes=128, record_every=100):
                    help="flat key=value file; explicit flags override it")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser,
-                            dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discflow",
         description="Curve shortening flow in the unit disc with mixed "
                     "Dirichlet-Neumann boundary conditions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
-
-    def add_command(name, help):
-        commands[name] = sub.add_parser(name, help=help)
-        return commands[name]
+    add_command = parser.add_subparsers(dest="command", required=True).add_parser
 
     p = add_command("verify", help="run the full invariant suite")
     _add_common(p, nodes=64)
@@ -424,39 +417,44 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_fit)
-    return parser, commands
+    return parser
 
 
-def _apply_config(parser, commands, argv) -> None:
-    """Install the --config file's values as defaults of the chosen
-    subcommand; string defaults go through each option's type."""
+def _apply_config(parser, argv: list[str]) -> list[str]:
+    """argv with the --config file's values inserted as options right
+    after the subcommand: argparse applies each option's type and choices
+    to them, and explicit flags, parsed later, override them."""
     ns, _ = parser.parse_known_args(argv)
     path = getattr(ns, "config", None)
     if not path:
-        return
-    overrides = {}
-    for line in Path(path).read_text().splitlines():
+        return argv
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
+    # the namespace holds every option of the subcommand
+    known = vars(ns).keys() - {"command", "func"}
+    options = []
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParameterError(f"bad config line: {line!r}")
         key, value = line.split("=", 1)
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    # the namespace holds every option of the subcommand
-    known = vars(ns).keys() - {"command", "func"}
-    for key in overrides:
+        key = key.strip().replace("-", "_")
         if key not in known:
             raise ParameterError(f"unknown config key {key!r}")
-    commands[ns.command].set_defaults(**overrides)
+        options.append(f"--{key.replace('_', '-')}={value.strip()}")
+    at = argv.index(ns.command) + 1
+    return argv[:at] + options + argv[at:]
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config(parser, commands, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(parser, argv))
         _validate_common(args)
         return args.func(args)
     except ParameterError as exc:

@@ -615,11 +615,9 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
         name = f"state_{i:06d}.csv"
         (outdir / name).write_text(curve_to_csv(s.curve))
         state_files.append(name)
-    lines = [DIAG_HEADER]
-    for s in traj.states:
-        row = [s.time] + s.diagnostics.as_row()
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    (outdir / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+    values = [v for s in traj.states for v in [s.time, *s.diagnostics.as_row()]]
+    rows = ("%.17g," * 6 + "%.17g\n") * len(traj.states) % tuple(values)
+    (outdir / "diagnostics.csv").write_text(DIAG_HEADER + "\n" + rows)
     manifest = {
         "d": traj.d,
         "n": traj.n,
@@ -658,7 +656,8 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     """Read a directory written by write_trajectory.
 
     Raises ParameterError naming an unreadable file, a missing manifest
-    key, or per-state lists whose lengths differ; nothing is defaulted.
+    key, per-state lists whose lengths differ, or a state file without
+    the manifest's n + 1 nodes; nothing is defaulted.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -672,6 +671,7 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     if len(set(lengths.values())) != 1:
         raise ParameterError(f"{path}: per-state lists differ in length {lengths}")
     d = float(manifest["d"])
+    n = int(manifest["n"])
     states = []
     for name, t, step_i, row, shed in zip(*(manifest[k] for k in _PER_STATE_KEYS)):
         state_path = outdir / name
@@ -679,11 +679,14 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
             curve = curve_from_csv(state_path.read_text(), d)
         except (OSError, ValueError) as exc:
             raise ParameterError(f"cannot read {state_path}: {exc}") from exc
+        if curve.n_segments != n:
+            raise ParameterError(f"{state_path} has {curve.n_segments + 1} nodes, "
+                                 f"manifest n = {n} needs {n + 1}")
         states.append(FlowState(curve=curve, time=float(t),
                                 diagnostics=CurveDiagnostics(*row), step=int(step_i),
                                 area_shed=float(shed)))
     outcome = manifest["outcome"]
-    return Trajectory(d=d, n=int(manifest["n"]), states=states,
+    return Trajectory(d=d, n=n, states=states,
                       events=[(float(t), str(name)) for t, name in manifest["events"]],
                       outcome=FlowOutcome(kind=outcome["kind"], time=outcome["time"],
                                           detail=outcome["detail"]),

@@ -110,45 +110,6 @@ def _quadratic_extrapolate(sq, vq, s_eval):
     return va * la + vb * lb + vc * lc
 
 
-def tangent_angles(nodes: np.ndarray) -> np.ndarray:
-    """Unwrapped tangent angle per node.
-
-    Interior nodes use the central chord P[i+1]-P[i-1]; endpoints use the
-    derivative of the one-sided quadratic through the nearest three nodes.
-    """
-    s = cumulative_arclength(nodes)
-    c = nodes[2:] - nodes[:-2]
-    tx = np.empty(nodes.shape[0])
-    ty = np.empty(nodes.shape[0])
-    tx[1:-1], ty[1:-1] = c[:, 0], c[:, 1]
-    tx[0] = _quadratic_derivative_at(s[0], s[1], s[2], nodes[0, 0], nodes[1, 0], nodes[2, 0])
-    ty[0] = _quadratic_derivative_at(s[0], s[1], s[2], nodes[0, 1], nodes[1, 1], nodes[2, 1])
-    tx[-1] = _quadratic_derivative_at(s[-1], s[-2], s[-3], nodes[-1, 0], nodes[-2, 0], nodes[-3, 0])
-    ty[-1] = _quadratic_derivative_at(s[-1], s[-2], s[-3], nodes[-1, 1], nodes[-2, 1], nodes[-3, 1])
-    return np.unwrap(np.arctan2(ty, tx))
-
-
-def menger_curvature(nodes: np.ndarray) -> np.ndarray:
-    """Signed circumscribed-circle curvature at interior nodes.
-
-    Positive for left turns in traversal order.  Collinear triples give 0;
-    coincident nodes raise InvalidCurve.
-    """
-    a = nodes[1:-1] - nodes[:-2]
-    b = nodes[2:] - nodes[1:-1]
-    c = nodes[2:] - nodes[:-2]
-    la = np.hypot(a[:, 0], a[:, 1])
-    lb = np.hypot(b[:, 0], b[:, 1])
-    lc = np.hypot(c[:, 0], c[:, 1])
-    if np.any(la == 0.0) or np.any(lb == 0.0):
-        raise InvalidCurve("coincident consecutive nodes")
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    denom = la * lb * lc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kappa = np.where(denom > 0.0, 2.0 * cross / denom, 0.0)
-    return kappa
-
-
 def curvature_vectors(nodes: np.ndarray) -> np.ndarray:
     """Curvature vector (kappa times unit normal toward the circumcenter)
     at interior nodes; orientation independent."""
@@ -171,22 +132,53 @@ def curvature_vectors(nodes: np.ndarray) -> np.ndarray:
 def curvature_profile(c: Curve) -> CurvatureProfile:
     """Arclength, signed curvature, and unwrapped turning angle per node.
 
-    The curvature sign is normalized by the curve's overall handedness, so
-    consistently turning (convex) curves report kappa >= 0 regardless of
-    traversal direction, while local concavities come out negative.
-    Endpoint curvatures are one-sided quadratic extrapolations.
+    Tangents are the central chord P[i+1]-P[i-1] at interior nodes and the
+    derivative of the one-sided quadratic through the nearest three nodes
+    at the endpoints.  The curvature is the circumscribed-circle (Menger)
+    curvature at interior nodes, its sign normalized by the curve's overall
+    handedness, so consistently turning (convex) curves report kappa >= 0
+    regardless of traversal direction, while local concavities come out
+    negative.  Collinear triples give 0; coincident nodes raise
+    InvalidCurve.  Endpoint curvatures are one-sided quadratic
+    extrapolations.
     """
-    nodes = c.nodes
-    s = cumulative_arclength(nodes)
-    theta = tangent_angles(nodes)
-    kappa_int = menger_curvature(nodes)
-    total_turn = theta[-1] - theta[0]
-    if total_turn < 0.0:
-        kappa_int = -kappa_int
-    kappa = np.empty(nodes.shape[0])
-    kappa[1:-1] = kappa_int
-    kappa[0] = _quadratic_extrapolate(s[1:4], kappa_int[:3], s[0])
-    kappa[-1] = _quadratic_extrapolate(s[-4:-1], kappa_int[-3:], s[-1])
+    z = _as_complex(c.nodes)
+    e = z[1:] - z[:-1]
+    seg = np.abs(e)
+    if not seg.all():
+        raise InvalidCurve("coincident consecutive nodes")
+    s = np.empty(z.shape[0])
+    s[0] = 0.0
+    np.add.accumulate(seg, out=s[1:])
+    t = np.empty_like(z)
+    np.subtract(z[2:], z[:-2], out=t[1:-1])
+    s_head, s_tail = s[:4].tolist(), s[-4:].tolist()
+    z_head, z_tail = z[:3].tolist(), z[-3:].tolist()
+    t0 = _quadratic_derivative_at(*s_head[:3], *z_head)
+    t[0] = t0
+    t[-1] = _quadratic_derivative_at(*s_tail[:0:-1], *z_tail[::-1])
+    # unwrapped angle: atan2 of t_0 plus the partial sums of the joint
+    # angles arg(conj(t_i) t_{i+1}) in (-pi, pi], as in _turns_by_pi
+    joint = t[:-1].conj() * t[1:]
+    ang = np.empty(z.shape[0])
+    ang[0] = math.atan2(t0.imag, t0.real)
+    np.arctan2(joint.imag, joint.real, out=ang[1:])
+    theta = np.add.accumulate(ang)
+    # Menger curvature 2 cross / (|a| |b| |a + b|) on the segments a, b
+    sign = -2.0 if theta[-1] - theta[0] < 0.0 else 2.0
+    cross = (e[:-1].conj() * e[1:]).imag
+    cross *= sign
+    denom = seg[:-1] * seg[1:]
+    denom *= np.abs(t[1:-1])
+    kappa = np.empty(z.shape[0])
+    if denom.min() > 0.0:
+        np.divide(cross, denom, out=kappa[1:-1])
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kappa[1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
+    k_head, k_tail = kappa[1:4].tolist(), kappa[-4:-1].tolist()
+    kappa[0] = _quadratic_extrapolate(s_head[1:], k_head, s_head[0])
+    kappa[-1] = _quadratic_extrapolate(s_tail[:-1], k_tail, s_tail[-1])
     return CurvatureProfile(s=s, kappa=kappa, theta=theta)
 
 
@@ -354,13 +346,13 @@ def sample_circle_arc(center, radius: float, psi0: float, psi1: float, n: int) -
 # serialization
 
 def curve_to_csv(c: Curve) -> str:
-    lines = ["x,y"]
-    for px, py in c.nodes:
-        lines.append(f"{px:.17g},{py:.17g}")
-    return "\n".join(lines) + "\n"
+    # one %-format over all values; "%.17g" prints each double exactly as
+    # f"{v:.17g}" does, and 17 significant digits round-trip
+    return "x,y\n" + "%.17g,%.17g\n" * c.nodes.shape[0] % tuple(c.nodes.ravel().tolist())
 
 
 def curve_from_csv(text: str, d: float) -> Curve:
-    rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-    nodes = np.array([[float(v) for v in ln.split(",")] for ln in rows])
+    # skip the header line; an odd value count is a ValueError from reshape
+    body = text.lstrip().partition("\n")[2]
+    nodes = np.array(list(map(float, body.replace(",", " ").split()))).reshape(-1, 2)
     return Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))

@@ -155,6 +155,21 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         assert run_cli("pair", "--config", str(cfg), "--theta", "0.6") == 2
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert run_cli("flow", "--config", str(missing)) == 2
+        assert f"cannot read config {missing}" in capsys.readouterr().err
+
+    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys):
+        # the same usage error as --kind bogus on the command line
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("kind = bogus\n")
+        for argv in (["--config", str(cfg)], ["--kind", "bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("barriers", *argv)
+            assert exc.value.code == 2
+            assert "argument --kind: invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_desk_scale_suite_passes(self, tmp_path, capsys):

@@ -377,6 +377,12 @@ class TestExport:
         for name in ("manifest.json", "diagnostics.csv", "state_000000.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_diagnostics_rows_match_per_value_format(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        rows = [",".join(f"{v:.17g}" for v in [s.time] + s.diagnostics.as_row())
+                for s in short_run.states]
+        assert (out / "diagnostics.csv").read_text().splitlines()[1:] == rows
+
     def test_diagnostics_header(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
         first = (out / "diagnostics.csv").read_text().splitlines()[0]
@@ -419,5 +425,17 @@ class TestStrictLoad:
     def test_removed_state_file(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
         (out / "state_000002.csv").unlink()
+        with pytest.raises(ParameterError, match=r"cannot read .*state_000002\.csv"):
+            load_trajectory(out)
+
+    def test_truncated_state_file(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        path = out / "state_000002.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:11]))  # header and 10 of 97 nodes
+        with pytest.raises(ParameterError, match=r"state_000002\.csv has 10 nodes, "
+                                                 r"manifest n = 96 needs 97"):
+            load_trajectory(out)
+        path.write_text("".join(lines[:-1]) + lines[-1].split(",")[0] + "\n")
         with pytest.raises(ParameterError, match=r"cannot read .*state_000002\.csv"):
             load_trajectory(out)

@@ -225,3 +225,95 @@ class TestDiagnostics:
         c = make_curve(nodes, d=0.5)
         back = curve_from_csv(curve_to_csv(c), 0.5)
         assert np.abs(back.nodes - c.nodes).max() < 1e-15
+
+
+class TestCsv:
+    VALUES = [-0.0, 5e-324, 1e-300, 1e300, 0.1, 0.0, 1.0, -3.0, 12345678.0,
+              2.0 ** 53, -1.0 / 3.0, math.pi, 0.5, -0.25, 7.0, 1e-7, -2.5e-16, 2.0]
+
+    @staticmethod
+    def per_line_csv(c):
+        lines = ["x,y"]
+        for px, py in c.nodes:
+            lines.append(f"{px:.17g},{py:.17g}")
+        return "\n".join(lines) + "\n"
+
+    def test_bytes_match_per_value_format(self):
+        c = make_curve(np.array(self.VALUES).reshape(-1, 2))
+        text = curve_to_csv(c)
+        assert text == self.per_line_csv(c)
+        assert text.splitlines()[1] == "-0,4.9406564584124654e-324"
+
+    def test_roundtrip_is_exact(self):
+        rng = np.random.default_rng(7)
+        for nodes in (np.array(self.VALUES).reshape(-1, 2),
+                      dn_arc_nodes(0.5, 1.3, 24)[0],
+                      rng.standard_normal((65, 2)) * 10.0 ** rng.integers(-300, 300, (65, 2))):
+            c = make_curve(nodes)
+            back = curve_from_csv(curve_to_csv(c), 0.5)
+            assert np.array_equal(back.nodes, c.nodes)
+            assert np.array_equal(np.signbit(back.nodes), np.signbit(c.nodes))
+
+
+def reference_profile(nodes):
+    """The profile as the separate tangent-angle (np.unwrap) and Menger
+    curvature routines composed it before they were folded together."""
+    seg = np.hypot(*np.diff(nodes, axis=0).T)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+
+    def deriv(s0, s1, s2, v0, v1, v2):
+        d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+        return (v0 * (d01 + d02) / (d01 * d02) - v1 * d02 / (d01 * d12)
+                + v2 * d01 / (d02 * d12))
+
+    def extrapolate(sq, vq, x):
+        (sa, sb, sc), (va, vb, vc) = sq, vq
+        return (va * (x - sb) * (x - sc) / ((sa - sb) * (sa - sc))
+                + vb * (x - sa) * (x - sc) / ((sb - sa) * (sb - sc))
+                + vc * (x - sa) * (x - sb) / ((sc - sa) * (sc - sb)))
+
+    t = np.empty_like(nodes)
+    t[1:-1] = nodes[2:] - nodes[:-2]
+    t[0] = deriv(s[0], s[1], s[2], nodes[0], nodes[1], nodes[2])
+    t[-1] = deriv(s[-1], s[-2], s[-3], nodes[-1], nodes[-2], nodes[-3])
+    theta = np.unwrap(np.arctan2(t[:, 1], t[:, 0]))
+    a, b = nodes[1:-1] - nodes[:-2], nodes[2:] - nodes[1:-1]
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    kappa_int = 2.0 * cross / (seg[:-1] * seg[1:] * np.hypot(*t[1:-1].T))
+    if theta[-1] - theta[0] < 0.0:
+        kappa_int = -kappa_int
+    kappa = np.concatenate([[extrapolate(s[1:4], kappa_int[:3], s[0])], kappa_int,
+                            [extrapolate(s[-4:-1], kappa_int[-3:], s[-1])]])
+    return s, kappa, theta
+
+
+class TestProfileMatchesReference:
+    def assert_agrees(self, nodes, theta_tol=1e-12):
+        prof = curvature_profile(make_curve(nodes))
+        s, kappa, theta = reference_profile(nodes)
+        assert np.abs(prof.s - s).max() <= 1e-14 * s[-1]
+        assert np.abs(prof.kappa - kappa).max() <= 1e-12 * np.abs(kappa).max()
+        assert np.abs(prof.theta - theta).max() <= theta_tol
+        return prof
+
+    def test_dn_arc(self):
+        nodes, _, _ = dn_arc_nodes(0.5, 1.3, 96)
+        self.assert_agrees(nodes)
+
+    def test_near_extinction_state(self, extinct_run):
+        final = extinct_run.states[-1]
+        assert final.diagnostics.length < 1e-2 and final.diagnostics.kappa_max > 1e3
+        # the endpoint quadratic derivative divides O(1) coordinates by
+        # O(length / n) spacings, so near extinction its angle carries
+        # ~eps * n / length of round-off in both versions (up to 2.6e-12
+        # along the N = 96 blow-up run)
+        self.assert_agrees(final.curve.nodes, theta_tol=1e-10)
+
+    def test_hook_turning_past_pi(self):
+        # an elliptic hook turning by 3 pi / 2, traversed clockwise: kappa
+        # is reported positive and theta decreases through -pi
+        psi = np.linspace(0.0, -1.5 * math.pi, 81)
+        nodes = np.column_stack([np.cos(psi), 0.4 * np.sin(psi)])
+        prof = self.assert_agrees(nodes)
+        assert prof.kappa.min() > 0.0
+        assert prof.theta[0] - prof.theta[-1] == pytest.approx(1.5 * math.pi, abs=1e-2)
