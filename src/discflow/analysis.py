@@ -20,7 +20,7 @@ from .errors import (
     NotExtinct,
 )
 from .flow import TRANSIENT_STEPS, Trajectory
-from .geometry import Curve, curvature_profile, curvature_vectors
+from .geometry import Curve, _quadratic_extrapolate, curvature_profile, curvature_vectors
 
 #: a state belongs to the early-time fit window while theta_bar stays below
 #: this angle (graph-representable over the x-axis with small gradient)
@@ -205,10 +205,7 @@ def _tip_frame(nodes: np.ndarray) -> np.ndarray:
         s_star = min(max(s_star, s_loc[0]), s_loc[2])
     else:
         s_star = 0.0
-    l0 = (s_star - s_loc[1]) * (s_star - s_loc[2]) / ((s_loc[0] - s_loc[1]) * (s_loc[0] - s_loc[2]))
-    l1 = (s_star - s_loc[0]) * (s_star - s_loc[2]) / ((s_loc[1] - s_loc[0]) * (s_loc[1] - s_loc[2]))
-    l2 = (s_star - s_loc[0]) * (s_star - s_loc[1]) / ((s_loc[2] - s_loc[0]) * (s_loc[2] - s_loc[1]))
-    tip = l0 * tri[0] + l1 * tri[1] + l2 * tri[2]
+    tip = _quadratic_extrapolate(s_loc, tri, s_star)
     center = _circumcenter(tri[0], tri[1], tri[2])
     if center is None:
         vec = curvature_vectors(nodes)
@@ -271,12 +268,10 @@ def compare_grim_reaper(seq: BlowupSequence,
 
     # soliton identity kappa = cos(theta) on the inner half of the window
     # of the last member, with magnitudes so the orientation drops out
-    prof_nodes = last_frame
-    curve_like = Curve(nodes=prof_nodes, dirichlet_point=prof_nodes[0])
-    prof = curvature_profile(curve_like)
+    prof = curvature_profile(Curve(nodes=last_frame, dirichlet_point=last_frame[0]))
     cos_t = np.abs(np.cos(prof.theta))
-    lo, hi = _tip_window(prof_nodes, 0.5 * window_halfwidth)
-    near = np.zeros(prof_nodes.shape[0], dtype=bool)
+    lo, hi = _tip_window(last_frame, 0.5 * window_halfwidth)
+    near = np.zeros(last_frame.shape[0], dtype=bool)
     near[lo:hi + 1] = True
     near &= cos_t > 0.2
     if np.any(near):

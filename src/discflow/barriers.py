@@ -51,10 +51,6 @@ class ProblemConfig:
         return 0.5 * (1.0 / self.d - self.d)
 
     @property
-    def origin(self) -> np.ndarray:
-        return np.array([-self.d, 0.0])
-
-    @property
     def omega(self) -> float:
         """Maximal time of the subsolution family: log 2 for d = 1, else inf."""
         return math.log(2.0) if self.b == 0.0 else math.inf
@@ -209,6 +205,18 @@ def integrate_characteristic_ode(cfg: ProblemConfig, t_min: float, t_max: float,
     t_grid = np.array(ts_b[::-1] + ts_f[1:])
     theta_grid = np.array(ys_b[::-1] + ys_f[1:])
     return t_grid, theta_grid
+
+
+def time_window(cfg: ProblemConfig, kind: ArcKind, t_min: float = -8.0,
+                t_max: float = 3.0, count: int = 20) -> np.ndarray:
+    """`count` slice times in [t_min, t_max], cut where the arc radius
+    diverges and the slack is pure round-off: NN theta_plus >= 1e-3 and
+    t <= -0.05, DN theta_minus <= pi - 1e-3 and t <= omega - 0.05."""
+    if kind is ArcKind.NEUMANN_NEUMANN:
+        t_lo = max(min(t_min, -0.05), 0.5 * math.log(math.sin(1e-3)))
+        return np.linspace(t_lo, -0.05, count)
+    t_hi = min(cfg.omega - 0.05, t_max, characteristic_time(cfg, math.pi - 1e-3))
+    return np.linspace(t_min, t_hi, count)
 
 
 @dataclass(frozen=True)

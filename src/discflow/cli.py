@@ -14,22 +14,18 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis as ana
 from . import barriers as bar
+from . import checks
 from . import flow as flw
 from . import geometry as geo
 from . import hairclip as hc
-from .errors import DiscFlowError, DomainError, ParameterError
-
-DEFAULT_D_GRID = (0.3, 0.7, 1.0)
+from .errors import DiscFlowError, DomainError, InsufficientWindow, ParameterError
 
 
 def _positive(name, value):
     if value is not None and value <= 0.0:
         raise ParameterError(f"{name} must be positive, got {value}")
-    return value
 
 
 def _validate_common(args) -> None:
@@ -47,6 +43,7 @@ def _validate_common(args) -> None:
         _positive(tol_name.replace("_", "-"), getattr(args, tol_name, None))
     _positive("t-end", getattr(args, "t_end", None))
     _positive("samples", getattr(args, "samples", None))
+    _positive("t-count", getattr(args, "t_count", None))
 
 
 def _outdir(args, command: str) -> Path:
@@ -72,123 +69,69 @@ def _write_run_manifest(out: Path, command: str, args) -> None:
 # verify
 
 
-def _check(name, value, tol, mode="abs_max"):
+def _check(name, value, tol, mode):
     if mode == "abs_max":
         ok = abs(value) <= tol
-    else:  # "min": value must not drop below -tol
+    elif mode == "min":  # value must not drop below -tol
         ok = value >= -tol
+    elif mode == "max":  # value must not exceed tol
+        ok = value <= tol
+    else:  # "flag": value is a truth value
+        ok = bool(value)
     return {"name": name, "value": float(value), "tol": float(tol), "passed": bool(ok)}
 
 
+def _or_nan(value_of) -> float:
+    # a run that recorded too few states for a check gives a FAIL row (NaN)
+    try:
+        return value_of()
+    except InsufficientWindow:
+        return math.nan
+
+
 def cmd_verify(args) -> int:
-    checks = []
-
-    d_grid = np.linspace(0.1, 1.0, 50)
-    resid = max(abs(bar.ProblemConfig(d).a ** 2 - bar.ProblemConfig(d).b ** 2 - 1.0)
-                for d in d_grid)
-    checks.append(_check("hyperbolic identity a^2 - b^2 = 1", resid, 1e-14))
-
-    worst_orth = worst_origin = 0.0
-    for d in DEFAULT_D_GRID:
-        cfg = bar.ProblemConfig(d)
-        for theta in np.linspace(0.05, math.pi - 0.05, 25):
-            arc = bar.dn_arc(cfg, theta)
-            worst_orth = max(worst_orth,
-                             abs(arc.center @ arc.center - 1.0 - arc.radius ** 2))
-            worst_origin = max(worst_origin,
-                               abs(math.hypot(-d - arc.center[0], -arc.center[1])
-                                   - arc.radius))
-    for theta in np.linspace(0.05, 0.5 * math.pi - 0.05, 25):
-        arc = bar.nn_arc(theta)
-        worst_orth = max(worst_orth,
-                         abs(arc.center @ arc.center - 1.0 - arc.radius ** 2))
-    checks.append(_check("arc orthogonality |center|^2 - r^2 = 1", worst_orth, 1e-12))
-    checks.append(_check("DN arc passes through o", worst_origin, 1e-12))
-
-    worst_ode = 0.0
-    for d in DEFAULT_D_GRID:
-        cfg = bar.ProblemConfig(d)
-        t_hi = min(cfg.omega - 0.01, 5.0)
-        t_grid, th_grid = bar.integrate_characteristic_ode(cfg, -10.0, t_hi)
-        sub = slice(0, None, 25)
-        worst_ode = max(worst_ode, float(np.abs(
-            bar.theta_minus(cfg, t_grid[sub]) - th_grid[sub]).max()))
-    checks.append(_check("characteristic ODE vs closed form", worst_ode, 1e-8))
-
-    cfg1 = bar.ProblemConfig(1.0)
-    ts = np.linspace(-10.0, math.log(2.0) - 0.01, 120)
-    resid = float(np.abs(bar.theta_minus(cfg1, ts) - np.arccos(1.0 - np.exp(ts))).max())
-    checks.append(_check("d=1 angle law closed form", resid, 1e-12))
-
-    min_slack = math.inf
-    for d in DEFAULT_D_GRID:
-        cfg = bar.ProblemConfig(d)
-        # cap the family where the arc stays well-conditioned: near
-        # theta = pi the radius diverges and sampling is pure round-off
-        t_hi = min(cfg.omega - 0.05, 3.0,
-                   bar.characteristic_time(cfg, math.pi - 1e-3))
-        for t in np.linspace(-8.0, t_hi, 20):
-            rep = bar.verify_barrier_inequality(cfg, bar.ArcKind.DIRICHLET_NEUMANN,
-                                                float(t), args.samples)
-            min_slack = min(min_slack, rep.min_slack)
-    for t in np.linspace(-3.0, -0.05, 20):
-        rep = bar.verify_barrier_inequality(bar.ProblemConfig(args.d),
-                                            bar.ArcKind.NEUMANN_NEUMANN,
-                                            float(t), args.samples)
-        min_slack = min(min_slack, rep.min_slack)
-    checks.append(_check("barrier inequality slack", min_slack, args.tol_slack,
-                         mode="min"))
-
-    worst_eig = max(abs(hc.lambda0(float(d)).residual) for d in np.linspace(0.05, 1.0, 50))
-    checks.append(_check("eigenvalue residual", worst_eig, 1e-12))
-
-    worst_pair = 0.0
-    mono_ok = True
-    for d in np.linspace(0.1, 1.0, 10):
-        for theta in np.linspace(0.1, 0.5 * math.pi - 0.05, 10):
-            lam, t = hc.solve_orthogonal_pair(float(theta), float(d))
-            s = hc.HairclipSlice(lam=lam, t=t, d=float(d))
-            slope = float(hc.slice_slope(s, math.cos(theta)))
-            worst_pair = max(worst_pair, abs(math.atan(slope) - theta))
-            lam_hi = 0.5 * math.pi / math.sin(theta)
-            g = hc.pairing_function_g(np.linspace(1e-4, lam_hi * (1 - 1e-9), 1000),
-                                      float(theta), float(d))
-            mono_ok = mono_ok and bool(np.all(np.diff(g) < 0.0))
-    checks.append(_check("pairing orthogonality residual", worst_pair, args.tol_bc))
-    checks.append({"name": "pairing function strictly decreasing",
-                   "value": float(mono_ok), "tol": 1.0, "passed": mono_ok})
-
+    orth, through_o = checks.arc_residuals()
+    ode_law, closed_d1 = checks.angle_law_residuals()
+    pairing, decreasing = checks.pairing_residuals()
     initial = hc.initial_curve(args.rho, args.d, args.nodes)
     lam_ref, _ = hc.solve_orthogonal_pair(args.rho, args.d)
     traj = flw.run(flw.FlowRunConfig(d=args.d, initial=initial, n=args.nodes,
-                                     t_end=args.t_end, record_every=25))
-    ode_rep = flw.theta_bar_ode_check(traj, tol_ode=args.tol_ode, raise_on_fail=False)
-    checks.append(_check("flow growth vs characteristic law",
-                         ode_rep.min_growth_margin, args.tol_ode, mode="min"))
-    speed_rep = flw.speed_bound_check(traj, lam_ref, tol=args.tol_inv,
-                                      raise_on_fail=False)
-    checks.append(_check("sharp speed lower bound", speed_rep.min_margin,
-                         args.tol_inv, mode="min"))
-    mp = flw.maximum_principle_check(traj)
-    checks.append(_check("maximum-principle margins",
-                         min(mp.kappa_margin, mp.kappa_s_margin,
-                             mp.curvature_bound_margin, mp.gradient_bound_margin),
-                         0.0, mode="min"))
-    avoid = flw.nn_avoidance_check(traj, args.rho)
-    checks.append(_check("avoidance of upper barrier", avoid, 1e-6, mode="min"))
-    balance = ana.area_balance(traj)
-    checks.append(_check("area first variation",
-                         balance.max_discrepancy, 5e-3 * (128.0 / args.nodes) ** 2))
-
-    passed = all(c["passed"] for c in checks)
+                                     t_end=args.t_end, record_every=args.record_every))
+    ode = flw.theta_bar_ode_check(traj, tol_ode=args.tol_ode, raise_on_fail=False)
+    speed = flw.speed_bound_check(traj, lam_ref, tol=args.tol_inv, raise_on_fail=False)
+    rows = [
+        ("hyperbolic identity a^2 - b^2 = 1", checks.hyperbolic_identity_residual(),
+         1e-14, "abs_max"),
+        ("arc orthogonality |center|^2 - r^2 = 1", orth, 1e-12, "abs_max"),
+        ("DN arc passes through o", through_o, 1e-12, "abs_max"),
+        ("characteristic ODE vs closed form", ode_law, 1e-8, "abs_max"),
+        ("d=1 angle law closed form", closed_d1, 1e-12, "abs_max"),
+        ("barrier inequality slack", checks.barrier_min_slack(args.samples),
+         args.tol_slack, "min"),
+        ("eigenvalue residual", checks.eigenvalue_residual(), 1e-12, "abs_max"),
+        ("pairing orthogonality residual", pairing, args.tol_bc, "abs_max"),
+        ("pairing function strictly decreasing", decreasing, 1.0, "flag"),
+        ("flow growth vs characteristic law", ode.min_growth_margin, args.tol_ode, "min"),
+        ("theta_bar below subsolution", ode.max_barrier_excess, args.tol_ode, "max"),
+        ("sharp speed lower bound", speed.min_margin, args.tol_inv, "min"),
+        ("maximum-principle margins",
+         _or_nan(lambda: min(vars(flw.maximum_principle_check(traj)).values())),
+         0.0, "min"),
+        ("avoidance of upper barrier", flw.nn_avoidance_check(traj, args.rho), 1e-6, "min"),
+        ("area first variation",
+         _or_nan(lambda: ana.area_balance(traj).max_discrepancy),
+         5e-3 * (128.0 / args.nodes) ** 2, "abs_max"),
+    ]
+    report = [_check(*row) for row in rows]
+    passed = all(c["passed"] for c in report)
     out = _outdir(args, "verify")
     _write_run_manifest(out, "verify", args)
-    _write_json(out / "report.json", {"checks": checks, "passed": passed})
-    for c in checks:
+    _write_json(out / "report.json", {"checks": report, "passed": passed})
+    for c in report:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
               f"value={c['value']:.3e} tol={c['tol']:.3e}")
     if not passed:
-        first_bad = next(c["name"] for c in checks if not c["passed"])
+        first_bad = next(c["name"] for c in report if not c["passed"])
         print(f"verify failed at: {first_bad}", file=sys.stderr)
         return 1
     return 0
@@ -206,15 +149,7 @@ def cmd_barriers(args) -> int:
     kinds = {"dn": [bar.ArcKind.DIRICHLET_NEUMANN], "nn": [bar.ArcKind.NEUMANN_NEUMANN],
              "both": [bar.ArcKind.DIRICHLET_NEUMANN, bar.ArcKind.NEUMANN_NEUMANN]}
     for kind in kinds[args.kind]:
-        if kind is bar.ArcKind.NEUMANN_NEUMANN:
-            # keep theta_plus above 1e-3 so the arc radius stays bounded
-            t_lo = max(min(args.t_min, -0.05), 0.5 * math.log(math.sin(1e-3)))
-            times = np.linspace(t_lo, -0.05, args.t_count)
-        else:
-            t_hi = min(cfg.omega - 0.05, args.t_max,
-                       bar.characteristic_time(cfg, math.pi - 1e-3))
-            times = np.linspace(args.t_min, t_hi, args.t_count)
-        for t in times:
+        for t in bar.time_window(cfg, kind, args.t_min, args.t_max, args.t_count):
             rep = bar.verify_barrier_inequality(cfg, kind, float(t), args.samples)
             reports.append(json.loads(rep.to_json()))
     _write_json(out / "barrier_reports.json", {"reports": reports})
@@ -245,11 +180,11 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def _run_flow(d, rho, nodes, t_end, record_every, dt_safety=0.25):
+def _run_flow(d, rho, nodes, t_end, record_every):
     initial = hc.initial_curve(rho, d, nodes)
     lam, _ = hc.solve_orthogonal_pair(rho, d)
     cfg = flw.FlowRunConfig(d=d, initial=initial, n=nodes, t_end=t_end,
-                            dt_safety=dt_safety, record_every=record_every)
+                            record_every=record_every)
     traj = flw.run(cfg)
     traj.rho = rho
     traj.lambda_ref = lam
@@ -351,15 +286,22 @@ def cmd_fit(args) -> int:
 # argument plumbing
 
 
-def _add_common(p, *, d=0.5, rho=0.3, nodes=128, record_every=100):
+def _add_common(p, reads=(), *, d=0.5, rho=0.3, nodes=128, record_every=100,
+                t_end=None):
+    """--d, --out and --config, plus the run options named in `reads`
+    ("rho", "nodes", "record_every", "t_end"): the ones the command uses."""
     p.add_argument("--d", type=float, default=d, help="Dirichlet offset in (0, 1]")
-    p.add_argument("--rho", type=float, default=rho,
-                   help="boundary angle of the initial slice, in (0, pi/2)")
-    p.add_argument("--nodes", type=int, default=nodes, help="node budget N")
-    p.add_argument("--record-every", dest="record_every", type=int,
-                   default=record_every, help="record one state every K steps")
-    p.add_argument("--t-end", dest="t_end", type=float, default=None,
-                   help="stop the flow at this time")
+    if "rho" in reads:
+        p.add_argument("--rho", type=float, default=rho,
+                       help="boundary angle of the initial slice, in (0, pi/2)")
+    if "nodes" in reads:
+        p.add_argument("--nodes", type=int, default=nodes, help="node budget N")
+    if "record_every" in reads:
+        p.add_argument("--record-every", dest="record_every", type=int,
+                       default=record_every, help="record one state every K steps")
+    if "t_end" in reads:
+        p.add_argument("--t-end", dest="t_end", type=float, default=t_end,
+                       help="stop the flow at this time")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None,
                    help="flat key=value file; explicit flags override it")
@@ -372,14 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "Dirichlet-Neumann boundary conditions")
     add_command = parser.add_subparsers(dest="command", required=True).add_parser
 
+    run_options = ("rho", "nodes", "record_every", "t_end")
     p = add_command("verify", help="run the full invariant suite")
-    _add_common(p, nodes=64)
+    _add_common(p, run_options, nodes=64, record_every=25, t_end=0.5)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--tol-ode", dest="tol_ode", type=float, default=5e-3)
     p.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-3)
     p.add_argument("--tol-slack", dest="tol_slack", type=float, default=1e-10)
     p.add_argument("--tol-bc", dest="tol_bc", type=float, default=1e-8)
-    p.set_defaults(func=cmd_verify, t_end=0.5)
+    p.set_defaults(func=cmd_verify)
 
     p = add_command("barriers", help="verify barrier inequalities on a time grid")
     _add_common(p)
@@ -391,23 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_barriers)
 
     p = add_command("pair", help="solve the orthogonal slice pairing")
-    _add_common(p)
+    _add_common(p, ("nodes",))
     p.add_argument("--theta", type=float, required=True,
                    help="boundary angle in (0, pi/2)")
     p.set_defaults(func=cmd_pair)
 
     p = add_command("flow", help="run one flow from a slice initial datum")
-    _add_common(p)
+    _add_common(p, run_options)
     p.set_defaults(func=cmd_flow)
 
     p = add_command("ancient", help="sweep decreasing rho toward the ancient limit")
-    _add_common(p)
+    _add_common(p, ("nodes", "record_every", "t_end"))
     p.add_argument("--rho-list", dest="rho_list", default="0.3,0.1,0.03",
                    help="comma-separated strictly decreasing angles")
     p.set_defaults(func=cmd_ancient)
 
     p = add_command("blowup", help="extract the type-II blow-up sequence (d = 1)")
-    _add_common(p, d=1.0)
+    _add_common(p, ("rho", "nodes", "record_every"), d=1.0)
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--window", type=float, default=1.0)
     p.set_defaults(func=cmd_blowup)
@@ -457,10 +400,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_apply_config(parser, argv))
         _validate_common(args)
         return args.func(args)
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ParameterError, DomainError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except DiscFlowError as exc:

@@ -30,9 +30,8 @@ class StepRejected(DiscFlowError):
 class ComparisonViolation(DiscFlowError):
     """A comparison-principle check failed beyond its tolerance."""
 
-    def __init__(self, message, time=None, margin=None):
+    def __init__(self, message, margin=None):
         super().__init__(message)
-        self.time = time
         self.margin = margin
 
 

@@ -6,7 +6,7 @@ endpoint is placed by the discrete Neumann constraint {on the unit circle}
 and {last segment radial}, whose one-dimensional root has the closed form
 phi = atan2(y, x) of the penultimate node.  Nodes are redistributed to
 uniform arclength after every step, which supplies the tangential degree
-of freedom and keeps the explicit scheme stable at dt <= dt_safety * h^2.
+of freedom and keeps the explicit scheme stable at dt <= DT_SAFETY * h^2.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .barriers import ProblemConfig, characteristic_rhs, theta_minus, theta_plus
+from .barriers import ProblemConfig, characteristic_rhs, nn_arc, theta_minus, theta_plus
 from .errors import (
     ComparisonViolation,
     DomainError,
@@ -59,6 +59,19 @@ TRANSIENT_STEPS = 10
 
 MAX_DT_RETRIES = 20
 
+#: explicit step dt = DT_SAFETY * (length / n)^2
+DT_SAFETY = 0.25
+
+#: stop rules: converged (d < 1) once kappa_max and height_max / 3 and the
+#: Hausdorff distance to the minimizing arc are below CONVERGED_EPS;
+#: extinct once length < EXTINCT_LEN while kappa_max > EXTINCT_KAPPA
+CONVERGED_EPS = 1e-3
+EXTINCT_LEN = 1e-2
+EXTINCT_KAPPA = 1e3
+
+#: columns of diagnostics.csv and of Trajectory.table (with step, area_shed)
+DIAG_HEADER = "t,theta_min,theta_max,kappa_max,area,height_max,length"
+
 
 @dataclass(frozen=True)
 class FlowState:
@@ -82,28 +95,15 @@ class FlowRunConfig:
     d: float
     initial: Curve
     n: int = 128
-    dt_safety: float = 0.25
     t_end: float | None = None
-    stop: str = "auto"  # auto | converged | extinct | max_time
-    converged_eps: float = 1e-3
-    extinct_eps_len: float = 1e-2
-    extinct_kappa: float = 1e3
     record_every: int = 100
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if not (0.0 < self.dt_safety <= 0.5):
-            raise DomainError(f"dt_safety must lie in (0, 0.5], got {self.dt_safety}")
         if self.n < 8:
             raise DomainError(f"need n >= 8, got {self.n}")
-        if self.converged_eps <= 0.0 or self.extinct_eps_len <= 0.0:
-            raise DomainError("stop tolerances must be positive")
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
-        if self.stop not in ("auto", "converged", "extinct", "max_time"):
-            raise DomainError(f"unknown stop rule {self.stop!r}")
-        if self.stop == "max_time" and self.t_end is None:
-            raise DomainError("stop='max_time' requires t_end")
 
 
 @dataclass
@@ -116,23 +116,17 @@ class Trajectory:
     rho: float | None = None
     lambda_ref: float | None = None
     record_every: int = 1
-    dt_safety: float = 0.25
+    dt_safety: float = DT_SAFETY
 
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
 
     def table(self) -> dict[str, np.ndarray]:
-        cols = {k: [] for k in ("t", "theta_min", "theta_max", "kappa_max",
-                                "area", "height_max", "length", "step",
-                                "area_shed")}
-        for s in self.states:
-            cols["t"].append(s.time)
-            cols["step"].append(s.step)
-            cols["area_shed"].append(s.area_shed)
-            for k, v in zip(("theta_min", "theta_max", "kappa_max", "area",
-                             "height_max", "length"), s.diagnostics.as_row()):
-                cols[k].append(v)
-        return {k: np.array(v) for k, v in cols.items()}
+        diag = np.array([s.diagnostics.as_row() for s in self.states]).reshape(-1, 6)
+        cols = dict(zip(DIAG_HEADER.split(",")[1:], diag.T))
+        cols.update(t=self.times(), step=np.array([s.step for s in self.states]),
+                    area_shed=np.array([s.area_shed for s in self.states]))
+        return cols
 
 
 def unstable_arc(d: float, n: int) -> Curve:
@@ -236,11 +230,6 @@ def _step_valid(nodes: np.ndarray) -> str | None:
     return None
 
 
-def _length(nodes: np.ndarray) -> float:
-    z = _as_complex(nodes)
-    return float(np.abs(z[1:] - z[:-1]).sum())
-
-
 def _advance_checked(nodes: np.ndarray, d: float, dt: float,
                      n: int) -> tuple[np.ndarray, str | None, float]:
     """One candidate step plus validity check; returns
@@ -277,7 +266,7 @@ def prepare_initial(cfg: FlowRunConfig) -> np.ndarray:
 def step(state: FlowState, dt: float, d: float | None = None) -> FlowState:
     """One explicit step; raises StepRejected if the update is invalid.
 
-    dt should respect the parabolic bound dt <= dt_safety * h_min^2.
+    dt should respect the parabolic bound dt <= DT_SAFETY * h_min^2.
     """
     if d is None:
         d = -float(state.curve.dirichlet_point[0])
@@ -309,9 +298,6 @@ def run(cfg: FlowRunConfig,
     last_record_t = 0.0
     outcome: FlowOutcome | None = None
 
-    check_converged = cfg.stop in ("auto", "converged") and d < 1.0
-    check_extinct = cfg.stop in ("auto", "extinct")
-
     while outcome is None:
         if cfg.t_end is not None and t >= cfg.t_end:
             outcome = FlowOutcome(kind="max_time", time=t)
@@ -320,8 +306,8 @@ def run(cfg: FlowRunConfig,
             outcome = FlowOutcome(kind="max_steps", time=t)
             break
 
-        length = _length(nodes)
-        dt = cfg.dt_safety * (length / cfg.n) ** 2
+        z = _as_complex(nodes)
+        dt = DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / cfg.n) ** 2
         committed = False
         for _ in range(MAX_DT_RETRIES + 1):
             candidate, reason, shed = _advance_checked(nodes, d, dt, cfg.n)
@@ -355,15 +341,14 @@ def run(cfg: FlowRunConfig,
         last_theta_max = diag.theta_max
         last_record_t = t
 
-        if check_extinct and diag.length < cfg.extinct_eps_len \
-                and diag.kappa_max > cfg.extinct_kappa:
+        if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
             omega = t + 0.5 * diag.length / diag.kappa_max
             events.append((t, "extinct"))
             outcome = FlowOutcome(kind="extinct", time=omega)
             break
-        if check_converged and diag.height_max < 3.0 * cfg.converged_eps \
-                and diag.kappa_max < cfg.converged_eps:
-            if hausdorff_to_minimizing_arc(nodes, d) < cfg.converged_eps:
+        if d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
+                and diag.kappa_max < CONVERGED_EPS:
+            if hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
                 events.append((t, "converged"))
                 outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
                 break
@@ -373,7 +358,7 @@ def run(cfg: FlowRunConfig,
     if outcome.kind == "max_time":
         events.append((t, "max_time"))
     return Trajectory(d=d, n=cfg.n, states=states, events=events, outcome=outcome,
-                      record_every=cfg.record_every, dt_safety=cfg.dt_safety)
+                      record_every=cfg.record_every, dt_safety=DT_SAFETY)
 
 
 def hausdorff_to_minimizing_arc(nodes: np.ndarray, d: float,
@@ -450,15 +435,10 @@ def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
     min_growth = float((dth - rhs).min())
 
     t_star = half_pi_crossing(traj)
-    max_excess = -math.inf
-    if t_star is not None:
-        tau = ts - t_star
-        mask = tau <= 0.0
-        if np.any(mask):
-            excess = th[mask] - theta_minus(cfg, tau[mask])
-            max_excess = float(excess.max())
-    if max_excess == -math.inf:
-        max_excess = 0.0
+    max_excess = 0.0  # vacuous until theta_bar crosses pi/2
+    if t_star is not None and np.any(ts <= t_star):
+        before = ts <= t_star
+        max_excess = float((th[before] - theta_minus(cfg, ts[before] - t_star)).max())
 
     report = OdeCheckReport(skipped=False, t_star=t_star,
                             min_growth_margin=min_growth,
@@ -483,10 +463,9 @@ class SpeedBoundReport:
 
 
 def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
-                      cos_floor: float = 0.1,
                       raise_on_fail: bool = True) -> SpeedBoundReport:
     """Check the sharp speed lower bound kappa/cos(theta) >=
-    lam * tan(lam * y) wherever cos(theta) > cos_floor, and report
+    lam * tan(lam * y) wherever cos(theta) > 0.1, and report
     max kappa/y per recorded state (its excess over the squared eigenvalue
     should shrink toward early times)."""
     min_margin = math.inf
@@ -497,7 +476,7 @@ def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
         prof = curvature_profile(s.curve)
         y = s.curve.nodes[:, 1]
         cos_t = np.cos(prof.theta)
-        mask = cos_t > cos_floor
+        mask = cos_t > 0.1
         if np.any(mask):
             margin = prof.kappa[mask] / cos_t[mask] \
                 - lambda_ref * np.tan(lambda_ref * y[mask])
@@ -569,13 +548,14 @@ def maximum_principle_check(traj: Trajectory) -> MaxPrincipleReport:
                               gradient_bound_margin=gb_m)
 
 
-def nn_avoidance_check(traj: Trajectory, rho: float, tol: float = 1e-6) -> float:
+def nn_avoidance_check(traj: Trajectory, rho: float) -> float:
     """Minimum signed distance of the recorded curves to the translated
     supersolution arcs that start just above the initial slice.
 
     The family angle is aligned so theta_plus matches
     sin(theta_rho) = 2 sin(rho)/(1 + sin^2(rho)) at the run start; the
-    curves must stay below (outside) the arcs while the family exists.
+    curves must stay below (outside) the arcs while the family exists,
+    so a negative margin is a crossing.  Nothing is raised.
     """
     sin_rho = math.sin(rho)
     sin_theta_rho = 2.0 * sin_rho / (1.0 + sin_rho ** 2)
@@ -586,23 +566,14 @@ def nn_avoidance_check(traj: Trajectory, rho: float, tol: float = 1e-6) -> float
         tau = tau0 + (s.time - t0)
         if tau >= 0.0:
             break
-        theta = float(theta_plus(tau))
-        eta = 1.0 / math.sin(theta)
-        r = 1.0 / math.tan(theta)
-        x, y = s.curve.nodes[:, 0], s.curve.nodes[:, 1]
-        dist = np.hypot(x, y - eta) - r
+        arc = nn_arc(float(theta_plus(tau)))
+        dist = np.hypot(*(s.curve.nodes - arc.center).T) - arc.radius
         min_margin = min(min_margin, float(dist.min()))
-    if min_margin < -tol:
-        raise ComparisonViolation(
-            f"curve crossed the supersolution arc by {min_margin:.3e}",
-            margin=min_margin)
     return min_margin
 
 
 # ---------------------------------------------------------------------------
 # trajectory export
-
-DIAG_HEADER = "t,theta_min,theta_max,kappa_max,area,height_max,length"
 
 
 def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:

@@ -77,20 +77,10 @@ class CurvatureProfile:
     kappa: np.ndarray
     theta: np.ndarray
 
-    def __iter__(self):
-        return iter(zip(self.s, self.kappa, self.theta))
-
 
 def segment_lengths(nodes: np.ndarray) -> np.ndarray:
     d = np.diff(nodes, axis=0)
     return np.hypot(d[:, 0], d[:, 1])
-
-
-def cumulative_arclength(nodes: np.ndarray) -> np.ndarray:
-    s = np.empty(nodes.shape[0])
-    s[0] = 0.0
-    np.cumsum(segment_lengths(nodes), out=s[1:])
-    return s
 
 
 def _quadratic_derivative_at(s0, s1, s2, v0, v1, v2):
@@ -153,10 +143,13 @@ def curvature_profile(c: Curve) -> CurvatureProfile:
     t = np.empty_like(z)
     np.subtract(z[2:], z[:-2], out=t[1:-1])
     s_head, s_tail = s[:4].tolist(), s[-4:].tolist()
-    z_head, z_tail = z[:3].tolist(), z[-3:].tolist()
-    t0 = _quadratic_derivative_at(*s_head[:3], *z_head)
+    # node differences from the endpoint (the weights sum to zero): absolute
+    # coordinates would cost eps / h of round-off on a short curve
+    za, zb, zc = z[:3].tolist()
+    t0 = _quadratic_derivative_at(*s_head[:3], 0.0, zb - za, zc - za)
     t[0] = t0
-    t[-1] = _quadratic_derivative_at(*s_tail[:0:-1], *z_tail[::-1])
+    za, zb, zc = z[:-4:-1].tolist()
+    t[-1] = _quadratic_derivative_at(*s_tail[:0:-1], 0.0, zb - za, zc - za)
     # unwrapped angle: atan2 of t_0 plus the partial sums of the joint
     # angles arg(conj(t_i) t_{i+1}) in (-pi, pi], as in _turns_by_pi
     joint = t[:-1].conj() * t[1:]
@@ -221,7 +214,8 @@ def resample_arclength(c: Curve, n: int) -> Curve:
 
 
 def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
-    s = cumulative_arclength(nodes)
+    s = np.zeros(nodes.shape[0])
+    np.cumsum(segment_lengths(nodes), out=s[1:])
     target = np.linspace(0.0, s[-1], n + 1)
     out = np.empty((n + 1, 2))
     out[:, 0] = np.interp(target, s, nodes[:, 0])

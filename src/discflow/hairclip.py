@@ -94,6 +94,17 @@ def pairing_function_g(lam, theta: float, d: float):
     return float(out) if np.asarray(lam).ndim == 0 else out
 
 
+def _bisect_root(f, lo: float, hi: float) -> float:
+    # root of f, positive below it and not above it on [lo, hi]
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_orthogonal_pair(theta: float, d: float) -> tuple[float, float]:
     """Unique (lam, t) whose slice meets the circle orthogonally at
     (cos(theta), sin(theta)).
@@ -107,16 +118,8 @@ def solve_orthogonal_pair(theta: float, d: float) -> tuple[float, float]:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
     st, ct = math.sin(theta), math.cos(theta)
     hi = 0.5 * math.pi / st
-    lo_v, hi_v = 1e-12 * hi, hi * (1.0 - 1e-14)
-    lo = lo_v
-    hi_b = hi_v
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi_b)
-        if pairing_function_g(mid, theta, d) > 0.0:
-            lo = mid
-        else:
-            hi_b = mid
-    lam = 0.5 * (lo + hi_b)
+    lam = _bisect_root(lambda x: pairing_function_g(x, theta, d),
+                       1e-12 * hi, hi * (1.0 - 1e-14))
     t = math.log(math.sin(lam * st) / math.sinh(lam * (ct + d))) / lam ** 2
 
     s = HairclipSlice(lam=lam, t=t, d=d)
@@ -135,18 +138,7 @@ def lambda0(d: float) -> Eigenvalue:
     """Positive root of tanh(lam (1 + d)) = lam by bisection on (1e-6, 1)."""
     if not (0.0 < d <= 1.0):
         raise DomainError(f"d must lie in (0, 1], got {d}")
-    lo, hi = 1e-6, 1.0 - 1e-15
-
-    def h(lam):
-        return math.tanh(lam * (1.0 + d)) - lam
-
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = _bisect_root(lambda lam: math.tanh(lam * (1.0 + d)) - lam, 1e-6, 1.0 - 1e-15)
     eig = Eigenvalue(lambda0=root, d=d)
     if abs(eig.residual) > 1e-12:
         raise ArithmeticError(f"eigenvalue residual {eig.residual:.3e}")
@@ -158,8 +150,7 @@ def slice_between(s: HairclipSlice, x_hi: float, n_dense: int = 2048) -> np.ndar
     the steep right end."""
     u = np.sin(np.linspace(0.0, 0.5 * math.pi, n_dense))
     xs = -s.d + (x_hi + s.d) * u
-    ys = slice_height(s, xs)
-    ys = np.asarray(ys)
+    ys = np.asarray(slice_height(s, xs))
     ys[0] = 0.0
     return np.column_stack([xs, ys])
 

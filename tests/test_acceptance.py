@@ -12,13 +12,11 @@ import pytest
 from scipy.optimize import brentq
 
 from discflow.analysis import area_balance, compare_grim_reaper, extract_blowup, fit_asymptotics
-from discflow.barriers import (
-    ArcKind,
-    ProblemConfig,
-    characteristic_time,
-    integrate_characteristic_ode,
-    theta_minus,
-    verify_barrier_inequality,
+from discflow.checks import (
+    angle_law_residuals,
+    barrier_min_slack,
+    eigenvalue_residual,
+    pairing_residuals,
 )
 from discflow.flow import (
     FlowRunConfig,
@@ -29,9 +27,7 @@ from discflow.flow import (
     theta_bar_ode_check,
 )
 from discflow.geometry import Curve, curvature_profile, enclosed_area, sample_circle_arc
-from discflow.hairclip import initial_curve, lambda0, pairing_function_g, solve_orthogonal_pair
-
-D_GRID = (0.3, 0.7, 1.0)
+from discflow.hairclip import initial_curve, lambda0, solve_orthogonal_pair
 
 
 def report(num, ok, detail, seconds=None):
@@ -79,17 +75,7 @@ def run_c6_256():
 
 def test_criterion_1_barrier_ode_agreement():
     t0 = time.perf_counter()
-    worst = 0.0
-    for d in D_GRID:
-        cfg = ProblemConfig(d)
-        t_hi = min(cfg.omega - 0.01, 5.0)
-        t_grid, th_grid = integrate_characteristic_ode(cfg, -10.0, t_hi, step=1e-3)
-        sub = slice(0, None, 25)
-        worst = max(worst, float(np.abs(
-            theta_minus(cfg, t_grid[sub]) - th_grid[sub]).max()))
-    cfg1 = ProblemConfig(1.0)
-    ts = np.linspace(-10.0, math.log(2.0) - 0.01, 400)
-    closed = float(np.abs(theta_minus(cfg1, ts) - np.arccos(1.0 - np.exp(ts))).max())
+    worst, closed = angle_law_residuals()
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and closed < 1e-12 and elapsed < 1.0
     report(1, ok, f"RK4 vs closed form: |dtheta|={worst:.2e} (<1e-8), "
@@ -101,21 +87,7 @@ def test_criterion_1_barrier_ode_agreement():
 
 def test_criterion_2_barrier_inequalities():
     t0 = time.perf_counter()
-    min_slack = math.inf
-    for d in D_GRID:
-        cfg = ProblemConfig(d)
-        # keep the arcs well-conditioned: near theta = pi the radius
-        # diverges and the sampled slack is pure round-off
-        t_hi = min(cfg.omega - 0.05, 3.0, characteristic_time(cfg, math.pi - 1e-3))
-        for t in np.linspace(-8.0, t_hi, 20):
-            rep = verify_barrier_inequality(cfg, ArcKind.DIRICHLET_NEUMANN,
-                                            float(t), 256)
-            min_slack = min(min_slack, rep.min_slack)
-    t_lo = 0.5 * math.log(math.sin(1e-3))
-    for t in np.linspace(t_lo, -0.05, 20):
-        rep = verify_barrier_inequality(ProblemConfig(1.0),
-                                        ArcKind.NEUMANN_NEUMANN, float(t), 256)
-        min_slack = min(min_slack, rep.min_slack)
+    min_slack = barrier_min_slack(256)
     elapsed = time.perf_counter() - t0
     ok = min_slack >= -1e-10 and elapsed < 1.0
     report(2, ok, f"DN+NN min slack {min_slack:.2e} (>= -1e-10) over 80 slices",
@@ -126,28 +98,13 @@ def test_criterion_2_barrier_inequalities():
 
 def test_criterion_3_eigenvalue_and_pairing():
     t0 = time.perf_counter()
-    worst_resid = 0.0
-    for d in np.linspace(0.05, 1.0, 50):
-        worst_resid = max(worst_resid, abs(lambda0(float(d)).residual))
+    worst_resid = eigenvalue_residual()
     oracle_1 = brentq(lambda x: math.tanh(2.0 * x) - x, 1e-6, 1.0 - 1e-12, xtol=1e-14)
     oracle_05 = brentq(lambda x: math.tanh(1.5 * x) - x, 1e-6, 1.0 - 1e-12, xtol=1e-14)
     lam_1, lam_05 = lambda0(1.0).lambda0, lambda0(0.5).lambda0
     values_ok = (abs(lam_1 - oracle_1) < 1e-10 and abs(lam_05 - oracle_05) < 1e-10
                  and abs(lam_1 - 0.9575) < 1e-4 and abs(lam_05 - 0.858) < 1e-3)
-
-    worst_pair = 0.0
-    mono_ok = True
-    for d in np.linspace(0.1, 1.0, 10):
-        for theta in np.linspace(0.1, 0.5 * math.pi - 0.05, 10):
-            lam, t = solve_orthogonal_pair(float(theta), float(d))
-            from discflow.hairclip import HairclipSlice, slice_slope
-            s = HairclipSlice(lam=lam, t=t, d=float(d))
-            slope = float(slice_slope(s, math.cos(theta)))
-            worst_pair = max(worst_pair, abs(math.atan(slope) - theta))
-            lam_hi = 0.5 * math.pi / math.sin(theta)
-            g = pairing_function_g(np.linspace(1e-4, lam_hi * (1 - 1e-9), 1000),
-                                   float(theta), float(d))
-            mono_ok = mono_ok and bool(np.all(np.diff(g) < 0.0))
+    worst_pair, mono_ok = pairing_residuals()
     elapsed = time.perf_counter() - t0
     ok = (worst_resid < 1e-12 and values_ok and worst_pair < 1e-8
           and mono_ok and elapsed < 5.0)

@@ -2,8 +2,10 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+import discflow.barriers as barriers
 from discflow.cli import main
 
 
@@ -47,6 +49,9 @@ class TestValidation:
 
     def test_bad_nodes_exits_2(self):
         assert run_cli("flow", "--nodes", "4") == 2
+
+    def test_bad_t_count_exits_2(self):
+        assert run_cli("barriers", "--t-count", "-1") == 2
 
 
 class TestPair:
@@ -136,6 +141,13 @@ class TestBarriersCommand:
         assert len(payload["reports"]) == 12
         assert all(r["min_slack"] >= -1e-10 for r in payload["reports"])
 
+    def test_undeclared_run_option_is_a_usage_error(self, capsys):
+        # barriers reads no initial slice, so --rho is not one of its options
+        with pytest.raises(SystemExit) as exc:
+            run_cli("barriers", "--rho", "0.3")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rho 0.3" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_provides_defaults(self, tmp_path, capsys):
@@ -171,20 +183,88 @@ class TestConfigFile:
             assert "argument --kind: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+#: the rows of verify's report.json, in order
+VERIFY_ROWS = [
+    "hyperbolic identity a^2 - b^2 = 1",
+    "arc orthogonality |center|^2 - r^2 = 1",
+    "DN arc passes through o",
+    "characteristic ODE vs closed form",
+    "d=1 angle law closed form",
+    "barrier inequality slack",
+    "eigenvalue residual",
+    "pairing orthogonality residual",
+    "pairing function strictly decreasing",
+    "flow growth vs characteristic law",
+    "theta_bar below subsolution",
+    "sharp speed lower bound",
+    "maximum-principle margins",
+    "avoidance of upper barrier",
+    "area first variation",
+]
+
+SMALL_VERIFY = ("verify", "--nodes", "48", "--t-end", "0.3", "--samples", "64")
+
+
+def verify_rows(out):
+    report = json.loads((out / "report.json").read_text())
+    return report, {c["name"]: c for c in report["checks"]}
+
+
 class TestVerifyCommand:
     def test_desk_scale_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "verify"
-        code = run_cli("verify", "--nodes", "48", "--t-end", "0.3",
-                       "--samples", "64", "--out", str(out))
-        assert code == 0
+        assert run_cli(*SMALL_VERIFY, "--out", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["passed"]
-        names = [c["name"] for c in report["checks"]]
-        assert "barrier inequality slack" in names
-        assert "sharp speed lower bound" in names
-        assert "area first variation" in names
+        assert [c["name"] for c in report["checks"]] == VERIFY_ROWS
         lines = capsys.readouterr().out.splitlines()
         assert all(ln.startswith("[PASS]") for ln in lines if ln.startswith("["))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["params"]["record_every"] == 25
+
+    def test_report_bytes_repeat(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run_cli(*SMALL_VERIFY, "--out", str(out)) == 0
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    def test_violated_barrier_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(barriers, "nn_slack",
+                            lambda theta, y: np.zeros_like(np.asarray(y)) - 1e-9)
+        loose = tmp_path / "loose"
+        assert run_cli(*SMALL_VERIFY, "--tol-slack", "1e-6", "--out", str(loose)) == 0
+        report, rows = verify_rows(loose)
+        assert report["passed"]
+        assert rows["barrier inequality slack"]["value"] == pytest.approx(-1e-9)
+        strict = tmp_path / "strict"
+        assert run_cli(*SMALL_VERIFY, "--out", str(strict)) == 1
+        report, rows = verify_rows(strict)
+        assert not report["passed"]
+        assert not rows["barrier inequality slack"]["passed"]
+        assert all(c["passed"] for name, c in rows.items()
+                   if name != "barrier inequality slack")
+        assert (strict / "run_manifest.json").exists()
+        assert "[FAIL] barrier inequality slack" in capsys.readouterr().out
+
+    def test_too_short_run_gives_fail_rows(self, tmp_path):
+        # one step: no post-transient state and fewer than 3 states
+        out = tmp_path / "short"
+        assert run_cli(*SMALL_VERIFY, "--t-end", "1e-5", "--out", str(out)) == 1
+        report, rows = verify_rows(out)
+        assert not report["passed"]
+        failed = [name for name, c in rows.items() if not c["passed"]]
+        assert failed == ["maximum-principle margins", "area first variation"]
+
+    def test_theta_bar_row_gates_the_subsolution(self, tmp_path):
+        # by t = 2.5 theta_bar has crossed pi/2 (near t = 2.05 at d = 0.5),
+        # so the row compares the run with the aligned subsolution
+        out = tmp_path / "long"
+        assert run_cli("verify", "--nodes", "32", "--t-end", "2.5", "--samples", "64",
+                       "--out", str(out)) == 0
+        _, rows = verify_rows(out)
+        row = rows["theta_bar below subsolution"]
+        assert row["passed"]
+        assert -5e-3 < row["value"] < 0.0
 
 
 class TestBlowupCommand:

@@ -327,6 +327,11 @@ class TestComparisons:
         margin = nn_avoidance_check(short_run, rho=0.3)
         assert margin >= -1e-6
 
+    def test_avoidance_reports_a_crossing(self, short_run):
+        # arcs aligned to a lower slice (rho = 0.1) start below the
+        # rho = 0.3 run: the crossing comes back as a negative margin
+        assert nn_avoidance_check(short_run, rho=0.1) < -0.05
+
     def test_half_pi_crossing_detected(self, converged_run):
         t_star = half_pi_crossing(converged_run)
         assert t_star is not None

@@ -1,5 +1,6 @@
 """Geometry oracles: exact circles, analytic areas, resampling, embedding."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,10 +304,10 @@ class TestProfileMatchesReference:
     def test_near_extinction_state(self, extinct_run):
         final = extinct_run.states[-1]
         assert final.diagnostics.length < 1e-2 and final.diagnostics.kappa_max > 1e3
-        # the endpoint quadratic derivative divides O(1) coordinates by
-        # O(length / n) spacings, so near extinction its angle carries
-        # ~eps * n / length of round-off in both versions (up to 2.6e-12
-        # along the N = 96 blow-up run)
+        # the reference's endpoint quadratic derivative divides O(1)
+        # coordinates by O(length / n) spacings, so near extinction its
+        # angle carries ~eps * n / length of round-off (up to 2.6e-12 along
+        # the N = 96 blow-up run)
         self.assert_agrees(final.curve.nodes, theta_tol=1e-10)
 
     def test_hook_turning_past_pi(self):
@@ -317,3 +318,33 @@ class TestProfileMatchesReference:
         prof = self.assert_agrees(nodes)
         assert prof.kappa.min() > 0.0
         assert prof.theta[0] - prof.theta[-1] == pytest.approx(1.5 * math.pi, abs=1e-2)
+
+
+def exact_end_angle(s, nodes):
+    """atan2 of the derivative at s[0] of the Lagrange quadratic through the
+    first three (s, node) pairs, in exact rational arithmetic on the same
+    float values; rounded once at the end."""
+    s0, s1, s2 = (Fraction(v) for v in s[:3])
+    d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+    w = ((d01 + d02) / (d01 * d02), -d02 / (d01 * d12), d01 / (d02 * d12))
+    tx, ty = (sum(wi * Fraction(v) for wi, v in zip(w, col))
+              for col in np.asarray(nodes[:3]).T.tolist())
+    return math.atan2(float(ty), float(tx))
+
+
+class TestEndpointTangent:
+    @pytest.mark.parametrize("k", range(8))
+    def test_short_curve_matches_exact_derivative(self, k):
+        # a circular arc of length 1e-4 near (-0.7, 0.4): on absolute
+        # coordinates the endpoint derivative loses ~eps * n / length
+        # (5e-11 here); on differences from the endpoint it keeps ~eps
+        r = 1e-4 / (1.0 + 0.25 * k)
+        phi = np.linspace(0.3 + 0.05 * k, 0.3 + 0.05 * k + 1e-4 / r, 17)
+        nodes = np.column_stack([-0.7 + r * np.cos(phi), 0.4 + r * np.sin(phi)])
+        prof = curvature_profile(make_curve(nodes))
+        s = prof.s.tolist()
+        assert abs(prof.theta[0] - exact_end_angle(s, nodes)) < 1e-13
+        # the right end: the same derivative on the reversed lists
+        back = exact_end_angle(s[::-1], nodes[::-1])
+        gap = (prof.theta[-1] - back + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(gap) < 1e-13
