@@ -28,6 +28,9 @@ EARLY_THETA = 0.2
 
 MIN_WINDOW_STATES = 10
 
+#: fewest members extract_blowup accepts
+MIN_BLOWUP_COUNT = 3
+
 
 @dataclass(frozen=True)
 class AsymptoticFit:
@@ -134,8 +137,8 @@ def extract_blowup(traj: Trajectory, count: int = 8) -> BlowupSequence:
     """
     if traj.outcome.kind != "extinct":
         raise NotExtinct(f"trajectory outcome is {traj.outcome.kind}")
-    if count < 3:
-        raise DomainError("need count >= 3")
+    if count < MIN_BLOWUP_COUNT:
+        raise DomainError(f"need count >= {MIN_BLOWUP_COUNT}")
     omega = float(traj.outcome.time)
 
     picked = []

@@ -26,6 +26,9 @@ from .errors import BarrierViolation, DomainError
 #: slack tolerance for analytically exact inequalities (round-off only)
 SLACK_TOL = -1e-10
 
+#: fewest arc points verify_barrier_inequality accepts
+MIN_SAMPLES = 16
+
 #: bisection bracket floor for the closed-form angle inversion
 _THETA_LO = 1e-15
 _BISECT_ITERS = 80
@@ -267,8 +270,8 @@ def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float,
     family with theta = theta_plus(t) the speed toward the center must be
     at least kappa.  Raises BarrierViolation if any slack < -1e-10.
     """
-    if samples < 16:
-        raise DomainError("need at least 16 samples")
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples")
     if kind is ArcKind.DIRICHLET_NEUMANN:
         theta = theta_minus(cfg, t)
         barrier = dn_arc(cfg, theta)

@@ -3,7 +3,7 @@
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid usage or
 parameters.  All computations are deterministic; identical parameters
-produce byte-identical CSV/JSON outputs.
+produce byte-identical CSV/JSON/npy outputs.
 """
 from __future__ import annotations
 
@@ -42,8 +42,12 @@ def _validate_common(args) -> None:
     for tol_name in ("tol_ode", "tol_inv", "tol_slack", "tol_bc"):
         _positive(tol_name.replace("_", "-"), getattr(args, tol_name, None))
     _positive("t-end", getattr(args, "t_end", None))
-    _positive("samples", getattr(args, "samples", None))
     _positive("t-count", getattr(args, "t_count", None))
+    # checked here, before any output directory exists
+    if getattr(args, "samples", None) is not None and args.samples < bar.MIN_SAMPLES:
+        raise ParameterError(f"samples must be >= {bar.MIN_SAMPLES}, got {args.samples}")
+    if getattr(args, "count", None) is not None and args.count < ana.MIN_BLOWUP_COUNT:
+        raise ParameterError(f"count must be >= {ana.MIN_BLOWUP_COUNT}, got {args.count}")
 
 
 def _outdir(args, command: str) -> Path:
@@ -55,8 +59,21 @@ def _outdir(args, command: str) -> Path:
     return out
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, so the JSON is
+    standard (null) instead of NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(_finite_or_null(obj), sort_keys=True, indent=1,
+                               allow_nan=False) + "\n")
 
 
 def _write_run_manifest(out: Path, command: str, args) -> None:
@@ -82,7 +99,8 @@ def _check(name, value, tol, mode):
 
 
 def _or_nan(value_of) -> float:
-    # a run that recorded too few states for a check gives a FAIL row (NaN)
+    # a run that recorded too few states for a check gives a FAIL row (NaN,
+    # null in report.json)
     try:
         return value_of()
     except InsufficientWindow:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -37,8 +39,6 @@ from .geometry import (
     _turns_by_pi,
     curvature_profile,
     curve_diagnostics,
-    curve_from_csv,
-    curve_to_csv,
 )
 
 def tol_inv(kappa_max: float) -> float:
@@ -576,20 +576,31 @@ def nn_avoidance_check(traj: Trajectory, rho: float) -> float:
 # trajectory export
 
 
+#: the layout write_trajectory writes and the only one load_trajectory reads
+FORMAT_VERSION = 2
+#: all recorded nodes of a trajectory, one (states, n + 1, 2) float64 array
+STATES_FILE = "states.npy"
+
+
 def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
-    """Write one CSV per recorded state, a diagnostics CSV, and a manifest
-    JSON; file contents are deterministic."""
+    """Write the recorded nodes to states.npy, a diagnostics CSV, and a
+    manifest JSON; file contents are deterministic.
+
+    The files go into a hidden sibling directory that then replaces
+    outdir, so outdir holds the old trajectory or the new one, never a
+    mix.  An existing outdir must be empty or hold a manifest.json (a
+    trajectory); anything else is a ParameterError and is left alone.
+    """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    state_files = []
-    for i, s in enumerate(traj.states):
-        name = f"state_{i:06d}.csv"
-        (outdir / name).write_text(curve_to_csv(s.curve))
-        state_files.append(name)
+    replace_old = (outdir / "manifest.json").is_file()
+    if outdir.exists() and not replace_old and \
+            (not outdir.is_dir() or any(outdir.iterdir())):
+        raise ParameterError(f"{outdir} is not empty and holds no trajectory; "
+                             "not replacing it")
     values = [v for s in traj.states for v in [s.time, *s.diagnostics.as_row()]]
     rows = ("%.17g," * 6 + "%.17g\n") * len(traj.states) % tuple(values)
-    (outdir / "diagnostics.csv").write_text(DIAG_HEADER + "\n" + rows)
     manifest = {
+        "format_version": FORMAT_VERSION,
         "d": traj.d,
         "n": traj.n,
         "rho": traj.rho,
@@ -603,18 +614,33 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
         "events": [[t, name] for t, name in traj.events],
         "outcome": {"kind": traj.outcome.kind, "time": traj.outcome.time,
                     "detail": traj.outcome.detail},
-        "state_files": state_files,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    tmp = outdir.with_name(f".{outdir.name}.{os.urandom(8).hex()}.tmp")
+    tmp.mkdir()
+    try:
+        np.save(tmp / STATES_FILE, np.stack([s.curve.nodes for s in traj.states]))
+        (tmp / "diagnostics.csv").write_text(DIAG_HEADER + "\n" + rows)
+        (tmp / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        if replace_old:
+            # a non-empty directory cannot be renamed over: move it aside
+            old = tmp.with_suffix(".old")
+            os.replace(outdir, old)
+            os.replace(tmp, outdir)
+            shutil.rmtree(old)
+        else:
+            os.replace(tmp, outdir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return outdir
 
 
 #: manifest keys load_trajectory requires; rho and lambda_ref may be null
 _MANIFEST_KEYS = ("d", "n", "rho", "lambda_ref", "record_every", "dt_safety",
-                 "times", "steps", "area_shed", "diagnostics", "events",
-                 "outcome", "state_files")
+                 "times", "steps", "area_shed", "diagnostics", "events", "outcome")
 #: manifest lists with one entry per recorded state, in FlowState order
-_PER_STATE_KEYS = ("state_files", "times", "steps", "diagnostics", "area_shed")
+_PER_STATE_KEYS = ("times", "steps", "diagnostics", "area_shed")
 
 
 def _require(obj: dict, keys, where) -> None:
@@ -626,9 +652,11 @@ def _require(obj: dict, keys, where) -> None:
 def load_trajectory(outdir: str | Path) -> Trajectory:
     """Read a directory written by write_trajectory.
 
-    Raises ParameterError naming an unreadable file, a missing manifest
-    key, per-state lists whose lengths differ, or a state file without
-    the manifest's n + 1 nodes; nothing is defaulted.
+    Raises ParameterError naming an unreadable file, a manifest of another
+    format_version, a missing manifest key, per-state lists whose lengths
+    differ, or a states.npy that is not a float64 array of shape
+    (states, n + 1, 2); nothing is defaulted.  Each state's nodes are one
+    C-contiguous row of that array.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -636,6 +664,10 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
         manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise ParameterError(f"{outdir} has an old or unknown trajectory layout: "
+                             f"format_version {version}, expected {FORMAT_VERSION}")
     _require(manifest, _MANIFEST_KEYS, path)
     _require(manifest["outcome"], ("kind", "time", "detail"), f"{path} outcome")
     lengths = {k: len(manifest[k]) for k in _PER_STATE_KEYS}
@@ -643,19 +675,23 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
         raise ParameterError(f"{path}: per-state lists differ in length {lengths}")
     d = float(manifest["d"])
     n = int(manifest["n"])
-    states = []
-    for name, t, step_i, row, shed in zip(*(manifest[k] for k in _PER_STATE_KEYS)):
-        state_path = outdir / name
-        try:
-            curve = curve_from_csv(state_path.read_text(), d)
-        except (OSError, ValueError) as exc:
-            raise ParameterError(f"cannot read {state_path}: {exc}") from exc
-        if curve.n_segments != n:
-            raise ParameterError(f"{state_path} has {curve.n_segments + 1} nodes, "
-                                 f"manifest n = {n} needs {n + 1}")
-        states.append(FlowState(curve=curve, time=float(t),
-                                diagnostics=CurveDiagnostics(*row), step=int(step_i),
-                                area_shed=float(shed)))
+    states_path = outdir / STATES_FILE
+    try:
+        nodes = np.load(states_path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ParameterError(f"cannot read {states_path}: {exc}") from exc
+    shape = (lengths["times"], n + 1, 2)
+    if not (isinstance(nodes, np.ndarray) and nodes.dtype == np.float64
+            and nodes.shape == shape):
+        raise ParameterError(f"{states_path} holds {getattr(nodes, 'dtype', '?')} "
+                             f"{getattr(nodes, 'shape', '?')}, manifest needs "
+                             f"float64 {shape}")
+    states = [FlowState(curve=Curve(nodes=row, dirichlet_point=np.array([-d, 0.0])),
+                        time=float(t),
+                        diagnostics=CurveDiagnostics(*diag), step=int(step_i),
+                        area_shed=float(shed))
+              for row, t, step_i, diag, shed
+              in zip(nodes, *(manifest[k] for k in _PER_STATE_KEYS))]
     outcome = manifest["outcome"]
     return Trajectory(d=d, n=n, states=states,
                       events=[(float(t), str(name)) for t, name in manifest["events"]],

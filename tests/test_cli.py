@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, file formats, determinism."""
 import json
+import math
 import shutil
 
 import numpy as np
 import pytest
 
 import discflow.barriers as barriers
-from discflow.cli import main
+import discflow.flow as flow
+from discflow.cli import _write_json, main
 
 
 def run_cli(*argv):
@@ -53,6 +55,22 @@ class TestValidation:
     def test_bad_t_count_exits_2(self):
         assert run_cli("barriers", "--t-count", "-1") == 2
 
+    def test_too_few_samples_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert run_cli("barriers", "--samples", "8", "--out", str(out)) == 2
+        assert "samples must be >= 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_small_count_runs_no_flow(self, tmp_path, monkeypatch, capsys):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(flow, "run", no_flow)
+        out = tmp_path / "X"
+        assert run_cli("blowup", "--count", "2", "--out", str(out)) == 2
+        assert "count must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPair:
     def test_writes_reports(self, tmp_path):
@@ -92,8 +110,11 @@ class TestFlowAndFit:
         manifest = json.loads((traj_dir / "manifest.json").read_text())
         assert manifest["d"] == 0.5
         assert manifest["outcome"]["kind"] == "max_time"
-        assert (traj_dir / "diagnostics.csv").exists()
-        assert (traj_dir / manifest["state_files"][0]).exists()
+        assert manifest["format_version"] == 2
+        assert sorted(p.name for p in traj_dir.iterdir()) == [
+            "diagnostics.csv", "manifest.json", "states.npy"]
+        nodes = np.load(traj_dir / "states.npy", allow_pickle=False)
+        assert nodes.shape == (len(manifest["times"]), 49, 2)
         assert (flow_dir / "run_manifest.json").exists()
 
     def test_fit_command(self, flow_dir, capsys):
@@ -110,9 +131,12 @@ class TestFlowAndFit:
     def test_fit_on_broken_run_dir_exits_2(self, flow_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(flow_dir / "trajectory", broken)
-        (broken / "state_000001.csv").unlink()
+        (broken / "states.npy").unlink()
         assert run_cli("fit", "--run-dir", str(broken)) == 2
-        assert "state_000001.csv" in capsys.readouterr().err
+        assert "states.npy" in capsys.readouterr().err
+        np.save(broken / "states.npy", np.zeros((2, 49, 2)))
+        assert run_cli("fit", "--run-dir", str(broken)) == 2
+        assert "states.npy holds float64 (2, 49, 2)" in capsys.readouterr().err
         assert run_cli("fit", "--run-dir", str(tmp_path / "absent")) == 2
         assert "manifest.json" in capsys.readouterr().err
 
@@ -205,9 +229,20 @@ VERIFY_ROWS = [
 SMALL_VERIFY = ("verify", "--nodes", "48", "--t-end", "0.3", "--samples", "64")
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def verify_rows(out):
     report = json.loads((out / "report.json").read_text())
     return report, {c["name"]: c for c in report["checks"]}
+
+
+def test_json_outputs_write_null_for_non_finite(tmp_path):
+    path = tmp_path / "out.json"
+    _write_json(path, {"inf": math.inf, "rows": [(-math.inf, math.nan), 0.5]})
+    assert json.loads(path.read_text(), parse_constant=reject_constant) == {
+        "inf": None, "rows": [[None, None], 0.5]}
 
 
 class TestVerifyCommand:
@@ -246,7 +281,7 @@ class TestVerifyCommand:
         assert (strict / "run_manifest.json").exists()
         assert "[FAIL] barrier inequality slack" in capsys.readouterr().out
 
-    def test_too_short_run_gives_fail_rows(self, tmp_path):
+    def test_too_short_run_gives_fail_rows(self, tmp_path, capsys):
         # one step: no post-transient state and fewer than 3 states
         out = tmp_path / "short"
         assert run_cli(*SMALL_VERIFY, "--t-end", "1e-5", "--out", str(out)) == 1
@@ -254,6 +289,11 @@ class TestVerifyCommand:
         assert not report["passed"]
         failed = [name for name, c in rows.items() if not c["passed"]]
         assert failed == ["maximum-principle margins", "area first variation"]
+        # the rows that cannot be evaluated are null: the file is standard JSON
+        assert [rows[name]["value"] for name in failed] == [None, None]
+        json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+        printed = capsys.readouterr().out
+        assert "[FAIL] maximum-principle margins: value=nan" in printed
 
     def test_theta_bar_row_gates_the_subsolution(self, tmp_path):
         # by t = 2.5 theta_bar has crossed pi/2 (near t = 2.05 at d = 0.5),

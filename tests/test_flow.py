@@ -1,4 +1,5 @@
 """Flow stepper: stationary states, invariants, comparisons, export."""
+import dataclasses
 import json
 import math
 
@@ -365,6 +366,10 @@ class TestAreaIdentity:
         assert worst[1] < worst[0]
 
 
+#: the files of a trajectory directory
+FILES = ["diagnostics.csv", "manifest.json", "states.npy"]
+
+
 class TestExport:
     def test_roundtrip(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
@@ -379,8 +384,40 @@ class TestExport:
     def test_deterministic_bytes(self, short_run, tmp_path):
         a = write_trajectory(short_run, tmp_path / "a")
         b = write_trajectory(short_run, tmp_path / "b")
-        for name in ("manifest.json", "diagnostics.csv", "state_000000.csv"):
+        for name in ("manifest.json", "diagnostics.csv", "states.npy"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_shorter_rewrite_leaves_three_files(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        shorter = dataclasses.replace(short_run, states=short_run.states[:2])
+        assert write_trajectory(shorter, out) == out
+        assert sorted(p.name for p in out.iterdir()) == FILES
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+        assert len(load_trajectory(out).states) == 2
+
+    def test_failed_write_keeps_previous_directory(self, short_run, tmp_path,
+                                                   monkeypatch):
+        out = write_trajectory(short_run, tmp_path / "run")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def broken_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", broken_save)
+        shorter = dataclasses.replace(short_run, states=short_run.states[:2])
+        with pytest.raises(OSError, match="disk full"):
+            write_trajectory(shorter, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+    def test_foreign_directory_is_not_replaced(self, short_run, tmp_path):
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        with pytest.raises(ParameterError, match="holds no trajectory"):
+            write_trajectory(short_run, out)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mine"]
 
     def test_diagnostics_rows_match_per_value_format(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
@@ -392,6 +429,38 @@ class TestExport:
         out = write_trajectory(short_run, tmp_path / "run")
         first = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert first == "t,theta_min,theta_max,kappa_max,area,height_max,length"
+
+
+class TestReloadedAnalyses:
+    """Analyses of a saved run (discflow fit, later studies) see the run
+    that was written."""
+
+    @staticmethod
+    def reload(traj, tmp_path):
+        loaded = load_trajectory(write_trajectory(traj, tmp_path / "run"))
+        for s, r in zip(traj.states, loaded.states):
+            assert r.curve.nodes.dtype == np.float64
+            assert r.curve.nodes.flags.c_contiguous
+            assert np.array_equal(r.curve.nodes, s.curve.nodes)
+        return loaded
+
+    def test_checks_on_short_run(self, short_run, tmp_path):
+        from discflow.analysis import area_balance
+
+        loaded = self.reload(short_run, tmp_path)
+        assert maximum_principle_check(loaded) == maximum_principle_check(short_run)
+        assert area_balance(loaded) == area_balance(short_run)
+
+    def test_blowup_on_extinct_run(self, extinct_run, tmp_path):
+        from discflow.analysis import compare_grim_reaper, extract_blowup
+
+        loaded = self.reload(extinct_run, tmp_path)
+        a, b = extract_blowup(extinct_run, count=8), extract_blowup(loaded, count=8)
+        assert (a.times, a.scales, a.omega) == (b.times, b.scales, b.omega)
+        for x, y in zip(a.basepoints + a.rescaled_curves,
+                        b.basepoints + b.rescaled_curves, strict=True):
+            assert np.array_equal(x, y)
+        assert compare_grim_reaper(a, 1.0) == compare_grim_reaper(b, 1.0)
 
 
 def edit_manifest(outdir, change):
@@ -427,20 +496,39 @@ class TestStrictLoad:
         with pytest.raises(ParameterError, match="differ in length"):
             load_trajectory(out)
 
+    def test_missing_format_version(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m.pop("format_version"))
+        with pytest.raises(ParameterError, match="old or unknown trajectory layout"):
+            load_trajectory(out)
+
+    def test_unknown_format_version(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m.update(format_version=3))
+        with pytest.raises(ParameterError, match="old or unknown trajectory layout"):
+            load_trajectory(out)
+
     def test_removed_state_file(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
-        (out / "state_000002.csv").unlink()
-        with pytest.raises(ParameterError, match=r"cannot read .*state_000002\.csv"):
+        (out / "states.npy").unlink()
+        with pytest.raises(ParameterError, match=r"cannot read .*states\.npy"):
             load_trajectory(out)
 
     def test_truncated_state_file(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
-        path = out / "state_000002.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:11]))  # header and 10 of 97 nodes
-        with pytest.raises(ParameterError, match=r"state_000002\.csv has 10 nodes, "
-                                                 r"manifest n = 96 needs 97"):
-            load_trajectory(out)
-        path.write_text("".join(lines[:-1]) + lines[-1].split(",")[0] + "\n")
-        with pytest.raises(ParameterError, match=r"cannot read .*state_000002\.csv"):
-            load_trajectory(out)
+        path = out / "states.npy"
+        data = path.read_bytes()
+        for cut in (len(data) - 8, 64, 0):  # inside the nodes, the header, empty
+            path.write_bytes(data[:cut])
+            with pytest.raises(ParameterError, match=r"cannot read .*states\.npy"):
+                load_trajectory(out)
+
+    def test_wrongly_shaped_states(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        nodes = np.stack([s.curve.nodes for s in short_run.states])
+        states = len(short_run.states)
+        for bad in (nodes[:-1], nodes[:, :-1], nodes.astype(np.float32)):
+            np.save(out / "states.npy", bad)
+            with pytest.raises(ParameterError,
+                               match=rf"states\.npy holds .*float64 \({states}, 97, 2\)"):
+                load_trajectory(out)
