@@ -32,8 +32,10 @@ from .errors import (
 from .geometry import (
     Curve,
     CurveDiagnostics,
+    Frame,
     _area,
     _as_complex,
+    _frame,
     _has_proper_intersection,
     _resample_nodes,
     _turns_by_pi,
@@ -162,26 +164,31 @@ def _project_end(z: np.ndarray) -> None:
 _NODE_INDICES: dict[int, np.ndarray] = {}
 
 
-def _advance(nodes: np.ndarray, d: float, dt: float,
-             n: int) -> tuple[np.ndarray, float]:
-    """One explicit step; returns the new nodes and the area shed by the
-    resampling pass (corner cutting of the linear interpolant), which the
-    area-balance diagnostics add back.
+def _as_nodes(z: np.ndarray) -> np.ndarray:
+    """The (M, 2) float view of M complex nodes."""
+    return z.view(np.float64).reshape(-1, 2)
+
+
+def _step(frame: Frame, d: float, dt: float, n: int) -> tuple[Frame, float]:
+    """One explicit step; returns the frame of the candidate resampled to
+    n segments and the area shed by the resampling pass (corner cutting
+    of the linear interpolant), which the area-balance diagnostics add
+    back.  The input frame is not written to.
 
     The composition is curvature_vectors, re-pinning o and projecting the
     right end, _resample_nodes, projecting again; it runs on the complex
     view of the nodes to keep the number of numpy calls per step small.
+    The input's seg and joint give the curvature; the candidate's are
+    built once, here, for the validity check and the next step.
     """
-    z = _as_complex(nodes)
-    e = z[1:] - z[:-1]
-    seg = np.abs(e)
+    z, seg, joint = frame
     c = z[2:] - z[:-2]
     lc = np.abs(c)
     denom = seg[:-1] * seg[1:]
     denom *= lc
     denom *= lc
-    cross = (e[:-1].conj() * e[1:]).imag
-    if denom.min() > 0.0:
+    cross = joint.imag
+    if np.minimum.reduce(denom) > 0.0:
         half_scale = cross / denom
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -209,33 +216,46 @@ def _advance(nodes: np.ndarray, d: float, dt: float,
     # resampling moved the penultimate node; re-solve the Neumann
     # constraint so the committed state satisfies it exactly
     _project_end(w)
-    return w.view(np.float64).reshape(n + 1, 2), area_pre - _area(w)
+    return _frame(w), area_pre - _area(w)
 
 
-def _step_valid(nodes: np.ndarray) -> str | None:
-    """Reason the nodes are not an admissible state, or None."""
-    z = _as_complex(nodes)
-    e = z[1:] - z[:-1]
-    if not (np.abs(e).min() > 1e-15):
+def _reason(frame: Frame) -> str | None:
+    """Reason the frame's nodes are not an admissible state, or None."""
+    z, seg, joint = frame
+    if not (np.minimum.reduce(seg) > 1e-15):
         return "coincident or non-finite nodes"
-    if float(z.imag.min()) < -1e-9:
+    if float(np.minimum.reduce(z.imag)) < -1e-9:
         return "node below the x-axis"
-    r_max = float(np.abs(z).max())
+    r_max = float(np.maximum.reduce(np.abs(z)))
     if r_max * r_max > 1.0 + 2.0 * STEP_CONTAIN_TOL:
         return "node outside the unit disc"
     # a tangent angle range below pi makes the polyline a graph over some
     # direction, hence embedded; only a wider range needs the O(N^2) test
-    if _turns_by_pi(e) and _has_proper_intersection(nodes):
+    if _turns_by_pi(joint) and _has_proper_intersection(_as_nodes(z)):
         return "self-intersection"
     return None
 
 
-def _advance_checked(nodes: np.ndarray, d: float, dt: float,
-                     n: int) -> tuple[np.ndarray, str | None, float]:
-    """One candidate step plus validity check; returns
-    (nodes, reason, area shed by resampling)."""
-    out, shed = _advance(nodes, d, dt, n)
-    return out, _step_valid(out), shed
+def _advance(nodes: np.ndarray, d: float, dt: float,
+             n: int) -> tuple[np.ndarray, float]:
+    """One explicit step (see _step) on an (M, 2) node array; returns the
+    new (n + 1, 2) nodes and the area shed by resampling."""
+    (w, _, _), shed = _step(_frame(_as_complex(nodes)), d, dt, n)
+    return _as_nodes(w), shed
+
+
+def _step_valid(nodes: np.ndarray) -> str | None:
+    """Reason the nodes are not an admissible state, or None."""
+    return _reason(_frame(_as_complex(nodes)))
+
+
+def _advance_checked(frame: Frame, d: float, dt: float,
+                     n: int) -> tuple[Frame, str | None, float]:
+    """One candidate step plus validity check; returns (the candidate's
+    frame, reason, area shed by resampling).  A rejected step can retry
+    from the same input frame."""
+    out, shed = _step(frame, d, dt, n)
+    return out, _reason(out), shed
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
@@ -271,10 +291,11 @@ def step(state: FlowState, dt: float, d: float | None = None) -> FlowState:
     if d is None:
         d = -float(state.curve.dirichlet_point[0])
     n = state.curve.n_segments
-    candidate, reason, shed = _advance_checked(state.curve.nodes, d, dt, n)
+    frame = _frame(_as_complex(state.curve.nodes))
+    candidate, reason, shed = _advance_checked(frame, d, dt, n)
     if reason:
         raise StepRejected(f"step of dt={dt:.3e} rejected: {reason}")
-    return _make_state(candidate, d, state.time + dt, state.step + 1,
+    return _make_state(_as_nodes(candidate[0]), d, state.time + dt, state.step + 1,
                        area_shed=state.area_shed + shed)
 
 
@@ -287,8 +308,10 @@ def run(cfg: FlowRunConfig,
     convergence to the minimizing arc (d < 1), extinction at o (d = 1),
     the time horizon, the step budget, or an invariant violation.
     """
-    d = cfg.d
+    d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
+    record_every = cfg.record_every
     nodes = prepare_initial(cfg)
+    frame = _frame(_as_complex(nodes))
     t = 0.0
     step_i = 0
     states: list[FlowState] = [_make_state(nodes, d, t, step_i)]
@@ -299,35 +322,33 @@ def run(cfg: FlowRunConfig,
     outcome: FlowOutcome | None = None
 
     while outcome is None:
-        if cfg.t_end is not None and t >= cfg.t_end:
+        if t_end is not None and t >= t_end:
             outcome = FlowOutcome(kind="max_time", time=t)
             break
-        if step_i >= cfg.max_steps:
+        if step_i >= max_steps:
             outcome = FlowOutcome(kind="max_steps", time=t)
             break
 
-        z = _as_complex(nodes)
-        dt = DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / cfg.n) ** 2
-        committed = False
+        dt = DT_SAFETY * (float(np.add.reduce(frame[1])) / n) ** 2
         for _ in range(MAX_DT_RETRIES + 1):
-            candidate, reason, shed = _advance_checked(nodes, d, dt, cfg.n)
+            candidate, reason, shed = _advance_checked(frame, d, dt, n)
             if reason is None:
-                committed = True
                 break
             events.append((t, f"step_rejected: {reason}"))
             dt *= 0.5
-        if not committed:
+        else:
             outcome = FlowOutcome(kind="invariant_violation", time=t,
                                   detail=f"step rejected {MAX_DT_RETRIES + 1} times")
             break
-        nodes = candidate
+        frame = candidate
         t += dt
         step_i += 1
         shed_accum += shed
 
-        if step_i % cfg.record_every != 0:
+        if step_i % record_every:
             continue
 
+        nodes = _as_nodes(frame[0])
         state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
         states.append(state)
         if callback is not None:
@@ -354,11 +375,12 @@ def run(cfg: FlowRunConfig,
                 break
 
     if states[-1].step != step_i:
-        states.append(_make_state(nodes, d, t, step_i, area_shed=shed_accum))
+        states.append(_make_state(_as_nodes(frame[0]), d, t, step_i,
+                                  area_shed=shed_accum))
     if outcome.kind == "max_time":
         events.append((t, "max_time"))
-    return Trajectory(d=d, n=cfg.n, states=states, events=events, outcome=outcome,
-                      record_every=cfg.record_every, dt_safety=DT_SAFETY)
+    return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
+                      record_every=record_every, dt_safety=DT_SAFETY)
 
 
 def hausdorff_to_minimizing_arc(nodes: np.ndarray, d: float,

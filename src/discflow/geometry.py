@@ -231,6 +231,18 @@ def _as_complex(nodes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[:, 0]
 
 
+#: a polyline as the explicit step sees it: (z, seg, joint), where z holds
+#: the complex nodes, seg = |e| and joint = conj(e[:-1]) * e[1:] for the
+#: segment vectors e = z[1:] - z[:-1]
+Frame = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _frame(z: np.ndarray) -> Frame:
+    """The frame of the complex nodes z (kept as its first entry)."""
+    e = z[1:] - z[:-1]
+    return z, np.abs(e), e[:-1].conj() * e[1:]
+
+
 def _area(z: np.ndarray) -> float:
     # shoelace (Im of sum conj(z_i) z_{i+1}) over the complex nodes plus
     # the exact circle-sector closure of enclosed_area
@@ -239,18 +251,18 @@ def _area(z: np.ndarray) -> float:
         + 0.5 * (math.pi - math.atan2(end.imag, end.real))
 
 
-def _turns_by_pi(e: np.ndarray) -> bool:
-    """True iff the unwrapped tangent angle of the segment vectors `e`
-    (complex, x + iy) ranges over at least pi - 1e-9.
+def _turns_by_pi(joint: np.ndarray) -> bool:
+    """True iff the unwrapped tangent angle of a polyline ranges over at
+    least pi - 1e-9, given its joint products conj(e_i) e_{i+1} of the
+    complex segment vectors e_i (x + iy).
 
     The unwrapped angle is the partial sums of the joint angles
     arg(conj(e_i) e_{i+1}) in (-pi, pi]; their absolute sum bounds its
     range, which settles the common convex case in two numpy calls.
     """
-    joint = e[:-1].conj() * e[1:]
     ang = np.arctan2(joint.imag, joint.real)
     gate = math.pi - 1e-9
-    if np.abs(ang).sum() < gate:
+    if np.add.reduce(np.abs(ang)) < gate:
         return False
     turn = np.add.accumulate(ang)
     return max(float(turn.max()), 0.0) - min(float(turn.min()), 0.0) >= gate
@@ -264,8 +276,7 @@ def is_embedded(nodes: np.ndarray) -> bool:
     some line, hence simple.  Otherwise run the full vectorized
     segment-pair test.
     """
-    z = _as_complex(nodes)
-    if not _turns_by_pi(z[1:] - z[:-1]):
+    if not _turns_by_pi(_frame(_as_complex(nodes))[2]):
         return True
     return not _has_proper_intersection(nodes)
 
@@ -344,9 +355,3 @@ def curve_to_csv(c: Curve) -> str:
     # f"{v:.17g}" does, and 17 significant digits round-trip
     return "x,y\n" + "%.17g,%.17g\n" * c.nodes.shape[0] % tuple(c.nodes.ravel().tolist())
 
-
-def curve_from_csv(text: str, d: float) -> Curve:
-    # skip the header line; an odd value count is a ValueError from reshape
-    body = text.lstrip().partition("\n")[2]
-    nodes = np.array(list(map(float, body.replace(",", " ").split()))).reshape(-1, 2)
-    return Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))

@@ -1,0 +1,110 @@
+"""The names the benchmark in bench/ reads from the package, called with
+the arguments bench/spans.py and bench/workloads.py pass.
+
+The benchmark looks these names up by attribute: a name that is renamed
+or changes its signature leaves a per-layer metric absent or crashes a
+benchmark worker, so here it fails a test instead.
+"""
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import discflow.flow as flow
+import discflow.geometry as geometry
+from discflow.flow import FlowRunConfig, FlowState, Trajectory, run
+from discflow.geometry import CurveDiagnostics
+from discflow.hairclip import initial_curve
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def blowup_like():
+    # the benchmark's blowup settings (d = 1, record_every = 10), cut short
+    c = initial_curve(0.3, 1.0, 96)
+    return run(FlowRunConfig(d=1.0, initial=c, n=96, record_every=10, max_steps=200))
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/spans.py and bench/workloads.py, imported as the worker does."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("spans"), importlib.import_module("workloads")
+
+
+def test_run_config_and_trajectory_fields(blowup_like):
+    traj = blowup_like
+    assert isinstance(traj, Trajectory)
+    assert traj.record_every == 10
+    assert traj.dt_safety == flow.DT_SAFETY
+    assert traj.outcome.kind == "max_steps"
+    assert [s.step for s in traj.states] == list(range(0, 201, 10))
+    for t, name in traj.events:
+        assert isinstance(t, float) and isinstance(name, str)
+
+
+def test_isolated_timing_calls(blowup_like):
+    # the arguments of spans.isolated_timings, on a recorded state
+    traj = blowup_like
+    s = traj.states[-1]
+    nodes = s.curve.nodes
+    n = nodes.shape[0] - 1
+    length = float(geometry.segment_lengths(nodes).sum())
+    dt = traj.dt_safety * (length / n) ** 2
+
+    out, shed = flow._advance(nodes, traj.d, dt, n)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == (n + 1, 2)
+    assert isinstance(shed, float)
+    assert flow._step_valid(nodes) is None
+    assert flow._step_valid(out) is None
+    assert geometry.curvature_vectors(nodes).shape == (n - 1, 2)
+    assert geometry._resample_nodes(nodes, n).shape == (n + 1, 2)
+    assert isinstance(flow._poly_area(nodes), float)
+    state = flow._make_state(nodes, traj.d, s.time, s.step, s.area_shed)
+    assert isinstance(state, FlowState)
+    assert state.step == s.step and state.diagnostics == s.diagnostics
+    assert isinstance(geometry.curve_diagnostics(s.curve, traj.d), CurveDiagnostics)
+
+
+def test_no_metric_is_absent(blowup_like, bench):
+    spans, workloads = bench
+    timings = spans.isolated_timings([blowup_like], samples=2, reps=1)
+    assert set(timings) == {
+        "flow.advance_us", "flow.valid_us", "geometry.curvature_vectors_us",
+        "geometry.resample_us", "flow.poly_area_us", "flow.record_us",
+        "geometry.curve_diagnostics_us"}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.installed == {span for _, _, span in spans.TARGETS}
+    finally:
+        tracer.restore()
+    assert flow.run is run
+    assert workloads.same_trajectory(blowup_like, blowup_like)
+
+
+@pytest.mark.parametrize("reject_call", [None, 3])
+def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call):
+    # flow.step_calls is the call count of flow._advance_checked, looked
+    # up through the module by run(); the benchmark checks it against the
+    # steps and rejections it reads from the trajectory
+    _, workloads = bench
+    real = flow._advance_checked
+    calls = []
+
+    def counted(frame, d, dt, n):
+        out, reason, shed = real(frame, d, dt, n)
+        calls.append(dt)
+        return (out, "forced rejection", shed) if len(calls) == reject_call \
+            else (out, reason, shed)
+
+    monkeypatch.setattr(flow, "_advance_checked", counted)
+    c = initial_curve(0.3, 0.5, 64)
+    traj = run(FlowRunConfig(d=0.5, initial=c, n=64, record_every=7, max_steps=50))
+    counts = workloads.trajectory_counts([traj])
+    assert counts["flow.steps"] == 50
+    assert counts["flow.rejected_steps"] == (reject_call is not None)
+    assert len(calls) == counts["flow.steps"] + counts["flow.rejected_steps"]

@@ -141,11 +141,19 @@ class TestFusedStep:
 
     def test_checked_step_is_advance_plus_predicate(self):
         nodes = initial_curve(0.3, 0.5, 64).nodes
-        out, reason, shed = flow._advance_checked(nodes, 0.5, 1e-5, 64)
+        frame = flow._frame(flow._as_complex(nodes))
+        kept = [a.copy() for a in frame]
+        (z, seg, joint), reason, shed = flow._advance_checked(frame, 0.5, 1e-5, 64)
         out_ref, shed_ref = flow._advance(nodes, 0.5, 1e-5, 64)
+        out = flow._as_nodes(z)
         assert reason is None
         assert np.abs(out - out_ref).max() < 1e-13
         assert abs(shed - shed_ref) < 1e-15
+        # the candidate's frame is the one built from its nodes, and the
+        # input frame is left as it was
+        for got, want in zip((z, seg, joint), flow._frame(flow._as_complex(out.copy()))):
+            assert np.array_equal(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(frame, kept))
 
     def test_coincident_nodes(self):
         nodes = initial_curve(0.3, 0.5, 64).nodes.copy()
@@ -204,6 +212,80 @@ class TestFusedStep:
         assert calls == [len(self.HOOK)]  # the gate did not trip
 
 
+def reference_run(d, n, steps, reject_call=None):
+    """run()'s stepping as it was before frames were carried: dt from the
+    complex segment lengths, then _advance, then _step_valid, each on the
+    nodes.  The reject_call-th candidate (counting from 1) is rejected.
+    Returns [(nodes, t, area_shed)] from the initial state on, and the
+    rejection events."""
+    nodes = flow.prepare_initial(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n))
+    t = shed_sum = 0.0
+    calls = 0
+    states, events = [(nodes, t, shed_sum)], []
+    for _ in range(steps):
+        z = flow._as_complex(nodes)
+        dt = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / n) ** 2
+        while True:
+            candidate, shed = flow._advance(nodes, d, dt, n)
+            reason = flow._step_valid(candidate)
+            calls += 1
+            if calls == reject_call:
+                reason = "forced rejection"
+            if reason is None:
+                break
+            events.append((t, f"step_rejected: {reason}"))
+            dt *= 0.5
+        nodes = candidate
+        t += dt
+        shed_sum += shed
+        states.append((nodes, t, shed_sum))
+    return states, events
+
+
+class TestCarriedFrame:
+    """run() carries each candidate's frame into the next step; it must
+    step exactly as the loop that recomputed everything from the nodes."""
+
+    @staticmethod
+    def run_steps(d, steps):
+        return run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, 64), n=64,
+                                 record_every=1, max_steps=steps))
+
+    @staticmethod
+    def assert_same_states(traj, ref):
+        assert len(traj.states) == len(ref)
+        for s, (nodes, t, shed) in zip(traj.states, ref):
+            assert np.array_equal(s.curve.nodes, nodes)
+            assert s.time == t
+            assert s.area_shed == shed
+
+    @pytest.mark.parametrize("d", [0.5, 1.0])
+    def test_run_matches_reference_loop(self, d):
+        ref, events = reference_run(d, 64, 2000)
+        traj = self.run_steps(d, 2000)
+        assert traj.events == events == []
+        self.assert_same_states(traj, ref)
+
+    def test_rejected_candidate_retries_from_unchanged_frame(self, monkeypatch):
+        # the 5th candidate is computed in full and then rejected; the
+        # retry at dt / 2 starts from the same frame
+        real = flow._advance_checked
+        dts = []
+
+        def reject_fifth(frame, d, dt, n):
+            out, reason, shed = real(frame, d, dt, n)
+            dts.append(dt)
+            return (out, "forced rejection", shed) if len(dts) == 5 else (out, reason, shed)
+
+        monkeypatch.setattr(flow, "_advance_checked", reject_fifth)
+        traj = self.run_steps(0.5, 2000)
+        ref, events = reference_run(0.5, 64, 2000, reject_call=5)
+        assert len(dts) == 2001 and dts[5] == 0.5 * dts[4]
+        assert traj.events == events
+        assert [name for _, name in events] == ["step_rejected: forced rejection"]
+        self.assert_same_states(traj, ref)
+
+
 class TestRunOutcomes:
     def test_converges_to_minimizer(self, converged_run):
         traj = converged_run
@@ -240,7 +322,7 @@ class TestRunOutcomes:
         c = initial_curve(0.3, 0.5, 64)
         cfg = FlowRunConfig(d=0.5, initial=c, n=64, t_end=1.0)
         monkeypatch.setattr(flow, "_advance_checked",
-                            lambda nodes, d, dt, n: (nodes, "synthetic failure", 0.0))
+                            lambda frame, d, dt, n: (frame, "synthetic failure", 0.0))
         traj = run(cfg)
         assert traj.outcome.kind == "invariant_violation"
         assert any("step_rejected" in name for _, name in traj.events)
