@@ -22,16 +22,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import BarrierViolation, DomainError
+from .hairclip import bisect
 
 #: slack tolerance for analytically exact inequalities (round-off only)
 SLACK_TOL = -1e-10
 
 #: fewest arc points verify_barrier_inequality accepts
 MIN_SAMPLES = 16
-
-#: bisection bracket floor for the closed-form angle inversion
-_THETA_LO = 1e-15
-_BISECT_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -147,15 +144,9 @@ def theta_minus(cfg: ProblemConfig, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr >= cfg.omega):
         raise DomainError(f"theta_minus requires t < {cfg.omega}")
-    a = cfg.a
-    lo = np.full(t_arr.shape, _THETA_LO)
-    hi = np.full(t_arr.shape, math.pi - 1e-15)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        too_big = _log_profile(mid, a) > t_arr
-        hi = np.where(too_big, mid, hi)
-        lo = np.where(too_big, lo, mid)
-    out = 0.5 * (lo + hi)
+    # not (profile > t), so that a NaN t moves lo up
+    out = bisect(lambda mid: ~(_log_profile(mid, cfg.a) > t_arr),
+                 np.full(t_arr.shape, 1e-15), np.full(t_arr.shape, math.pi - 1e-15))
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -184,8 +175,7 @@ def integrate_characteristic_ode(cfg: ProblemConfig, t_min: float, t_max: float,
     if t_max >= cfg.omega:
         raise DomainError("t_max beyond the family's maximal time")
 
-    def rhs(th):
-        return math.sin(th) / (cfg.a + math.cos(th))
+    a, sin, cos = cfg.a, math.sin, math.cos
 
     def march(t_stop, h):
         ts = [0.0]
@@ -193,10 +183,10 @@ def integrate_characteristic_ode(cfg: ProblemConfig, t_min: float, t_max: float,
         t_cur, y = 0.0, 0.5 * math.pi
         n = int(round(abs(t_stop) / abs(h)))
         for _ in range(n):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
+            k1 = sin(y) / (a + cos(y))
+            k2 = sin(u := y + 0.5 * h * k1) / (a + cos(u))
+            k3 = sin(u := y + 0.5 * h * k2) / (a + cos(u))
+            k4 = sin(u := y + h * k3) / (a + cos(u))
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_cur += h
             ts.append(t_cur)
@@ -270,22 +260,29 @@ def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float,
     family with theta = theta_plus(t) the speed toward the center must be
     at least kappa.  Raises BarrierViolation if any slack < -1e-10.
     """
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"need at least {MIN_SAMPLES} samples")
     if kind is ArcKind.DIRICHLET_NEUMANN:
         theta = theta_minus(cfg, t)
-        barrier = dn_arc(cfg, theta)
-        pts = barrier.points(samples)
-        slack = dn_slack(cfg, theta, pts[:, 1])
     elif kind is ArcKind.NEUMANN_NEUMANN:
         if t >= 0.0:
             raise DomainError("NN family requires t < 0")
         theta = float(theta_plus(t))
-        barrier = nn_arc(theta)
-        pts = barrier.points(samples)
-        slack = nn_slack(theta, pts[:, 1])
     else:
         raise DomainError(f"unknown arc kind {kind}")
+    return slice_report(cfg, kind, t, theta, samples)
+
+
+def slice_report(cfg: ProblemConfig, kind: ArcKind, t: float, theta: float,
+                 samples: int) -> BarrierReport:
+    """verify_barrier_inequality on the slice at time t whose angle theta
+    the caller has taken from the family's angle law."""
+    if samples < MIN_SAMPLES:
+        raise DomainError(f"need at least {MIN_SAMPLES} samples")
+    if kind is ArcKind.DIRICHLET_NEUMANN:
+        pts = dn_arc(cfg, theta).points(samples)
+        slack = dn_slack(cfg, theta, pts[:, 1])
+    else:
+        pts = nn_arc(theta).points(samples)
+        slack = nn_slack(theta, pts[:, 1])
     i_min = int(np.argmin(slack))
     min_slack = float(slack[i_min])
     report = BarrierReport(kind=kind, d=cfg.d, t=t, samples=samples,

@@ -67,10 +67,12 @@ def barrier_min_slack(samples: int) -> float:
     families.append((bar.ProblemConfig(1.0), bar.ArcKind.NEUMANN_NEUMANN))
     worst = math.inf
     for cfg, kind in families:
-        for t in bar.time_window(cfg, kind):
+        ts = bar.time_window(cfg, kind)
+        thetas = (bar.theta_minus(cfg, ts) if kind is bar.ArcKind.DIRICHLET_NEUMANN
+                  else bar.theta_plus(ts))
+        for t, theta in zip(ts.tolist(), thetas.tolist()):
             try:
-                slack = bar.verify_barrier_inequality(cfg, kind, float(t),
-                                                      samples).min_slack
+                slack = bar.slice_report(cfg, kind, t, theta, samples).min_slack
             except BarrierViolation as exc:
                 slack = exc.slack
             worst = min(worst, slack)
@@ -79,7 +81,9 @@ def barrier_min_slack(samples: int) -> float:
 
 def eigenvalue_residual() -> float:
     """max |tanh(lam0 (1 + d)) - lam0| over 50 offsets d in [0.05, 1]."""
-    return max(abs(hc.lambda0(float(d)).residual) for d in np.linspace(0.05, 1.0, 50))
+    ds = np.linspace(0.05, 1.0, 50)
+    return max(abs(hc.Eigenvalue(lam, d).residual)
+               for lam, d in zip(hc.lambda0_roots(ds).tolist(), ds.tolist()))
 
 
 def pairing_residuals() -> tuple[float, bool]:
@@ -88,14 +92,15 @@ def pairing_residuals() -> tuple[float, bool]:
     function decreases strictly on 1000 scales."""
     worst = 0.0
     decreasing = True
-    for d in np.linspace(0.1, 1.0, 10):
-        for theta in np.linspace(0.1, 0.5 * math.pi - 0.05, 10):
-            lam, t = hc.solve_orthogonal_pair(float(theta), float(d))
-            s = hc.HairclipSlice(lam=lam, t=t, d=float(d))
-            worst = max(worst, abs(math.atan(float(hc.slice_slope(s, math.cos(theta))))
-                                   - theta))
-            lam_hi = 0.5 * math.pi / math.sin(theta)
-            g = hc.pairing_function_g(np.linspace(1e-4, lam_hi * (1 - 1e-9), 1000),
-                                      float(theta), float(d))
-            decreasing = decreasing and bool(np.all(np.diff(g) < 0.0))
+    ds = np.repeat(np.linspace(0.1, 1.0, 10), 10).tolist()
+    thetas = np.tile(np.linspace(0.1, 0.5 * math.pi - 0.05, 10), 10).tolist()
+    pairs = hc.solve_orthogonal_pairs(thetas, ds)
+    for (lam, t), theta, d in zip(pairs, thetas, ds):
+        s = hc.HairclipSlice(lam=lam, t=t, d=d)
+        worst = max(worst, abs(math.atan(float(hc.slice_slope(s, math.cos(theta))))
+                               - theta))
+        lam_hi = 0.5 * math.pi / math.sin(theta)
+        # one 1000-scale grid per lane: a 100 x 1000 array would raise peak memory
+        g = hc.pairing_function_g(np.linspace(1e-4, lam_hi * (1 - 1e-9), 1000), theta, d)
+        decreasing = decreasing and bool(np.all(np.diff(g) < 0.0))
     return worst, decreasing

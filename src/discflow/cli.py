@@ -29,6 +29,9 @@ def _positive(name, value):
 
 
 def _validate_common(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{name.replace('_', '-')} must be finite, got {value}")
     if getattr(args, "d", None) is not None and not (0.0 < args.d <= 1.0):
         raise ParameterError(f"d must lie in (0, 1], got {args.d}")
     if getattr(args, "rho", None) is not None and not (0.0 < args.rho < 0.5 * math.pi):

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import DomainError, InvalidCurve
 from .geometry import Curve, _resample_nodes, curvature_profile
 
-_BISECT_ITERS = 80
-
 
 @dataclass(frozen=True)
 class HairclipSlice:
@@ -90,18 +88,24 @@ def pairing_function_g(lam, theta: float, d: float):
     st, ct = math.sin(theta), math.cos(theta)
     if np.any(lam_arr <= 0.0) or np.any(lam_arr >= 0.5 * math.pi / st):
         raise DomainError("lam must lie in (0, pi/(2 sin(theta)))")
-    out = np.tanh(lam_arr * (ct + d)) / np.tan(lam_arr * st) * math.tan(theta) - 1.0
+    out = _g(lam_arr, st, ct + d, math.tan(theta))
     return float(out) if np.asarray(lam).ndim == 0 else out
 
 
-def _bisect_root(f, lo: float, hi: float) -> float:
-    # root of f, positive below it and not above it on [lo, hi]
-    for _ in range(_BISECT_ITERS):
+def _g(lam, st, ct_d, tan_theta):
+    # the pairing function at sin(theta) = st, cos(theta) + d = ct_d
+    return np.tanh(lam * ct_d) / np.tan(lam * st) * tan_theta - 1.0
+
+
+def bisect(root_above, lo, hi):
+    """Elementwise bisection on the brackets [lo, hi] (arrays of one
+    shape): 80 halvings, each moving lo up to the midpoint where the mask
+    root_above(mid) is true and hi down to it elsewhere."""
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        above = root_above(mid)
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -114,12 +118,26 @@ def solve_orthogonal_pair(theta: float, d: float) -> tuple[float, float]:
     endpoint lies on the slice to 1e-10 and the slice tangent there is
     radial to 1e-8 radians.
     """
-    if not (0.0 < theta < 0.5 * math.pi):
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
-    st, ct = math.sin(theta), math.cos(theta)
+    return solve_orthogonal_pairs([theta], [d])[0]
+
+
+def solve_orthogonal_pairs(thetas, ds) -> list[tuple[float, float]]:
+    """solve_orthogonal_pair for each lane of the equal-length sequences
+    thetas and ds, in one bisection; every lane is re-checked."""
+    for theta in thetas:
+        if not (0.0 < theta < 0.5 * math.pi):
+            raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
+    # math.* per lane, as pairing_function_g takes them: np.tan can differ in the last bit
+    st, ct, tan_th = (np.array(list(map(f, thetas))) for f in (math.sin, math.cos, math.tan))
+    ct_d = ct + np.asarray(ds, dtype=float)
     hi = 0.5 * math.pi / st
-    lam = _bisect_root(lambda x: pairing_function_g(x, theta, d),
-                       1e-12 * hi, hi * (1.0 - 1e-14))
+    lams = bisect(lambda lam: _g(lam, st, ct_d, tan_th) > 0.0,
+                  1e-12 * hi, hi * (1.0 - 1e-14))
+    return [_checked_pair(lam, theta, d) for lam, theta, d in zip(lams.tolist(), thetas, ds)]
+
+
+def _checked_pair(lam: float, theta: float, d: float) -> tuple[float, float]:
+    st, ct = math.sin(theta), math.cos(theta)
     t = math.log(math.sin(lam * st) / math.sinh(lam * (ct + d))) / lam ** 2
 
     s = HairclipSlice(lam=lam, t=t, d=d)
@@ -138,11 +156,18 @@ def lambda0(d: float) -> Eigenvalue:
     """Positive root of tanh(lam (1 + d)) = lam by bisection on (1e-6, 1)."""
     if not (0.0 < d <= 1.0):
         raise DomainError(f"d must lie in (0, 1], got {d}")
-    root = _bisect_root(lambda lam: math.tanh(lam * (1.0 + d)) - lam, 1e-6, 1.0 - 1e-15)
-    eig = Eigenvalue(lambda0=root, d=d)
+    eig = Eigenvalue(lambda0=float(lambda0_roots(np.array([d]))[0]), d=d)
     if abs(eig.residual) > 1e-12:
         raise ArithmeticError(f"eigenvalue residual {eig.residual:.3e}")
     return eig
+
+
+def lambda0_roots(ds: np.ndarray) -> np.ndarray:
+    """Unchecked lam0 for each offset in ds, in one bisection on (1e-6, 1)."""
+    # math.tanh per lane, as lambda0 takes it: np.tanh can differ in the last bit
+    tanh = np.frompyfunc(math.tanh, 1, 1)
+    return bisect(lambda lam: tanh(lam * (1.0 + ds)).astype(float) - lam > 0.0,
+                  np.full(ds.shape, 1e-6), np.full(ds.shape, 1.0 - 1e-15))
 
 
 def slice_between(s: HairclipSlice, x_hi: float, n_dense: int = 2048) -> np.ndarray:

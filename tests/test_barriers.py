@@ -16,7 +16,45 @@ from discflow.barriers import (
     theta_plus,
     verify_barrier_inequality,
 )
+from discflow.checks import D_GRID
 from discflow.errors import BarrierViolation, DomainError
+
+
+def _loop_theta_minus(cfg, t_arr):
+    # reference: theta_minus as its own np.where bisection loop
+    lo = np.full(t_arr.shape, 1e-15)
+    hi = np.full(t_arr.shape, math.pi - 1e-15)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        too_big = (math.log(2.0) + (1.0 + cfg.a) * np.log(np.sin(0.5 * mid))
+                   + (1.0 - cfg.a) * np.log(np.cos(0.5 * mid))) > t_arr
+        hi = np.where(too_big, mid, hi)
+        lo = np.where(too_big, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _closure_rk4(cfg, t_min, t_max, step=1e-3):
+    # reference: the RK4 march with its right-hand side as a closure
+    def rhs(th):
+        return math.sin(th) / (cfg.a + math.cos(th))
+
+    def march(t_stop, h):
+        ts, ys = [0.0], [0.5 * math.pi]
+        t_cur, y = 0.0, 0.5 * math.pi
+        for _ in range(int(round(abs(t_stop) / abs(h)))):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_cur += h
+            ts.append(t_cur)
+            ys.append(y)
+        return ts, ys
+
+    ts_b, ys_b = march(t_min, -step)
+    ts_f, ys_f = march(t_max, step)
+    return np.array(ts_b[::-1] + ts_f[1:]), np.array(ys_b[::-1] + ys_f[1:])
 
 
 class TestProblemConfig:
@@ -121,6 +159,25 @@ class TestAngleLaws:
         sub = slice(0, None, 25)
         inv = theta_minus(cfg, t_grid[sub])
         assert np.abs(inv - th_grid[sub]).max() < 1e-8
+
+    @pytest.mark.parametrize("d", D_GRID)
+    def test_theta_minus_window_equals_per_t_calls(self, d):
+        cfg = ProblemConfig(d)
+        ts = np.linspace(-70.0, min(cfg.omega - 1e-3, 5.0), 301)
+        window = theta_minus(cfg, ts)
+        assert window.tolist() == [theta_minus(cfg, t) for t in ts.tolist()]
+        # the same comparisons as the loop it replaced, a NaN time included
+        with_nan = np.append(ts, math.nan)
+        assert np.array_equal(theta_minus(cfg, with_nan), _loop_theta_minus(cfg, with_nan),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("d", D_GRID)
+    def test_rk4_equals_closure_march(self, d):
+        cfg = ProblemConfig(d)
+        t_hi = min(cfg.omega - 0.01, 5.0)
+        got = integrate_characteristic_ode(cfg, -10.0, t_hi)
+        want = _closure_rk4(cfg, -10.0, t_hi)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("d", [0.3, 0.7, 1.0])
     def test_asymptotic_exponent(self, d):

@@ -108,3 +108,22 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call):
     assert counts["flow.steps"] == 50
     assert counts["flow.rejected_steps"] == (reject_call is not None)
     assert len(calls) == counts["flow.steps"] + counts["flow.rejected_steps"]
+
+
+@pytest.mark.parametrize("workload", ["converge", "blowup", "verify"])
+def test_setup_returns_initial_data(bench, workload):
+    # an exception in set-up or a pass ends a benchmark worker without its
+    # JSON result, so the set-up the worker calls is run here at seed 0
+    _, workloads = bench
+    params = importlib.import_module("params").make_params(workload, 0)
+    data = workloads.setup(workload, params)
+    if workload == "verify":
+        assert len(data) == len(params["d_list"])
+        nodes = workloads.VERIFY_NODES
+    else:
+        data = [data]
+        nodes = params["n"]
+    for curve, pair, eig in data:
+        assert curve.nodes.shape == (nodes + 1, 2)
+        assert len(pair) == 2 and all(isinstance(v, float) for v in pair)
+        assert 0.0 < eig.lambda0 < 1.0

@@ -61,6 +61,23 @@ class TestValidation:
         assert "samples must be >= 16" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("barriers", "--t-min", "nan"),
+        ("barriers", "--t-max", "inf"),
+        ("verify", "--tol-ode", "nan"),
+        ("verify", "--t-end", "inf"),
+        ("blowup", "--window", "nan"),
+    ])
+    def test_non_finite_option_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(flow, "run", no_flow)
+        out = tmp_path / "X"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"{argv[1][2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_small_count_runs_no_flow(self, tmp_path, monkeypatch, capsys):
         def no_flow(*args, **kwargs):
             raise AssertionError("the flow ran")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import discflow.hairclip as hc
 from discflow.errors import DomainError
 from discflow.geometry import curvature_profile
 from discflow.hairclip import (
@@ -18,7 +19,33 @@ from discflow.hairclip import (
     slice_height,
     slice_slope,
     solve_orthogonal_pair,
+    solve_orthogonal_pairs,
 )
+
+#: the 10 x 10 (theta, d) grid of checks.pairing_residuals, then edge lanes
+GRID_THETAS = (np.tile(np.linspace(0.1, 0.5 * math.pi - 0.05, 10), 10).tolist()
+               + [1e-6, 1e-6, 1.5707, 1.5707])
+GRID_DS = np.repeat(np.linspace(0.1, 1.0, 10), 10).tolist() + [1e-9, 1.0, 1e-9, 1.0]
+
+
+def _scalar_bisect_root(f, lo, hi):
+    # reference: a scalar bisection, one lane at a time
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_pair(theta, d):
+    st, ct = math.sin(theta), math.cos(theta)
+    hi = 0.5 * math.pi / st
+    lam = _scalar_bisect_root(
+        lambda x: np.tanh(np.asarray(x) * (ct + d)) / np.tan(np.asarray(x) * st)
+        * math.tan(theta) - 1.0, 1e-12 * hi, hi * (1.0 - 1e-14))
+    return lam, math.log(math.sin(lam * st) / math.sinh(lam * (ct + d))) / lam ** 2
 
 
 class TestSliceHeight:
@@ -106,6 +133,40 @@ class TestOrthogonalPair:
             solve_orthogonal_pair(0.0, 0.5)
 
 
+class TestBatchedPairs:
+    def test_lanes_equal_scalar_bisection(self):
+        want = [_scalar_pair(theta, d) for theta, d in zip(GRID_THETAS, GRID_DS)]
+        assert solve_orthogonal_pairs(GRID_THETAS, GRID_DS) == want
+        assert [solve_orthogonal_pair(theta, d)
+                for theta, d in zip(GRID_THETAS, GRID_DS)] == want
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5 * math.pi, -0.2, math.nan])
+    def test_any_lane_out_of_domain_raises(self, bad):
+        with pytest.raises(DomainError):
+            solve_orthogonal_pairs([0.3, bad, 0.9], [0.5, 0.5, 0.5])
+
+    # three lanes; the tests below spoil one re-check on the middle lane only
+    LANES = ([0.3, 0.7, 1.1], [0.5, 0.5, 0.5])
+    GOOD_LANES = ([0.3, 1.1], [0.5, 0.5])
+
+    def test_one_lane_off_slice_raises(self, monkeypatch):
+        bad_lam = solve_orthogonal_pairs(*self.LANES)[1][0]
+        growth = HairclipSlice.growth.fget
+        monkeypatch.setattr(HairclipSlice, "growth", property(
+            lambda s: growth(s) * (1.0 + 1e-6) if s.lam == bad_lam else growth(s)))
+        solve_orthogonal_pairs(*self.GOOD_LANES)
+        with pytest.raises(ArithmeticError, match="off the slice"):
+            solve_orthogonal_pairs(*self.LANES)
+
+    def test_one_lane_tangent_not_radial_raises(self, monkeypatch):
+        bad_lam = solve_orthogonal_pairs(*self.LANES)[1][0]
+        monkeypatch.setattr(hc, "slice_slope", lambda s, x: slice_slope(s, x)
+                            * (1.0 + 1e-6 if s.lam == bad_lam else 1.0))
+        solve_orthogonal_pairs(*self.GOOD_LANES)
+        with pytest.raises(ArithmeticError, match="not radial"):
+            solve_orthogonal_pairs(*self.LANES)
+
+
 class TestEigenvalue:
     def test_reference_values_against_brentq(self):
         # independent root finder on the same transcendental equation
@@ -121,6 +182,14 @@ class TestEigenvalue:
         eig = lambda0(d)
         assert 0.0 < eig.lambda0 < 1.0
         assert abs(eig.residual) < 1e-12
+
+    def test_equals_scalar_bisection(self):
+        ds = np.linspace(0.05, 1.0, 50).tolist() + [0.1 * k for k in range(1, 11)]
+        for d in ds:
+            want = _scalar_bisect_root(lambda lam: math.tanh(lam * (1.0 + d)) - lam,
+                                       1e-6, 1.0 - 1e-15)
+            assert lambda0(d).lambda0 == want
+        assert hc.lambda0_roots(np.array(ds)).tolist() == [lambda0(d).lambda0 for d in ds]
 
     @pytest.mark.parametrize("d", [0.1, 0.4, 0.8, 1.0])
     def test_bracket_signs(self, d):
