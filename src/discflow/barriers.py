@@ -14,7 +14,6 @@ Both facts are verified numerically by `verify_barrier_inequality`.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -221,15 +220,10 @@ class BarrierReport:
     min_slack: float
     argmin_point: tuple[float, float]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind.value,
-            "d": self.d,
-            "t": self.t,
-            "samples": self.samples,
-            "min_slack": self.min_slack,
-            "argmin_point": list(self.argmin_point),
-        }, sort_keys=True)
+    def as_dict(self) -> dict:
+        return {"kind": self.kind.value, "d": self.d, "t": self.t,
+                "samples": self.samples, "min_slack": self.min_slack,
+                "argmin_point": list(self.argmin_point)}
 
 
 def dn_slack(cfg: ProblemConfig, theta: float, y) -> np.ndarray:

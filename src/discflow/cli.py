@@ -38,8 +38,8 @@ def _validate_common(args) -> None:
         raise ParameterError(f"rho must lie in (0, pi/2), got {args.rho}")
     if getattr(args, "theta", None) is not None and not (0.0 < args.theta < 0.5 * math.pi):
         raise ParameterError(f"theta must lie in (0, pi/2), got {args.theta}")
-    if getattr(args, "nodes", None) is not None and args.nodes < 8:
-        raise ParameterError(f"nodes must be >= 8, got {args.nodes}")
+    if getattr(args, "nodes", None) is not None and args.nodes < geo.MIN_SEGMENTS:
+        raise ParameterError(f"nodes must be >= {geo.MIN_SEGMENTS}, got {args.nodes}")
     if getattr(args, "record_every", None) is not None and args.record_every < 1:
         raise ParameterError("record-every must be >= 1")
     for tol_name in ("tol_ode", "tol_inv", "tol_slack", "tol_bc"):
@@ -172,7 +172,7 @@ def cmd_barriers(args) -> int:
     for kind in kinds[args.kind]:
         for t in bar.time_window(cfg, kind, args.t_min, args.t_max, args.t_count):
             rep = bar.verify_barrier_inequality(cfg, kind, float(t), args.samples)
-            reports.append(json.loads(rep.to_json()))
+            reports.append(rep.as_dict())
     _write_json(out / "barrier_reports.json", {"reports": reports})
     print(f"{len(reports)} barrier slices verified; reports in {out}")
     return 0
@@ -222,7 +222,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_ancient(args) -> int:
-    rhos = [float(v) for v in args.rho_list.split(",") if v]
+    try:
+        rhos = [float(v) for v in args.rho_list.split(",") if v]
+    except ValueError as exc:
+        raise ParameterError(f"rho-list: {exc}") from exc
     if not rhos:
         raise ParameterError("empty rho list")
     if any(not (0.0 < r < 0.5 * math.pi) for r in rhos):

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .errors import (
     StepRejected,
 )
 from .geometry import (
+    MIN_SEGMENTS,
     Curve,
     CurveDiagnostics,
     Frame,
@@ -71,8 +72,9 @@ CONVERGED_EPS = 1e-3
 EXTINCT_LEN = 1e-2
 EXTINCT_KAPPA = 1e3
 
-#: columns of diagnostics.csv and of Trajectory.table (with step, area_shed)
-DIAG_HEADER = "t,theta_min,theta_max,kappa_max,area,height_max,length"
+#: per-state scalars: the columns of Trajectory.table and of diagnostics.csv
+COLUMNS = ("t", "theta_min", "theta_max", "kappa_max", "area", "height_max",
+           "length", "step", "area_shed")
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class FlowRunConfig:
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if self.n < 8:
-            raise DomainError(f"need n >= 8, got {self.n}")
+        if self.n < MIN_SEGMENTS:
+            raise DomainError(f"need n >= {MIN_SEGMENTS}, got {self.n}")
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
 
@@ -124,11 +126,12 @@ class Trajectory:
         return np.array([s.time for s in self.states])
 
     def table(self) -> dict[str, np.ndarray]:
-        diag = np.array([s.diagnostics.as_row() for s in self.states]).reshape(-1, 6)
-        cols = dict(zip(DIAG_HEADER.split(",")[1:], diag.T))
-        cols.update(t=self.times(), step=np.array([s.step for s in self.states]),
-                    area_shed=np.array([s.area_shed for s in self.states]))
-        return cols
+        """One array per column of COLUMNS, one entry per recorded state."""
+        rows = np.array([[s.time, *s.diagnostics.as_row(), s.step, s.area_shed]
+                         for s in self.states]).reshape(-1, len(COLUMNS))
+        tab = dict(zip(COLUMNS, rows.T))
+        tab["step"] = tab["step"].astype(np.int64)
+        return tab
 
 
 def unstable_arc(d: float, n: int) -> Curve:
@@ -317,8 +320,6 @@ def run(cfg: FlowRunConfig,
     states: list[FlowState] = [_make_state(nodes, d, t, step_i)]
     events: list[tuple[float, str]] = []
     shed_accum = 0.0
-    last_theta_max = states[0].diagnostics.theta_max
-    last_record_t = 0.0
     outcome: FlowOutcome | None = None
 
     while outcome is None:
@@ -354,14 +355,6 @@ def run(cfg: FlowRunConfig,
         if callback is not None:
             callback(state)
         diag = state.diagnostics
-
-        if last_theta_max < 0.5 * math.pi <= diag.theta_max:
-            frac = (0.5 * math.pi - last_theta_max) / (diag.theta_max - last_theta_max)
-            t_cross = last_record_t + frac * (t - last_record_t)
-            events.append((t_cross, "theta_bar_half_pi"))
-        last_theta_max = diag.theta_max
-        last_record_t = t
-
         if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
             omega = t + 0.5 * diag.length / diag.kappa_max
             events.append((t, "extinct"))
@@ -599,14 +592,23 @@ def nn_avoidance_check(traj: Trajectory, rho: float) -> float:
 
 
 #: the layout write_trajectory writes and the only one load_trajectory reads
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: all recorded nodes of a trajectory, one (states, n + 1, 2) float64 array
 STATES_FILE = "states.npy"
+#: Trajectory.table, one row per recorded state
+TABLE_FILE = "diagnostics.csv"
+#: the Trajectory fields in manifest.json beside format_version and outcome,
+#: with the conversion load_trajectory applies (rho and lambda_ref may be null)
+_MANIFEST = {
+    "d": float, "n": int, "rho": None, "lambda_ref": None, "record_every": int, "dt_safety": float,
+    "events": lambda events: [(float(t), str(name)) for t, name in events],
+}
 
 
 def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
-    """Write the recorded nodes to states.npy, a diagnostics CSV, and a
-    manifest JSON; file contents are deterministic.
+    """Write the recorded nodes to states.npy, Trajectory.table to
+    diagnostics.csv and the run metadata to manifest.json, each datum
+    once; file contents are deterministic.
 
     The files go into a hidden sibling directory that then replaces
     outdir, so outdir holds the old trajectory or the new one, never a
@@ -619,30 +621,19 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
             (not outdir.is_dir() or any(outdir.iterdir())):
         raise ParameterError(f"{outdir} is not empty and holds no trajectory; "
                              "not replacing it")
-    values = [v for s in traj.states for v in [s.time, *s.diagnostics.as_row()]]
-    rows = ("%.17g," * 6 + "%.17g\n") * len(traj.states) % tuple(values)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "d": traj.d,
-        "n": traj.n,
-        "rho": traj.rho,
-        "lambda_ref": traj.lambda_ref,
-        "record_every": traj.record_every,
-        "dt_safety": traj.dt_safety,
-        "times": [s.time for s in traj.states],
-        "steps": [s.step for s in traj.states],
-        "area_shed": [s.area_shed for s in traj.states],
-        "diagnostics": [s.diagnostics.as_row() for s in traj.states],
-        "events": [[t, name] for t, name in traj.events],
-        "outcome": {"kind": traj.outcome.kind, "time": traj.outcome.time,
-                    "detail": traj.outcome.detail},
-    }
+    tab = traj.table()
+    values = np.column_stack([tab[c] for c in COLUMNS]).ravel().tolist()
+    row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+    manifest = {k: getattr(traj, k) for k in _MANIFEST}
+    manifest.update(format_version=FORMAT_VERSION, events=traj.events,
+                    outcome=asdict(traj.outcome))
     outdir.parent.mkdir(parents=True, exist_ok=True)
     tmp = outdir.with_name(f".{outdir.name}.{os.urandom(8).hex()}.tmp")
     tmp.mkdir()
     try:
         np.save(tmp / STATES_FILE, np.stack([s.curve.nodes for s in traj.states]))
-        (tmp / "diagnostics.csv").write_text(DIAG_HEADER + "\n" + rows)
+        (tmp / TABLE_FILE).write_text(",".join(COLUMNS) + "\n"
+                                      + row * len(traj.states) % tuple(values))
         (tmp / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
         if replace_old:
             # a non-empty directory cannot be renamed over: move it aside
@@ -658,11 +649,12 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
     return outdir
 
 
-#: manifest keys load_trajectory requires; rho and lambda_ref may be null
-_MANIFEST_KEYS = ("d", "n", "rho", "lambda_ref", "record_every", "dt_safety",
-                 "times", "steps", "area_shed", "diagnostics", "events", "outcome")
-#: manifest lists with one entry per recorded state, in FlowState order
-_PER_STATE_KEYS = ("times", "steps", "diagnostics", "area_shed")
+def _read(path: Path, reader):
+    """reader(path), with any failure to read or decode a ParameterError."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
 
 
 def _require(obj: dict, keys, where) -> None:
@@ -671,54 +663,64 @@ def _require(obj: dict, keys, where) -> None:
         raise ParameterError(f"{where} lacks {', '.join(missing)}")
 
 
+def _read_table(path: Path) -> list[tuple[float, CurveDiagnostics, int, float]]:
+    """(time, diagnostics, step, area_shed) per row; float reads %.17g exactly."""
+    lines = _read(path, Path.read_text).splitlines()
+    header = ",".join(COLUMNS)
+    if lines[:1] != [header]:
+        raise ParameterError(f"{path}: header is not {header}")
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(COLUMNS):
+            raise ParameterError(f"{path} line {i}: {len(cells)} values, not {len(COLUMNS)}")
+        try:
+            t, *diag, step_i, shed = map(float, cells)
+        except ValueError as exc:
+            raise ParameterError(f"{path} line {i}: {exc}") from exc
+        if not step_i.is_integer():
+            raise ParameterError(f"{path} line {i}: step {step_i} is not an integer")
+        rows.append((t, CurveDiagnostics(*diag), int(step_i), shed))
+    return rows
+
+
 def load_trajectory(outdir: str | Path) -> Trajectory:
     """Read a directory written by write_trajectory.
 
     Raises ParameterError naming an unreadable file, a manifest of another
-    format_version, a missing manifest key, per-state lists whose lengths
-    differ, or a states.npy that is not a float64 array of shape
-    (states, n + 1, 2); nothing is defaulted.  Each state's nodes are one
-    C-contiguous row of that array.
+    format_version, a missing or malformed manifest value, a
+    diagnostics.csv whose header is not COLUMNS or whose rows are not
+    numbers of that width, or a states.npy that is not a float64 array of
+    shape (rows, n + 1, 2); nothing is defaulted.  Each state's nodes are
+    one C-contiguous row of that array.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read {path}: {exc}") from exc
+    manifest = _read(path, lambda p: json.loads(p.read_text()))
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise ParameterError(f"{outdir} has an old or unknown trajectory layout: "
                              f"format_version {version}, expected {FORMAT_VERSION}")
-    _require(manifest, _MANIFEST_KEYS, path)
-    _require(manifest["outcome"], ("kind", "time", "detail"), f"{path} outcome")
-    lengths = {k: len(manifest[k]) for k in _PER_STATE_KEYS}
-    if len(set(lengths.values())) != 1:
-        raise ParameterError(f"{path}: per-state lists differ in length {lengths}")
-    d = float(manifest["d"])
-    n = int(manifest["n"])
+    _require(manifest, (*_MANIFEST, "outcome"), path)
+    outcome, fields = manifest["outcome"], ("kind", "time", "detail")
+    _require(outcome if isinstance(outcome, dict) else {}, fields, f"{path} outcome")
+    for key, parse in _MANIFEST.items():
+        try:
+            manifest[key] = parse(manifest[key]) if parse else manifest[key]
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{path}: malformed {key}: {exc}") from exc
+    rows = _read_table(outdir / TABLE_FILE)
     states_path = outdir / STATES_FILE
-    try:
-        nodes = np.load(states_path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise ParameterError(f"cannot read {states_path}: {exc}") from exc
-    shape = (lengths["times"], n + 1, 2)
+    nodes = _read(states_path, lambda p: np.load(p, allow_pickle=False))
+    d, n = manifest["d"], manifest["n"]
+    shape = (len(rows), n + 1, 2)
     if not (isinstance(nodes, np.ndarray) and nodes.dtype == np.float64
             and nodes.shape == shape):
         raise ParameterError(f"{states_path} holds {getattr(nodes, 'dtype', '?')} "
-                             f"{getattr(nodes, 'shape', '?')}, manifest needs "
-                             f"float64 {shape}")
+                             f"{getattr(nodes, 'shape', '?')}, {TABLE_FILE} rows and n "
+                             f"need float64 {shape}")
     states = [FlowState(curve=Curve(nodes=row, dirichlet_point=np.array([-d, 0.0])),
-                        time=float(t),
-                        diagnostics=CurveDiagnostics(*diag), step=int(step_i),
-                        area_shed=float(shed))
-              for row, t, step_i, diag, shed
-              in zip(nodes, *(manifest[k] for k in _PER_STATE_KEYS))]
-    outcome = manifest["outcome"]
-    return Trajectory(d=d, n=n, states=states,
-                      events=[(float(t), str(name)) for t, name in manifest["events"]],
-                      outcome=FlowOutcome(kind=outcome["kind"], time=outcome["time"],
-                                          detail=outcome["detail"]),
-                      rho=manifest["rho"], lambda_ref=manifest["lambda_ref"],
-                      record_every=int(manifest["record_every"]),
-                      dt_safety=float(manifest["dt_safety"]))
+                        time=t, diagnostics=diag, step=step_i, area_shed=shed)
+              for row, (t, diag, step_i, shed) in zip(nodes, rows)]
+    return Trajectory(states=states, outcome=FlowOutcome(*(outcome[k] for k in fields)),
+                      **{k: manifest[k] for k in _MANIFEST})

@@ -21,7 +21,7 @@ from .errors import InvalidCurve
 # below discretization error.
 EPS_GEOM = 1e-9
 
-MIN_NODES = 9  # N >= 8 segments
+MIN_SEGMENTS = 8  # a curve has at least MIN_SEGMENTS + 1 nodes
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class Curve:
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise InvalidCurve(f"nodes must be (M,2), got {nodes.shape}")
-        if nodes.shape[0] < MIN_NODES:
-            raise InvalidCurve(f"need at least {MIN_NODES} nodes, got {nodes.shape[0]}")
+        if nodes.shape[0] < MIN_SEGMENTS + 1:
+            raise InvalidCurve(f"need at least {MIN_SEGMENTS + 1} nodes, got {nodes.shape[0]}")
         o = np.asarray(self.dirichlet_point, dtype=float).reshape(2)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "dirichlet_point", o)
@@ -200,8 +200,8 @@ def resample_arclength(c: Curve, n: int) -> Curve:
     equally spaced in their own chord metric, which makes the operation
     idempotent to round-off.
     """
-    if n < 8:
-        raise InvalidCurve(f"need n >= 8, got {n}")
+    if n < MIN_SEGMENTS:
+        raise InvalidCurve(f"need n >= {MIN_SEGMENTS}, got {n}")
     if not is_embedded(c.nodes):
         raise InvalidCurve("self-intersecting polyline")
     nodes = _resample_nodes(c.nodes, n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidCurve
-from .geometry import Curve, _resample_nodes, curvature_profile
+from .geometry import MIN_SEGMENTS, Curve, _resample_nodes, curvature_profile
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def initial_curve(rho: float, d: float, n: int) -> Curve:
     """
     if not (0.0 < rho < 0.5 * math.pi):
         raise DomainError(f"rho must lie in (0, pi/2), got {rho}")
-    if n < 8:
-        raise DomainError(f"need n >= 8, got {n}")
+    if n < MIN_SEGMENTS:
+        raise DomainError(f"need n >= {MIN_SEGMENTS}, got {n}")
     lam, t = solve_orthogonal_pair(rho, d)
     s = HairclipSlice(lam=lam, t=t, d=d)
     dense = slice_between(s, math.cos(rho), n_dense=max(16 * n, 1024))

@@ -1,4 +1,5 @@
 """Barrier families: exact identities, angle laws, inequality slack."""
+import json
 import math
 
 import numpy as np
@@ -263,9 +264,11 @@ class TestBarrierInequality:
     def test_report_serializes(self):
         rep = verify_barrier_inequality(ProblemConfig(0.5),
                                         ArcKind.DIRICHLET_NEUMANN, -1.0, 64)
-        text = rep.to_json()
-        assert '"kind": "dn"' in text
-        assert '"samples": 64' in text
+        row = rep.as_dict()
+        assert row["kind"] == "dn"
+        assert row["samples"] == 64
+        assert sorted(row) == ["argmin_point", "d", "kind", "min_slack", "samples", "t"]
+        assert json.loads(json.dumps(row)) == row
 
     def test_time_domain_checks(self):
         cfg = ProblemConfig(1.0)

@@ -61,6 +61,16 @@ class TestValidation:
         assert "samples must be >= 16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_rho_list_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(flow, "run", no_flow)
+        out = tmp_path / "X"
+        assert run_cli("ancient", "--rho-list", "0.3,abc", "--out", str(out)) == 2
+        assert "rho-list" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("barriers", "--t-min", "nan"),
         ("barriers", "--t-max", "inf"),
@@ -127,11 +137,13 @@ class TestFlowAndFit:
         manifest = json.loads((traj_dir / "manifest.json").read_text())
         assert manifest["d"] == 0.5
         assert manifest["outcome"]["kind"] == "max_time"
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
+        assert not any(isinstance(v, list) for k, v in manifest.items() if k != "events")
         assert sorted(p.name for p in traj_dir.iterdir()) == [
             "diagnostics.csv", "manifest.json", "states.npy"]
+        rows = (traj_dir / "diagnostics.csv").read_text().splitlines()[1:]
         nodes = np.load(traj_dir / "states.npy", allow_pickle=False)
-        assert nodes.shape == (len(manifest["times"]), 49, 2)
+        assert nodes.shape == (len(rows), 49, 2)
         assert (flow_dir / "run_manifest.json").exists()
 
     def test_fit_command(self, flow_dir, capsys):
@@ -156,6 +168,14 @@ class TestFlowAndFit:
         assert "states.npy holds float64 (2, 49, 2)" in capsys.readouterr().err
         assert run_cli("fit", "--run-dir", str(tmp_path / "absent")) == 2
         assert "manifest.json" in capsys.readouterr().err
+
+    def test_fit_on_malformed_manifest_exits_2(self, flow_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(flow_dir / "trajectory", broken)
+        path = broken / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "events": [[0.1]]}))
+        assert run_cli("fit", "--run-dir", str(broken)) == 2
+        assert "malformed events" in capsys.readouterr().err
 
 
 class TestAncient:

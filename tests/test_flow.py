@@ -503,14 +503,42 @@ class TestExport:
 
     def test_diagnostics_rows_match_per_value_format(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
-        rows = [",".join(f"{v:.17g}" for v in [s.time] + s.diagnostics.as_row())
+        rows = [",".join(f"{v:.17g}" for v in
+                         [s.time, *s.diagnostics.as_row(), s.step, s.area_shed])
                 for s in short_run.states]
         assert (out / "diagnostics.csv").read_text().splitlines()[1:] == rows
 
     def test_diagnostics_header(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
         first = (out / "diagnostics.csv").read_text().splitlines()[0]
-        assert first == "t,theta_min,theta_max,kappa_max,area,height_max,length"
+        assert first == ("t,theta_min,theta_max,kappa_max,area,height_max,length,"
+                         "step,area_shed")
+
+    def test_manifest_holds_run_metadata_only(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["d", "dt_safety", "events", "format_version",
+                                    "lambda_ref", "n", "outcome", "record_every", "rho"]
+
+    @pytest.mark.parametrize("name", ["short_run", "extinct_run"])
+    def test_rewrite_of_loaded_run_keeps_bytes(self, name, request, tmp_path):
+        first = write_trajectory(request.getfixturevalue(name), tmp_path / "a")
+        second = write_trajectory(load_trajectory(first), tmp_path / "b")
+        for f in FILES:
+            assert (first / f).read_bytes() == (second / f).read_bytes()
+
+    def test_extreme_diagnostic_values_roundtrip(self, short_run, tmp_path):
+        extremes = (-0.0, 5e-324, 1e300)
+        s = short_run.states[1]
+        diag = dataclasses.replace(s.diagnostics, theta_min=extremes[0],
+                                   kappa_max=extremes[1], area=extremes[2])
+        states = [*short_run.states[:1], dataclasses.replace(s, diagnostics=diag)]
+        traj = dataclasses.replace(short_run, states=states)
+        back = load_trajectory(write_trajectory(traj, tmp_path / "run")).states[1]
+        got = (back.diagnostics.theta_min, back.diagnostics.kappa_max,
+               back.diagnostics.area)
+        assert got == extremes
+        assert math.copysign(1.0, got[0]) == -1.0
 
 
 class TestReloadedAnalyses:
@@ -552,8 +580,13 @@ def edit_manifest(outdir, change):
     path.write_text(json.dumps(manifest))
 
 
+def edit_table(outdir, change):
+    path = outdir / "diagnostics.csv"
+    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+
+
 class TestStrictLoad:
-    @pytest.mark.parametrize("key", ["area_shed", "record_every", "dt_safety", "rho"])
+    @pytest.mark.parametrize("key", ["events", "record_every", "dt_safety", "rho"])
     def test_missing_key(self, short_run, tmp_path, key):
         out = write_trajectory(short_run, tmp_path / "run")
         edit_manifest(out, lambda m: m.pop(key))
@@ -573,9 +606,44 @@ class TestStrictLoad:
         assert loaded.rho is None and loaded.lambda_ref is None
 
     def test_length_mismatch(self, short_run, tmp_path):
+        # one diagnostics.csv row fewer than states.npy holds states
         out = write_trajectory(short_run, tmp_path / "run")
-        edit_manifest(out, lambda m: m["times"].pop())
-        with pytest.raises(ParameterError, match="differ in length"):
+        edit_table(out, lambda lines: lines[:-1])
+        states = len(short_run.states)
+        with pytest.raises(ParameterError, match=rf"holds float64 \({states}, 97, 2\), "
+                           rf"diagnostics\.csv rows .*\({states - 1}, 97, 2\)"):
+            load_trajectory(out)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: m.update(events=[[0.1]]), "malformed events"),
+        (lambda m: m.update(events=3), "malformed events"),
+        (lambda m: m.update(d="abc"), "malformed d"),
+        (lambda m: m.update(n="abc"), "malformed n"),
+        (lambda m: m.update(dt_safety="abc"), "malformed dt_safety"),
+        (lambda m: m.update(outcome=["extinct"]), "outcome lacks kind, time, detail$"),
+    ], ids=["short_event", "events_number", "d", "n", "dt_safety", "outcome_list"])
+    def test_malformed_manifest_value(self, short_run, tmp_path, change, message):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, change)
+        with pytest.raises(ParameterError, match=message):
+            load_trajectory(out)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda lines: [lines[0].replace(",area_shed", "")] + lines[1:], "header is not"),
+        (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:], "line 3: 10 values, not 9"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "line 3: 8 values, not 9"),
+        (lambda lines: lines[:1] + [lines[1].replace("0,", "abc,", 1)] + lines[2:],
+         "line 2: could not convert string to float: 'abc'"),
+        (lambda lines: lines[:2] + [lines[2].replace(",50,", ",50.5,")] + lines[3:],
+         "line 3: step 50.5 is not an integer"),
+        (lambda lines: lines + [lines[-1]], r"diagnostics\.csv rows"),
+    ], ids=["header", "long_row", "short_row", "not_a_number", "fractional_step",
+            "extra_row"])
+    def test_malformed_table(self, short_run, tmp_path, change, message):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_table(out, change)
+        with pytest.raises(ParameterError, match=message):
             load_trajectory(out)
 
     def test_missing_format_version(self, short_run, tmp_path):
@@ -586,8 +654,14 @@ class TestStrictLoad:
 
     def test_unknown_format_version(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
-        edit_manifest(out, lambda m: m.update(format_version=3))
+        edit_manifest(out, lambda m: m.update(format_version=4))
         with pytest.raises(ParameterError, match="old or unknown trajectory layout"):
+            load_trajectory(out)
+
+    def test_format_version_2_is_refused(self, short_run, tmp_path):
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m.update(format_version=2))
+        with pytest.raises(ParameterError, match="format_version 2, expected 3"):
             load_trajectory(out)
 
     def test_removed_state_file(self, short_run, tmp_path):
