@@ -14,6 +14,7 @@ from .geometry import (
     CurveDiagnostics,
     CurvatureProfile,
     curvature_profile,
+    curvature_profiles,
     curve_diagnostics,
     enclosed_area,
     resample_arclength,

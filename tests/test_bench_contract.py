@@ -86,6 +86,31 @@ def test_no_metric_is_absent(blowup_like, bench):
     assert workloads.same_trajectory(blowup_like, blowup_like)
 
 
+def test_every_traced_name_resolves(bench):
+    # several targets share a span name, so the installed spans alone
+    # would not show one missing attribute
+    spans, _ = bench
+    for mod_name, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"discflow.{mod_name}"), attr))
+
+
+def test_checks_compute_no_single_curve_profiles(monkeypatch, blowup_like):
+    # the per-state checks take their profiles from batched chunks; a
+    # per-state curvature_profile loop would show up here (and in the
+    # benchmark's geometry.curvature_profile_calls)
+    import discflow.analysis as analysis
+
+    calls = []
+    for module in (geometry, flow, analysis):
+        real = module.curvature_profile
+        monkeypatch.setattr(module, "curvature_profile",
+                            lambda c, real=real: calls.append(c) or real(c))
+    flow.maximum_principle_check(blowup_like)
+    flow.speed_bound_check(blowup_like, 0.9, raise_on_fail=False)
+    analysis.area_balance(blowup_like)
+    assert calls == []
+
+
 @pytest.mark.parametrize("reject_call", [None, 3])
 def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call):
     # flow.step_calls is the call count of flow._advance_checked, looked

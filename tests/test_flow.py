@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 import discflow.flow as flow
-from discflow.barriers import ProblemConfig, theta_minus
-from discflow.errors import InvalidCurve, ParameterError, StepRejected
+from discflow.barriers import ProblemConfig, characteristic_rhs, theta_minus
+from discflow.errors import (
+    ComparisonViolation,
+    InsufficientWindow,
+    InvalidCurve,
+    ParameterError,
+    StepRejected,
+)
 from discflow.flow import (
+    TRANSIENT_STEPS,
     FlowRunConfig,
     FlowState,
+    gradient_lower_bound,
     hausdorff_to_minimizing_arc,
     half_pi_crossing,
     load_trajectory,
@@ -327,6 +335,34 @@ class TestRunOutcomes:
         assert traj.outcome.kind == "invariant_violation"
         assert any("step_rejected" in name for _, name in traj.events)
 
+    @pytest.mark.parametrize("failing_call, last_step", [(3, 10), (4, 20)])
+    def test_invalid_state_ends_at_last_good_record(self, monkeypatch, failing_call,
+                                                    last_step):
+        # records at steps 0, 10 and 20, then the final state at step 25;
+        # the third call fails inside the loop, the fourth in the final
+        # append, and neither failing state is recorded
+        real = flow.curve_diagnostics
+        calls = []
+
+        def diagnostics(curve, d):
+            calls.append(curve)
+            if len(calls) == failing_call:
+                raise InvalidCurve("enclosed area 1.6 outside [0, pi/2]")
+            return real(curve, d)
+
+        monkeypatch.setattr(flow, "curve_diagnostics", diagnostics)
+        seen = []
+        c = initial_curve(0.3, 0.5, 64)
+        traj = run(FlowRunConfig(d=0.5, initial=c, n=64, record_every=10, max_steps=25),
+                   callback=seen.append)
+        assert len(calls) == failing_call
+        assert traj.outcome.kind == "invalid_state"
+        assert traj.outcome.detail == "enclosed area 1.6 outside [0, pi/2]"
+        assert [s.step for s in traj.states] == list(range(0, last_step + 1, 10))
+        assert traj.outcome.time > traj.states[-1].time
+        assert len(seen) == len(traj.states) - 1
+        assert all(a is b for a, b in zip(seen, traj.states[1:]))
+
     def test_bad_initial_curve_rejected(self):
         c = unstable_arc(0.5, 64)
         shifted = c.nodes.copy()
@@ -432,6 +468,113 @@ class TestComparisons:
         sel = tau <= 0.0
         excess = tab["theta_max"][sel] - theta_minus(cfg, tau[sel])
         assert excess.max() <= 5e-3
+
+
+def reference_max_principle(traj):
+    """maximum_principle_check as one profile and one update per state."""
+    cfg = ProblemConfig(traj.d)
+    k_m = ks_m = cb_m = gb_m = math.inf
+    for s in traj.states:
+        if s.step < TRANSIENT_STEPS:
+            continue
+        prof = curvature_profile(s.curve)
+        kmax = float(prof.kappa.max())
+        tol = flow.tol_inv(kmax)
+        k_m = min(k_m, float(prof.kappa.min()) + tol)
+        ks = np.diff(prof.kappa) / np.diff(prof.s)
+        ks_m = min(ks_m, float(ks.min()) + tol)
+        th_bar = s.diagnostics.theta_max
+        cb_m = min(cb_m, kmax - float(characteristic_rhs(cfg, th_bar)) + tol)
+        gb_m = min(gb_m, s.diagnostics.theta_min
+                   - float(gradient_lower_bound(cfg, th_bar)) + tol)
+    return k_m, ks_m, cb_m, gb_m
+
+
+def reference_speed_bound(traj, lam):
+    """(min_margin, kappa_over_y) of speed_bound_check, state by state."""
+    min_margin = math.inf
+    ratios = []
+    for s in traj.states:
+        if s.step < TRANSIENT_STEPS and s.step != 0:
+            continue
+        prof = curvature_profile(s.curve)
+        y = s.curve.nodes[:, 1]
+        cos_t = np.cos(prof.theta)
+        mask = cos_t > 0.1
+        if np.any(mask):
+            margin = prof.kappa[mask] / cos_t[mask] - lam * np.tan(lam * y[mask])
+            min_margin = min(min_margin, float(margin.min()))
+        ymask = y > 1e-9
+        if np.any(ymask):
+            ratios.append((s.time, float((prof.kappa[ymask] / y[ymask]).max())))
+    return min_margin, ratios
+
+
+def reference_area_discrepancy(traj):
+    """max_discrepancy of area_balance with each state's spread from its
+    own profile."""
+    tab = traj.table()
+    spread = np.array([float(p.theta.max() - p.theta.min())
+                       for p in (curvature_profile(s.curve) for s in traj.states)])
+    flow_area = tab["area"] + tab["area_shed"]
+    ts = tab["t"]
+    dadt = (flow_area[2:] - flow_area[:-2]) / (ts[2:] - ts[:-2])
+    return float(np.abs(dadt + spread[1:-1]).max())
+
+
+@pytest.fixture(scope="module")
+def run_65_states():
+    # 65 records, steps 0..640: the speed bound and the area balance see
+    # one full chunk plus one state, the maximum principle (steps >= 10)
+    # exactly one full chunk
+    c = initial_curve(0.3, 1.0, 64)
+    traj = run(FlowRunConfig(d=1.0, initial=c, n=64, record_every=10, max_steps=640))
+    assert len(traj.states) == 65 == flow.CHUNK_STATES + 1
+    return traj
+
+
+class TestChunkedChecks:
+    """The checks over chunks of stacked states return == the values of a
+    per-state loop."""
+
+    @pytest.fixture(params=["converged_run", "extinct_run", "run_65_states", "reloaded"])
+    def traj(self, request, tmp_path):
+        if request.param == "reloaded":
+            src = request.getfixturevalue("extinct_run")
+            return load_trajectory(write_trajectory(src, tmp_path / "run"))
+        return request.getfixturevalue(request.param)
+
+    def test_maximum_principle(self, traj):
+        rep = maximum_principle_check(traj)
+        assert (rep.kappa_margin, rep.kappa_s_margin, rep.curvature_bound_margin,
+                rep.gradient_bound_margin) == reference_max_principle(traj)
+
+    def test_speed_bound(self, traj):
+        lam = solve_orthogonal_pair(0.3, traj.d)[0]
+        rep = speed_bound_check(traj, lam, raise_on_fail=False)
+        min_margin, ratios = reference_speed_bound(traj, lam)
+        assert rep.min_margin == min_margin
+        assert rep.kappa_over_y == ratios
+
+    def test_area_balance(self, traj):
+        from discflow.analysis import area_balance
+
+        assert area_balance(traj).max_discrepancy == reference_area_discrepancy(traj)
+
+    def test_all_transient_trajectory(self):
+        c = initial_curve(0.3, 0.5, 64)
+        traj = run(FlowRunConfig(d=0.5, initial=c, n=64, record_every=1,
+                                 max_steps=TRANSIENT_STEPS - 1))
+        with pytest.raises(InsufficientWindow):
+            maximum_principle_check(traj)
+
+    def test_speed_violation_raises_with_margin(self, extinct_run):
+        # a reference eigenvalue far above the pairing's breaks the bound
+        min_margin, _ = reference_speed_bound(extinct_run, 1.5)
+        assert min_margin < -1e-3
+        with pytest.raises(ComparisonViolation) as exc:
+            speed_bound_check(extinct_run, 1.5)
+        assert exc.value.margin == min_margin
 
 
 class TestAreaIdentity:

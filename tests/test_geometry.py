@@ -11,12 +11,12 @@ from discflow.errors import InvalidCurve
 from discflow.geometry import (
     Curve,
     curvature_profile,
+    curvature_profiles,
     curve_diagnostics,
     curve_to_csv,
     enclosed_area,
     is_embedded,
     resample_arclength,
-    sample_circle_arc,
 )
 
 
@@ -32,6 +32,13 @@ def make_curve(nodes, d=None):
     nodes = np.asarray(nodes, dtype=float)
     o = nodes[0] if d is None else np.array([-d, 0.0])
     return Curve(nodes=nodes, dirichlet_point=o)
+
+
+def sample_circle_arc(center, radius, psi0, psi1, n):
+    """Nodes of a circular arc sampled uniformly in its own angle."""
+    psi = np.linspace(psi0, psi1, n + 1)
+    cx, cy = float(center[0]), float(center[1])
+    return np.column_stack([cx + radius * np.cos(psi), cy + radius * np.sin(psi)])
 
 
 def upper_semicircle(n):
@@ -387,3 +394,115 @@ class TestEndpointTangent:
         back = exact_end_angle(s[::-1], nodes[::-1])
         gap = (prof.theta[-1] - back + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(gap) < 1e-13
+
+
+def single_curve_profile(nodes):
+    """(s, kappa, theta) of one curve as the single-curve profile computed
+    them before the batched form: the same formulas on one (M,) complex
+    array, with the endpoint tangents, the first angle and the endpoint
+    extrapolations on Python scalars."""
+
+    def deriv(s0, s1, s2, v0, v1, v2):
+        d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+        return (v0 * (d01 + d02) / (d01 * d02) - v1 * d02 / (d01 * d12)
+                + v2 * d01 / (d02 * d12))
+
+    def extrapolate(sq, vq, x):
+        (sa, sb, sc), (va, vb, vc) = sq, vq
+        la = (x - sb) * (x - sc) / ((sa - sb) * (sa - sc))
+        lb = (x - sa) * (x - sc) / ((sb - sa) * (sb - sc))
+        lc = (x - sa) * (x - sb) / ((sc - sa) * (sc - sb))
+        return va * la + vb * lb + vc * lc
+
+    z = np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[:, 0]
+    e = z[1:] - z[:-1]
+    seg = np.abs(e)
+    if not seg.all():
+        raise InvalidCurve("coincident consecutive nodes")
+    s = np.empty(z.shape[0])
+    s[0] = 0.0
+    np.add.accumulate(seg, out=s[1:])
+    t = np.empty_like(z)
+    np.subtract(z[2:], z[:-2], out=t[1:-1])
+    s_head, s_tail = s[:4].tolist(), s[-4:].tolist()
+    za, zb, zc = z[:3].tolist()
+    t0 = deriv(*s_head[:3], 0.0, zb - za, zc - za)
+    t[0] = t0
+    za, zb, zc = z[:-4:-1].tolist()
+    t[-1] = deriv(*s_tail[:0:-1], 0.0, zb - za, zc - za)
+    joint = t[:-1].conj() * t[1:]
+    ang = np.empty(z.shape[0])
+    ang[0] = math.atan2(t0.imag, t0.real)
+    np.arctan2(joint.imag, joint.real, out=ang[1:])
+    theta = np.add.accumulate(ang)
+    sign = -2.0 if theta[-1] - theta[0] < 0.0 else 2.0
+    cross = (e[:-1].conj() * e[1:]).imag
+    cross *= sign
+    denom = seg[:-1] * seg[1:]
+    denom *= np.abs(t[1:-1])
+    kappa = np.empty(z.shape[0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kappa[1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
+    k_head, k_tail = kappa[1:4].tolist(), kappa[-4:-1].tolist()
+    kappa[0] = extrapolate(s_head[1:], k_head, s_head[0])
+    kappa[-1] = extrapolate(s_tail[:-1], k_tail, s_tail[-1])
+    return s, kappa, theta
+
+
+def polyline(lengths, angles, start=(0.0, 0.0)):
+    steps = np.column_stack([np.cos(angles), np.sin(angles)]) * np.asarray(lengths)[:, None]
+    return np.vstack([start, start + np.cumsum(steps, axis=0)])
+
+
+class TestBatchedProfiles:
+    """Each row of curvature_profiles has the bits of the single-curve
+    profile, alone (curvature_profile) and in any stack."""
+
+    @staticmethod
+    def assert_rows_exact(stack):
+        prof = curvature_profiles(stack)
+        assert prof.s.shape == prof.kappa.shape == prof.theta.shape == stack.shape[:2]
+        for k, nodes in enumerate(stack):
+            one = curvature_profile(make_curve(nodes))
+            for got, ref in zip((prof.s[k], prof.kappa[k], prof.theta[k]),
+                                single_curve_profile(nodes)):
+                assert np.array_equal(got, ref)
+            for got, ref in zip((one.s, one.kappa, one.theta), single_curve_profile(nodes)):
+                assert np.array_equal(got, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(9, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n),
+        st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))))
+    def test_random_polylines_both_orientations(self, case):
+        # a polyline, its reverse and its mirror image: the handedness
+        # that normalizes the sign of kappa differs from row to row
+        lengths, angles = case
+        nodes = polyline(lengths, angles, start=(-0.3, 0.1))
+        self.assert_rows_exact(np.stack([nodes, nodes[::-1], nodes * [1.0, -1.0]]))
+
+    def test_collinear_triples(self):
+        line = np.column_stack([np.linspace(-0.5, 1.0, 17), np.zeros(17)])
+        kinked = polyline([0.1] * 16, [0.0] * 5 + [0.4] * 6 + [0.4, 0.2, 0.0, 0.0, 0.0])
+        self.assert_rows_exact(np.stack([line, kinked, line[::-1]]))
+        prof = curvature_profiles(np.stack([line, kinked]))
+        assert np.all(prof.kappa[0] == 0.0)
+        assert np.all(prof.kappa[1, 2:5] == 0.0)
+
+    def test_curve_of_length_one_micron(self):
+        # the endpoint-precision case: a short arc far from the origin
+        r = 1e-6 / 1.2
+        phi = np.linspace(0.4, 0.4 + 1.2, 17)
+        nodes = np.column_stack([-0.7 + r * np.cos(phi), 0.4 + r * np.sin(phi)])
+        assert make_curve(nodes).length() == pytest.approx(1e-6, rel=1e-3)
+        self.assert_rows_exact(np.stack([nodes, nodes[::-1]]))
+
+    def test_every_state_of_an_extinct_run(self, extinct_run):
+        self.assert_rows_exact(np.stack([s.curve.nodes for s in extinct_run.states]))
+
+    def test_coincident_nodes_in_one_row_raise(self):
+        good, _, _ = dn_arc_nodes(0.5, 1.3, 24)
+        bad = good.copy()
+        bad[7] = bad[6]
+        with pytest.raises(InvalidCurve, match="^coincident consecutive nodes$"):
+            curvature_profiles(np.stack([good, bad, good]))
