@@ -17,7 +17,6 @@ from .geometry import (
     curvature_profiles,
     curve_diagnostics,
     enclosed_area,
-    resample_arclength,
 )
 from .barriers import (
     ArcBarrier,
@@ -46,7 +45,6 @@ from .flow import (
     minimizing_arc,
     run,
     speed_bound_check,
-    step,
     theta_bar_ode_check,
     unstable_arc,
 )

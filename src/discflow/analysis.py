@@ -191,8 +191,7 @@ def _tip_frame(nodes: np.ndarray) -> np.ndarray:
     maximum gives the vertex arclength, and the circumcircle of the nearest
     node triple supplies the interpolated tip point and its inward normal.
     """
-    curve_like = Curve(nodes=nodes, dirichlet_point=nodes[0])
-    prof = curvature_profile(curve_like)
+    prof = curvature_profile(Curve(nodes=nodes))
     kap = np.abs(prof.kappa)
     j = int(np.argmax(kap))
     j = min(max(j, 1), nodes.shape[0] - 2)
@@ -271,7 +270,7 @@ def compare_grim_reaper(seq: BlowupSequence,
 
     # soliton identity kappa = cos(theta) on the inner half of the window
     # of the last member, with magnitudes so the orientation drops out
-    prof = curvature_profile(Curve(nodes=last_frame, dirichlet_point=last_frame[0]))
+    prof = curvature_profile(Curve(nodes=last_frame))
     cos_t = np.abs(np.cos(prof.theta))
     lo, hi = _tip_window(last_frame, 0.5 * window_halfwidth)
     near = np.zeros(last_frame.shape[0], dtype=bool)

@@ -51,6 +51,8 @@ def _validate_common(args) -> None:
         raise ParameterError(f"samples must be >= {bar.MIN_SAMPLES}, got {args.samples}")
     if getattr(args, "count", None) is not None and args.count < ana.MIN_BLOWUP_COUNT:
         raise ParameterError(f"count must be >= {ana.MIN_BLOWUP_COUNT}, got {args.count}")
+    if getattr(args, "window", None) is not None and not (0.0 < args.window < 0.5 * math.pi):
+        raise ParameterError(f"window must lie in (0, pi/2), got {args.window}")
 
 
 def _outdir(args, command: str) -> Path:
@@ -238,7 +240,8 @@ def cmd_ancient(args) -> int:
     rows = []
     failures = []
     for rho in rhos:
-        tag = f"rho_{rho:g}".replace(".", "p")
+        # repr keeps every digit, so distinct rho never share a directory
+        tag = f"rho_{rho!r}".replace(".", "p")
         try:
             traj = _run_flow(args.d, rho, args.nodes, args.t_end, args.record_every)
             flw.write_trajectory(traj, out / tag)
@@ -272,8 +275,7 @@ def cmd_blowup(args) -> int:
     members = []
     for i, nodes in enumerate(seq.rescaled_curves):
         name = f"rescaled_{i:03d}.csv"
-        curve = geo.Curve(nodes=nodes, dirichlet_point=nodes[0])
-        (out / name).write_text(geo.curve_to_csv(curve))
+        (out / name).write_text(geo.curve_to_csv(geo.Curve(nodes=nodes)))
         members.append({"blowup_index": i, "file": name, "time": seq.times[i],
                         "scale": seq.scales[i],
                         "basepoint": [float(v) for v in seq.basepoints[i]]})

@@ -23,10 +23,6 @@ class BarrierViolation(DiscFlowError):
         self.slack = slack
 
 
-class StepRejected(DiscFlowError):
-    """A flow step produced an invalid curve; retry with a smaller dt."""
-
-
 class ComparisonViolation(DiscFlowError):
     """A comparison-principle check failed beyond its tolerance."""
 

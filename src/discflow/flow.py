@@ -27,9 +27,9 @@ from .errors import (
     InsufficientWindow,
     InvalidCurve,
     ParameterError,
-    StepRejected,
 )
 from .geometry import (
+    EPS_GEOM,
     MIN_SEGMENTS,
     Curve,
     CurveDiagnostics,
@@ -140,8 +140,7 @@ class Trajectory:
 def unstable_arc(d: float, n: int) -> Curve:
     """The long critical arc from o to (1, 0): a stationary state."""
     x = np.linspace(-d, 1.0, n + 1)
-    return Curve(nodes=np.column_stack([x, np.zeros(n + 1)]),
-                 dirichlet_point=np.array([-d, 0.0]))
+    return Curve(nodes=np.column_stack([x, np.zeros(n + 1)]))
 
 
 def minimizing_arc(d: float, n: int) -> Curve:
@@ -149,8 +148,7 @@ def minimizing_arc(d: float, n: int) -> Curve:
     if d >= 1.0:
         raise DomainError("minimizing arc degenerates for d = 1")
     x = np.linspace(-d, -1.0, n + 1)
-    return Curve(nodes=np.column_stack([x, np.zeros(n + 1)]),
-                 dirichlet_point=np.array([-d, 0.0]))
+    return Curve(nodes=np.column_stack([x, np.zeros(n + 1)]))
 
 
 def _poly_area(nodes: np.ndarray) -> float:
@@ -230,7 +228,7 @@ def _reason(frame: Frame) -> str | None:
     z, seg, joint = frame
     if not (np.minimum.reduce(seg) > 1e-15):
         return "coincident or non-finite nodes"
-    if float(np.minimum.reduce(z.imag)) < -1e-9:
+    if float(np.minimum.reduce(z.imag)) < -EPS_GEOM:
         return "node below the x-axis"
     r_max = float(np.maximum.reduce(np.abs(z)))
     if r_max * r_max > 1.0 + 2.0 * STEP_CONTAIN_TOL:
@@ -266,7 +264,7 @@ def _advance_checked(frame: Frame, d: float, dt: float,
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
                 area_shed: float = 0.0) -> FlowState:
-    curve = Curve(nodes=nodes.copy(), dirichlet_point=np.array([-d, 0.0]))
+    curve = Curve(nodes=nodes.copy())
     return FlowState(curve=curve, time=time,
                      diagnostics=curve_diagnostics(curve, d), step=step_i,
                      area_shed=area_shed)
@@ -287,22 +285,6 @@ def prepare_initial(cfg: FlowRunConfig) -> np.ndarray:
     if reason:
         raise InvalidCurve(f"invalid initial curve: {reason}")
     return nodes
-
-
-def step(state: FlowState, dt: float, d: float | None = None) -> FlowState:
-    """One explicit step; raises StepRejected if the update is invalid.
-
-    dt should respect the parabolic bound dt <= DT_SAFETY * h_min^2.
-    """
-    if d is None:
-        d = -float(state.curve.dirichlet_point[0])
-    n = state.curve.n_segments
-    frame = _frame(_as_complex(state.curve.nodes))
-    candidate, reason, shed = _advance_checked(frame, d, dt, n)
-    if reason:
-        raise StepRejected(f"step of dt={dt:.3e} rejected: {reason}")
-    return _make_state(_as_nodes(candidate[0]), d, state.time + dt, state.step + 1,
-                       area_shed=state.area_shed + shed)
 
 
 def run(cfg: FlowRunConfig,
@@ -387,15 +369,14 @@ def run(cfg: FlowRunConfig,
                       record_every=record_every, dt_safety=DT_SAFETY)
 
 
-def hausdorff_to_minimizing_arc(nodes: np.ndarray, d: float,
-                                samples: int = 512) -> float:
+def hausdorff_to_minimizing_arc(nodes: np.ndarray, d: float) -> float:
     """Symmetric Hausdorff distance between the polyline and the segment
     from (-1, 0) to (-d, 0)."""
     x, y = nodes[:, 0], nodes[:, 1]
     xc = np.clip(x, -1.0, -d)
     d1 = float(np.hypot(x - xc, y).max())
 
-    qx = np.linspace(-1.0, -d, samples)
+    qx = np.linspace(-1.0, -d, 512)
     p = nodes[:-1]
     v = np.diff(nodes, axis=0)
     vv = (v ** 2).sum(axis=1)
@@ -739,15 +720,14 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     rows = _read_table(outdir / TABLE_FILE)
     states_path = outdir / STATES_FILE
     nodes = _read(states_path, lambda p: np.load(p, allow_pickle=False))
-    d, n = manifest["d"], manifest["n"]
-    shape = (len(rows), n + 1, 2)
+    shape = (len(rows), manifest["n"] + 1, 2)
     if not (isinstance(nodes, np.ndarray) and nodes.dtype == np.float64
             and nodes.shape == shape):
         raise ParameterError(f"{states_path} holds {getattr(nodes, 'dtype', '?')} "
                              f"{getattr(nodes, 'shape', '?')}, {TABLE_FILE} rows and n "
                              f"need float64 {shape}")
-    states = [FlowState(curve=Curve(nodes=row, dirichlet_point=np.array([-d, 0.0])),
-                        time=t, diagnostics=diag, step=step_i, area_shed=shed)
+    states = [FlowState(curve=Curve(nodes=row), time=t, diagnostics=diag,
+                        step=step_i, area_shed=shed)
               for row, (t, diag, step_i, shed) in zip(nodes, rows)]
     return Trajectory(states=states, outcome=FlowOutcome(*(outcome[k] for k in fields)),
                       **{k: manifest[k] for k in _MANIFEST})

@@ -26,14 +26,14 @@ MIN_SEGMENTS = 8  # a curve has at least MIN_SEGMENTS + 1 nodes
 
 @dataclass(frozen=True)
 class Curve:
-    """Polyline curve with N+1 nodes, N >= 8.
+    """Polyline curve: a validated (M, 2) float node array, M >= 9.
 
-    nodes[0] is the Dirichlet point, nodes[-1] lies on the unit circle for
-    valid disc curves.  The node array is never mutated after construction.
+    nodes[0] is the Dirichlet point o = (-d, 0), nodes[-1] lies on the unit
+    circle for valid disc curves; d belongs to the problem, not the curve.
+    The node array is never mutated after construction.
     """
 
     nodes: np.ndarray
-    dirichlet_point: np.ndarray
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -41,16 +41,7 @@ class Curve:
             raise InvalidCurve(f"nodes must be (M,2), got {nodes.shape}")
         if nodes.shape[0] < MIN_SEGMENTS + 1:
             raise InvalidCurve(f"need at least {MIN_SEGMENTS + 1} nodes, got {nodes.shape[0]}")
-        o = np.asarray(self.dirichlet_point, dtype=float).reshape(2)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dirichlet_point", o)
-
-    @property
-    def n_segments(self) -> int:
-        return self.nodes.shape[0] - 1
-
-    def length(self) -> float:
-        return float(segment_lengths(self.nodes).sum())
 
 
 @dataclass(frozen=True)
@@ -219,28 +210,9 @@ def enclosed_area(c: Curve, d: float) -> float:
     return _area(_as_complex(nodes))
 
 
-def resample_arclength(c: Curve, n: int) -> Curve:
-    """Resample to n+1 nodes at equal arclength along the linear interpolant.
-
-    Endpoints are preserved exactly.
-    The placement is iterated to its fixed point so the output nodes are
-    equally spaced in their own chord metric, which makes the operation
-    idempotent to round-off.
-    """
-    if n < MIN_SEGMENTS:
-        raise InvalidCurve(f"need n >= {MIN_SEGMENTS}, got {n}")
-    if not is_embedded(c.nodes):
-        raise InvalidCurve("self-intersecting polyline")
-    nodes = _resample_nodes(c.nodes, n)
-    for _ in range(8):
-        seg = segment_lengths(nodes)
-        if float(np.abs(seg - seg.mean()).max()) <= 1e-14 * max(seg.sum(), 1e-30):
-            break
-        nodes = _resample_nodes(nodes, n)
-    return Curve(nodes=nodes, dirichlet_point=c.dirichlet_point)
-
-
 def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
+    """n + 1 nodes at equal arclength along the linear interpolant of
+    nodes; the endpoints are kept exactly."""
     s = np.zeros(nodes.shape[0])
     np.cumsum(segment_lengths(nodes), out=s[1:])
     target = np.linspace(0.0, s[-1], n + 1)

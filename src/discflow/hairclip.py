@@ -201,7 +201,7 @@ def initial_curve(rho: float, d: float, n: int) -> Curve:
     nodes[0] = (-d, 0.0)
     end = np.array([math.cos(rho), math.sin(rho)])
     nodes[-1] = end / np.hypot(*end)
-    curve = Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))
+    curve = Curve(nodes=nodes)
 
     prof = curvature_profile(curve)
     kmax = float(prof.kappa.max())

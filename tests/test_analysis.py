@@ -21,7 +21,7 @@ from discflow.hairclip import lambda0
 
 def graph_state(xs, ys, t, step, d):
     nodes = np.column_stack([xs, ys])
-    curve = Curve(nodes=nodes, dirichlet_point=np.array([-d, 0.0]))
+    curve = Curve(nodes=nodes)
     return FlowState(curve=curve, time=t,
                      diagnostics=curve_diagnostics(curve, d), step=step)
 
@@ -119,7 +119,7 @@ class TestExtractBlowup:
     def test_rescaled_curves_normalized(self, extinct_run):
         seq = extract_blowup(extinct_run, count=6)
         for nodes in seq.rescaled_curves:
-            curve = Curve(nodes=nodes, dirichlet_point=nodes[0])
+            curve = Curve(nodes=nodes)
             prof = curvature_profile(curve)
             assert prof.kappa.max() == pytest.approx(1.0, abs=1e-6)
 
@@ -147,7 +147,7 @@ class TestGrimReaper:
         # kappa = cos(x) and cos(theta) = cos(x) on y = -log cos x
         xs = np.linspace(-1.0, 1.0, 257)
         nodes = np.column_stack([xs, grim_reaper_height(xs)])
-        curve = Curve(nodes=nodes, dirichlet_point=nodes[0])
+        curve = Curve(nodes=nodes)
         prof = curvature_profile(curve)
         inner = slice(1, -1)
         assert np.abs(prof.kappa[inner] - np.cos(xs[inner])).max() < 1e-4

@@ -98,6 +98,17 @@ class TestValidation:
         assert "count must be >= 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["2", "0"])
+    def test_window_outside_range_runs_no_flow(self, window, tmp_path, monkeypatch, capsys):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(flow, "run", no_flow)
+        out = tmp_path / "X"
+        assert run_cli("blowup", "--window", window, "--out", str(out)) == 2
+        assert "window must lie in (0, pi/2)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPair:
     def test_writes_reports(self, tmp_path):
@@ -191,6 +202,15 @@ class TestAncient:
         assert lams[0] > lams[1] > summary["lambda0"]
         assert (out / "rho_0p3" / "manifest.json").exists()
         assert (out / "rho_0p15" / "manifest.json").exists()
+
+    def test_rhos_that_print_alike_keep_their_own_runs(self, tmp_path):
+        # 0.3000001 and 0.3 agree to the 6 digits of "%g"
+        out = tmp_path / "sweep"
+        assert run_cli("ancient", "--d", "0.5", "--rho-list", "0.3000001,0.3",
+                       "--nodes", "16", "--t-end", "0.05",
+                       "--record-every", "10", "--out", str(out)) == 0
+        runs = {p.name: flow.load_trajectory(p).rho for p in out.iterdir() if p.is_dir()}
+        assert runs == {"rho_0p3000001": 0.3000001, "rho_0p3": 0.3}
 
 
 class TestBarriersCommand:

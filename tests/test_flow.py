@@ -13,12 +13,10 @@ from discflow.errors import (
     InsufficientWindow,
     InvalidCurve,
     ParameterError,
-    StepRejected,
 )
 from discflow.flow import (
     TRANSIENT_STEPS,
     FlowRunConfig,
-    FlowState,
     gradient_lower_bound,
     hausdorff_to_minimizing_arc,
     half_pi_crossing,
@@ -28,7 +26,6 @@ from discflow.flow import (
     nn_avoidance_check,
     run,
     speed_bound_check,
-    step,
     theta_bar_ode_check,
     unstable_arc,
     write_trajectory,
@@ -45,21 +42,16 @@ from discflow.geometry import (
 from discflow.hairclip import initial_curve, solve_orthogonal_pair
 
 
-def make_state(curve, d):
-    return FlowState(curve=curve, time=0.0,
-                     diagnostics=curve_diagnostics(curve, d), step=0)
-
-
 class TestStationaryStates:
     def test_unstable_arc_fixed(self):
         c = unstable_arc(0.5, 64)
-        st1 = step(make_state(c, 0.5), 1e-5, d=0.5)
-        assert np.abs(st1.curve.nodes - c.nodes).max() < 1e-14
+        nodes, _ = flow._advance(c.nodes, 0.5, 1e-5, 64)
+        assert np.abs(nodes - c.nodes).max() < 1e-14
 
     def test_minimizing_arc_fixed(self):
         c = minimizing_arc(0.5, 64)
-        st1 = step(make_state(c, 0.5), 1e-5, d=0.5)
-        assert np.abs(st1.curve.nodes - c.nodes).max() < 1e-14
+        nodes, _ = flow._advance(c.nodes, 0.5, 1e-5, 64)
+        assert np.abs(nodes - c.nodes).max() < 1e-14
 
     def test_stationary_run_reaches_max_time(self):
         c = unstable_arc(0.5, 64)
@@ -75,9 +67,11 @@ class TestSingleStep:
         # forward in time the curve lifts off the flat arc, so the max
         # height (attained at the sliding endpoint) strictly increases
         c = initial_curve(0.3, 0.5, n)
-        st0 = make_state(c, 0.5)
-        dt = 0.25 * (c.length() / n) ** 2 * halve
-        st1 = step(st0, dt, d=0.5)
+        st0 = flow._make_state(c.nodes, 0.5, 0.0, 0)
+        dt = 0.25 * (segment_lengths(c.nodes).sum() / n) ** 2 * halve
+        nodes, _ = flow._advance(c.nodes, 0.5, dt, n)
+        assert flow._step_valid(nodes) is None
+        st1 = flow._make_state(nodes, 0.5, dt, 1)
         assert st1.diagnostics.height_max > st0.diagnostics.height_max
         prof = curvature_profile(st1.curve)
         tol = flow.tol_inv(st1.diagnostics.kappa_max)
@@ -86,18 +80,19 @@ class TestSingleStep:
 
     def test_boundary_conditions_exact(self):
         c = initial_curve(0.4, 0.7, 64)
-        st1 = step(make_state(c, 0.7), 1e-6, d=0.7)
-        assert st1.curve.nodes[0, 0] == -0.7
-        assert st1.curve.nodes[0, 1] == 0.0
-        assert abs(np.hypot(*st1.curve.nodes[-1]) - 1.0) < 1e-15
-        seg = st1.curve.nodes[-1] - st1.curve.nodes[-2]
-        cross = st1.curve.nodes[-1, 0] * seg[1] - st1.curve.nodes[-1, 1] * seg[0]
+        nodes, _ = flow._advance(c.nodes, 0.7, 1e-6, 64)
+        assert flow._step_valid(nodes) is None
+        assert nodes[0, 0] == -0.7
+        assert nodes[0, 1] == 0.0
+        assert abs(np.hypot(*nodes[-1]) - 1.0) < 1e-15
+        seg = nodes[-1] - nodes[-2]
+        cross = nodes[-1, 0] * seg[1] - nodes[-1, 1] * seg[0]
         assert abs(cross) / np.hypot(*seg) < flow.TOL_BC
 
     def test_unstable_dt_rejected(self):
         c = initial_curve(0.3, 0.5, 64)
-        with pytest.raises(StepRejected):
-            step(make_state(c, 0.5), 10.0, d=0.5)
+        nodes, _ = flow._advance(c.nodes, 0.5, 10.0, 64)
+        assert flow._step_valid(nodes) is not None
 
 
 def reference_advance(nodes, d, dt, n):
@@ -109,7 +104,7 @@ def reference_advance(nodes, d, dt, n):
         p[-1] = (math.cos(phi), math.sin(phi))
 
     def area(p):
-        return enclosed_area(Curve(nodes=p, dirichlet_point=np.array([-d, 0.0])), d)
+        return enclosed_area(Curve(nodes=p), d)
 
     out = nodes.copy()
     out[1:-1] += dt * curvature_vectors(nodes)
@@ -367,7 +362,7 @@ class TestRunOutcomes:
         c = unstable_arc(0.5, 64)
         shifted = c.nodes.copy()
         shifted[:, 0] += 0.3  # endpoint leaves the circle, o mismatched
-        bad = type(c)(nodes=shifted, dirichlet_point=c.dirichlet_point)
+        bad = type(c)(nodes=shifted)
         with pytest.raises(InvalidCurve):
             run(FlowRunConfig(d=0.5, initial=bad, n=64, t_end=0.1))
 

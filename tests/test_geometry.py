@@ -13,10 +13,11 @@ from discflow.geometry import (
     curvature_profile,
     curvature_profiles,
     curve_diagnostics,
+    _resample_nodes,
     curve_to_csv,
     enclosed_area,
     is_embedded,
-    resample_arclength,
+    segment_lengths,
 )
 
 
@@ -28,12 +29,6 @@ def parse_csv(text):
     return np.array([[float(v) for v in line.split(",")] for line in lines])
 
 
-def make_curve(nodes, d=None):
-    nodes = np.asarray(nodes, dtype=float)
-    o = nodes[0] if d is None else np.array([-d, 0.0])
-    return Curve(nodes=nodes, dirichlet_point=o)
-
-
 def sample_circle_arc(center, radius, psi0, psi1, n):
     """Nodes of a circular arc sampled uniformly in its own angle."""
     psi = np.linspace(psi0, psi1, n + 1)
@@ -43,7 +38,7 @@ def sample_circle_arc(center, radius, psi0, psi1, n):
 
 def upper_semicircle(n):
     t = np.linspace(math.pi, 0.0, n + 1)
-    return make_curve(np.column_stack([np.cos(t), np.sin(t)]))
+    return Curve(np.column_stack([np.cos(t), np.sin(t)]))
 
 
 def dn_arc_nodes(d, theta, n):
@@ -62,7 +57,7 @@ def dn_arc_nodes(d, theta, n):
 class TestCurvatureProfile:
     def test_flat_segment(self):
         x = np.linspace(-0.5, 1.0, 33)
-        c = make_curve(np.column_stack([x, np.zeros_like(x)]))
+        c = Curve(np.column_stack([x, np.zeros_like(x)]))
         prof = curvature_profile(c)
         assert np.all(prof.kappa == 0.0)
         assert np.allclose(prof.theta, 0.0, atol=1e-15)
@@ -74,7 +69,7 @@ class TestCurvatureProfile:
     def test_dn_arc_curvature(self):
         nodes, _, r = dn_arc_nodes(0.5, math.pi / 2, 64)
         assert abs(r - 1.25) < 1e-15
-        prof = curvature_profile(make_curve(nodes, d=0.5))
+        prof = curvature_profile(Curve(nodes))
         assert np.all(np.abs(prof.kappa[1:-1] - 0.8) < 1e-3)
 
     def test_circle_nodes_are_exact(self):
@@ -86,18 +81,18 @@ class TestCurvatureProfile:
     def test_collinear_triple_gives_zero(self):
         nodes = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])
         nodes[4, 1] = 0.0  # exactly collinear interior
-        prof = curvature_profile(make_curve(nodes))
+        prof = curvature_profile(Curve(nodes))
         assert prof.kappa[4] == 0.0
 
     def test_coincident_nodes_raise(self):
         nodes = np.column_stack([np.linspace(0, 1, 9), np.zeros(9)])
         nodes[4] = nodes[3]
         with pytest.raises(InvalidCurve):
-            curvature_profile(make_curve(nodes))
+            curvature_profile(Curve(nodes))
 
     def test_theta_unwrapped_monotone_on_convex(self):
         nodes, _, _ = dn_arc_nodes(0.7, 2.0, 100)
-        prof = curvature_profile(make_curve(nodes, d=0.7))
+        prof = curvature_profile(Curve(nodes))
         assert np.all(np.diff(prof.theta) >= -1e-8 * 100)
 
     def test_richardson_order_two_on_ellipse(self):
@@ -111,7 +106,7 @@ class TestCurvatureProfile:
         for n in (64, 128, 256):
             t = np.linspace(0.2, math.pi - 0.2, n + 1)
             nodes = np.column_stack([aa * np.cos(t), bb * np.sin(t)])
-            prof = curvature_profile(make_curve(nodes))
+            prof = curvature_profile(Curve(nodes))
             errs.append(np.abs(prof.kappa[1:-1] - kappa_exact(t[1:-1])).max())
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
@@ -120,7 +115,7 @@ class TestCurvatureProfile:
 class TestEnclosedArea:
     def test_unstable_arc_gives_half_disc(self):
         x = np.linspace(-0.5, 1.0, 65)
-        c = make_curve(np.column_stack([x, np.zeros_like(x)]), d=0.5)
+        c = Curve(np.column_stack([x, np.zeros_like(x)]))
         assert abs(enclosed_area(c, 0.5) - math.pi / 2) < 1e-3
 
     def test_semicircle_gives_zero(self):
@@ -129,7 +124,7 @@ class TestEnclosedArea:
     def test_dn_arc_against_closed_form(self):
         d, theta, n = 0.5, math.pi / 2, 128
         nodes, center, r = dn_arc_nodes(d, theta, n)
-        c = make_curve(nodes, d=d)
+        c = Curve(nodes)
         # closed form: exact line integral (1/2) (x dy - y dx) along the
         # circular arc plus the unit-circle sector term
         psi0 = math.atan2(nodes[0, 1] - center[1], nodes[0, 0] - center[0])
@@ -147,7 +142,7 @@ class TestEnclosedArea:
         vals = []
         for n in (64, 128, 256, 512):
             nodes, _, _ = dn_arc_nodes(d, theta, n)
-            vals.append(enclosed_area(make_curve(nodes, d=d), d))
+            vals.append(enclosed_area(Curve(nodes), d))
         errs = [abs(v - vals[-1]) for v in vals[:-1]]
         # against the finest level the coarse errors must drop ~4x
         assert errs[0] / errs[1] >= 3.5
@@ -156,54 +151,38 @@ class TestEnclosedArea:
         x = np.linspace(-0.5, 1.0, 17)
         nodes = np.column_stack([x, -0.1 * np.ones_like(x)])
         with pytest.raises(InvalidCurve):
-            enclosed_area(make_curve(nodes), 0.5)
+            enclosed_area(Curve(nodes), 0.5)
 
 
 class TestResample:
     def test_straight_segment(self):
         x = np.linspace(-0.5, 1.0, 41)
-        c = make_curve(np.column_stack([x, np.zeros_like(x)]))
-        r = resample_arclength(c, 16)
-        assert r.nodes.shape == (17, 2)
-        assert np.allclose(np.diff(r.nodes[:, 0]), 1.5 / 16, atol=1e-14)
-        assert np.all(r.nodes[:, 1] == 0.0)
+        r = _resample_nodes(np.column_stack([x, np.zeros_like(x)]), 16)
+        assert r.shape == (17, 2)
+        assert np.allclose(np.diff(r[:, 0]), 1.5 / 16, atol=1e-14)
+        assert np.all(r[:, 1] == 0.0)
 
     def test_nodes_stay_near_circle(self):
-        c = upper_semicircle(64)
-        r = resample_arclength(c, 64)
-        radii = np.hypot(r.nodes[:, 0], r.nodes[:, 1])
+        r = _resample_nodes(upper_semicircle(64).nodes, 64)
+        radii = np.hypot(r[:, 0], r[:, 1])
         h = math.pi / 64
         assert np.abs(radii - 1.0).max() < h ** 2
 
-    def test_idempotent(self):
-        nodes, _, _ = dn_arc_nodes(0.5, 1.2, 100)
-        c1 = resample_arclength(make_curve(nodes, d=0.5), 48)
-        c2 = resample_arclength(c1, 48)
-        assert np.abs(c1.nodes - c2.nodes).max() < 1e-12
-
     def test_preserves_endpoints_exactly(self):
         nodes, _, _ = dn_arc_nodes(0.7, 2.2, 77)
-        c = make_curve(nodes, d=0.7)
-        r = resample_arclength(c, 32)
-        assert np.all(r.nodes[0] == c.nodes[0])
-        assert np.all(r.nodes[-1] == c.nodes[-1])
-
-    def test_rejects_self_intersection(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0],
-                          [0.5, -0.5], [0.2, -0.5], [0.2, 0.5], [0.1, 0.5],
-                          [0.1, 0.2], [0.0, 0.2]])
-        with pytest.raises(InvalidCurve):
-            resample_arclength(make_curve(nodes), 16)
+        r = _resample_nodes(nodes, 32)
+        assert np.all(r[0] == nodes[0])
+        assert np.all(r[-1] == nodes[-1])
 
 
 def resample_deficit_bound(lengths, turn, n):
-    """Upper bound on the length resample_arclength(., n) takes off a
+    """Upper bound on the length _resample_nodes(., n) takes off a
     convex polyline with segment lengths `lengths` and len(lengths) - 1
-    equal corners of total turning `turn` < pi: the first pass's corner
-    cutting plus the O(h^2) bound 2 (turn + 1) h^2 (h = L / n) this test
+    equal corners of total turning `turn` < pi: the corner cutting of the
+    pass plus the O(h^2) bound 2 (turn + 1) h^2 (h = L / n) this test
     asserted alone before.
 
-    First pass: a sample interval of length h whose corners turn by Phi_i
+    Corner cutting: a sample interval of length h whose corners turn by Phi_i
     in all has a chord of at least h cos(Phi_i / 2) (project on its middle
     direction), so it loses at most h Phi_i^2 / 8.  An interval holds at
     most k corners of alpha = turn / (len - 1), k the most corners in any
@@ -211,9 +190,6 @@ def resample_deficit_bound(lengths, turn, n):
     and sum Phi_i <= turn gives D_0 <= h Phi turn / 8.  For coarse
     polylines this is O(h sum alpha^2), not O(h^2); for fine ones
     k alpha ~ h turn / L and it is O(h^2) too.
-
-    The fixed-point passes move the nodes by at most D_0 and lose a
-    fraction of that at each corner; the O(h^2) term holds them.
     """
     lengths = np.asarray(lengths)
     total = float(lengths.sum())
@@ -238,11 +214,10 @@ def test_resample_length_property(lengths, turn):
     angles = np.linspace(-0.5 * turn, 0.5 * turn, len(lengths))
     steps = np.column_stack([np.cos(angles), np.sin(angles)]) * np.array(lengths)[:, None]
     nodes = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
-    c = make_curve(nodes)
-    total = c.length()
-    r = resample_arclength(c, 64)
-    assert np.all(r.nodes[0] == nodes[0]) and np.all(r.nodes[-1] == nodes[-1])
-    deficit = total - r.length()
+    total = segment_lengths(nodes).sum()
+    r = _resample_nodes(nodes, 64)
+    assert np.all(r[0] == nodes[0]) and np.all(r[-1] == nodes[-1])
+    deficit = total - segment_lengths(r).sum()
     assert -1e-12 <= deficit <= resample_deficit_bound(lengths, turn, 64) + 1e-12
 
 
@@ -269,7 +244,7 @@ class TestDiagnostics:
 
     def test_serialization_roundtrip_csv(self):
         nodes, _, _ = dn_arc_nodes(0.5, 1.3, 24)
-        c = make_curve(nodes, d=0.5)
+        c = Curve(nodes)
         back = parse_csv(curve_to_csv(c))
         assert np.abs(back - c.nodes).max() < 1e-15
 
@@ -286,7 +261,7 @@ class TestCsv:
         return "\n".join(lines) + "\n"
 
     def test_bytes_match_per_value_format(self):
-        c = make_curve(np.array(self.VALUES).reshape(-1, 2))
+        c = Curve(np.array(self.VALUES).reshape(-1, 2))
         text = curve_to_csv(c)
         assert text == self.per_line_csv(c)
         assert text.splitlines()[1] == "-0,4.9406564584124654e-324"
@@ -296,7 +271,7 @@ class TestCsv:
         for nodes in (np.array(self.VALUES).reshape(-1, 2),
                       dn_arc_nodes(0.5, 1.3, 24)[0],
                       rng.standard_normal((65, 2)) * 10.0 ** rng.integers(-300, 300, (65, 2))):
-            c = make_curve(nodes)
+            c = Curve(nodes)
             back = parse_csv(curve_to_csv(c))
             assert np.array_equal(back, c.nodes)
             assert np.array_equal(np.signbit(back), np.signbit(c.nodes))
@@ -336,7 +311,7 @@ def reference_profile(nodes):
 
 class TestProfileMatchesReference:
     def assert_agrees(self, nodes, theta_tol=1e-12):
-        prof = curvature_profile(make_curve(nodes))
+        prof = curvature_profile(Curve(nodes))
         s, kappa, theta = reference_profile(nodes)
         assert np.abs(prof.s - s).max() <= 1e-14 * s[-1]
         assert np.abs(prof.kappa - kappa).max() <= 1e-12 * np.abs(kappa).max()
@@ -387,7 +362,7 @@ class TestEndpointTangent:
         r = 1e-4 / (1.0 + 0.25 * k)
         phi = np.linspace(0.3 + 0.05 * k, 0.3 + 0.05 * k + 1e-4 / r, 17)
         nodes = np.column_stack([-0.7 + r * np.cos(phi), 0.4 + r * np.sin(phi)])
-        prof = curvature_profile(make_curve(nodes))
+        prof = curvature_profile(Curve(nodes))
         s = prof.s.tolist()
         assert abs(prof.theta[0] - exact_end_angle(s, nodes)) < 1e-13
         # the right end: the same derivative on the reversed lists
@@ -463,7 +438,7 @@ class TestBatchedProfiles:
         prof = curvature_profiles(stack)
         assert prof.s.shape == prof.kappa.shape == prof.theta.shape == stack.shape[:2]
         for k, nodes in enumerate(stack):
-            one = curvature_profile(make_curve(nodes))
+            one = curvature_profile(Curve(nodes))
             for got, ref in zip((prof.s[k], prof.kappa[k], prof.theta[k]),
                                 single_curve_profile(nodes)):
                 assert np.array_equal(got, ref)
@@ -494,7 +469,7 @@ class TestBatchedProfiles:
         r = 1e-6 / 1.2
         phi = np.linspace(0.4, 0.4 + 1.2, 17)
         nodes = np.column_stack([-0.7 + r * np.cos(phi), 0.4 + r * np.sin(phi)])
-        assert make_curve(nodes).length() == pytest.approx(1e-6, rel=1e-3)
+        assert segment_lengths(nodes).sum() == pytest.approx(1e-6, rel=1e-3)
         self.assert_rows_exact(np.stack([nodes, nodes[::-1]]))
 
     def test_every_state_of_an_extinct_run(self, extinct_run):
