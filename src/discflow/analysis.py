@@ -20,7 +20,7 @@ from .errors import (
     NotExtinct,
 )
 from .flow import TRANSIENT_STEPS, Trajectory, _profile_chunks
-from .geometry import Curve, _quadratic_extrapolate, curvature_profile, curvature_vectors
+from .geometry import Curve, _quadratic_extrapolate, curvature_profile
 
 #: a state belongs to the early-time fit window while theta_bar stays below
 #: this angle (graph-representable over the x-axis with small gradient)
@@ -210,9 +210,9 @@ def _tip_frame(nodes: np.ndarray) -> np.ndarray:
     tip = _quadratic_extrapolate(s_loc, tri, s_star)
     center = _circumcenter(tri[0], tri[1], tri[2])
     if center is None:
-        vec = curvature_vectors(nodes)
-        k = min(max(j - 1, 0), vec.shape[0] - 1)
-        nu = vec[k] / np.hypot(*vec[k])
+        # a collinear triple: the chord normal, turned +90 degrees
+        chord = tri[2] - tri[0]
+        nu = np.array([-chord[1], chord[0]]) / np.hypot(*chord)
     else:
         nu = (center - tip) / np.hypot(*(center - tip))
     rot = math.pi / 2.0 - math.atan2(nu[1], nu[0])
@@ -290,8 +290,6 @@ def compare_grim_reaper(seq: BlowupSequence,
 @dataclass(frozen=True)
 class AreaBalanceReport:
     max_discrepancy: float
-    raw_discrepancy: float
-    n_times: int
 
 
 def area_balance(traj: Trajectory) -> AreaBalanceReport:
@@ -303,19 +301,14 @@ def area_balance(traj: Trajectory) -> AreaBalanceReport:
     resampling (a representation artifact tracked by the stepper), and the
     turning spread is taken from the polyline's own tangent profile, whose
     endpoint chord bias is exactly the wedge geometry the discrete area
-    sees.  The uncompensated discrepancy is reported alongside.
+    sees.
     """
     tab = traj.table()
-    ts, area = tab["t"], tab["area"]
+    ts = tab["t"]
     if ts.size < 3:
         raise InsufficientWindow("need at least 3 recorded states")
     spread = np.concatenate([prof.theta.max(axis=1) - prof.theta.min(axis=1)
                              for _, _, prof in _profile_chunks(traj.states)])
-    flow_area = area + tab["area_shed"]
+    flow_area = tab["area"] + tab["area_shed"]
     dadt = (flow_area[2:] - flow_area[:-2]) / (ts[2:] - ts[:-2])
-    disc = np.abs(dadt + spread[1:-1])
-    raw = np.abs((area[2:] - area[:-2]) / (ts[2:] - ts[:-2])
-                 + (tab["theta_max"] - tab["theta_min"])[1:-1])
-    return AreaBalanceReport(max_discrepancy=float(disc.max()),
-                             raw_discrepancy=float(raw.max()),
-                             n_times=int(disc.size))
+    return AreaBalanceReport(max_discrepancy=float(np.abs(dadt + spread[1:-1]).max()))

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BarrierViolation, DomainError
+from .errors import DomainError
 from .hairclip import bisect
 
 #: slack tolerance for analytically exact inequalities (round-off only)
@@ -245,6 +245,14 @@ def nn_slack(theta: float, y) -> np.ndarray:
     return speed_to_center - 1.0 / r
 
 
+def family_angles(cfg: ProblemConfig, kind: ArcKind, ts):
+    """Angles of the family's slices at times ts: theta_minus for DN,
+    theta_plus for NN."""
+    if kind is ArcKind.DIRICHLET_NEUMANN:
+        return theta_minus(cfg, ts)
+    return theta_plus(ts)
+
+
 def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float,
                               samples: int) -> BarrierReport:
     """Check the sub/supersolution inequality on one timeslice.
@@ -252,17 +260,12 @@ def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float,
     For the DN family with theta = theta_minus(t), normal speed
     (y/sin(theta)) * theta'(t) must not exceed kappa = 1/r; for the NN
     family with theta = theta_plus(t) the speed toward the center must be
-    at least kappa.  Raises BarrierViolation if any slack < -1e-10.
+    at least kappa.  The report's min_slack holds the verdict; the caller
+    compares it with its tolerance (SLACK_TOL for round-off alone).
     """
-    if kind is ArcKind.DIRICHLET_NEUMANN:
-        theta = theta_minus(cfg, t)
-    elif kind is ArcKind.NEUMANN_NEUMANN:
-        if t >= 0.0:
-            raise DomainError("NN family requires t < 0")
-        theta = float(theta_plus(t))
-    else:
-        raise DomainError(f"unknown arc kind {kind}")
-    return slice_report(cfg, kind, t, theta, samples)
+    if kind is ArcKind.NEUMANN_NEUMANN and t >= 0.0:
+        raise DomainError("NN family requires t < 0")
+    return slice_report(cfg, kind, t, float(family_angles(cfg, kind, t)), samples)
 
 
 def slice_report(cfg: ProblemConfig, kind: ArcKind, t: float, theta: float,
@@ -278,12 +281,16 @@ def slice_report(cfg: ProblemConfig, kind: ArcKind, t: float, theta: float,
         pts = nn_arc(theta).points(samples)
         slack = nn_slack(theta, pts[:, 1])
     i_min = int(np.argmin(slack))
-    min_slack = float(slack[i_min])
-    report = BarrierReport(kind=kind, d=cfg.d, t=t, samples=samples,
-                           min_slack=min_slack,
-                           argmin_point=(float(pts[i_min, 0]), float(pts[i_min, 1])))
-    if min_slack < SLACK_TOL:
-        raise BarrierViolation(
-            f"{kind.value} inequality violated at t={t}: slack {min_slack:.3e}",
-            point=report.argmin_point, slack=min_slack)
-    return report
+    return BarrierReport(kind=kind, d=cfg.d, t=t, samples=samples,
+                         min_slack=float(slack[i_min]),
+                         argmin_point=(float(pts[i_min, 0]), float(pts[i_min, 1])))
+
+
+def window_reports(cfg: ProblemConfig, kind: ArcKind, samples: int,
+                   t_min: float = -8.0, t_max: float = 3.0,
+                   count: int = 20) -> list[BarrierReport]:
+    """slice_report on each slice of time_window, with every angle from
+    one family_angles call."""
+    ts = time_window(cfg, kind, t_min, t_max, count)
+    return [slice_report(cfg, kind, t, theta, samples)
+            for t, theta in zip(ts.tolist(), family_angles(cfg, kind, ts).tolist())]

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import barriers as bar
 from . import hairclip as hc
-from .errors import BarrierViolation
 
 #: Dirichlet offsets of the arc, angle-law and barrier sweeps
 D_GRID = (0.3, 0.7, 1.0)
@@ -61,22 +60,11 @@ def angle_law_residuals() -> tuple[float, float]:
 
 
 def barrier_min_slack(samples: int) -> float:
-    """Least slack over 80 slices (DN per d, and NN) on their time windows;
-    a violating slice counts with its violating slack."""
+    """Least slack over 80 slices (DN per d, and NN) on their time windows."""
     families = [(bar.ProblemConfig(d), bar.ArcKind.DIRICHLET_NEUMANN) for d in D_GRID]
     families.append((bar.ProblemConfig(1.0), bar.ArcKind.NEUMANN_NEUMANN))
-    worst = math.inf
-    for cfg, kind in families:
-        ts = bar.time_window(cfg, kind)
-        thetas = (bar.theta_minus(cfg, ts) if kind is bar.ArcKind.DIRICHLET_NEUMANN
-                  else bar.theta_plus(ts))
-        for t, theta in zip(ts.tolist(), thetas.tolist()):
-            try:
-                slack = bar.slice_report(cfg, kind, t, theta, samples).min_slack
-            except BarrierViolation as exc:
-                slack = exc.slack
-            worst = min(worst, slack)
-    return worst
+    return min(rep.min_slack for cfg, kind in families
+               for rep in bar.window_reports(cfg, kind, samples))
 
 
 def eigenvalue_residual() -> float:

@@ -55,12 +55,17 @@ def _validate_common(args) -> None:
         raise ParameterError(f"window must lie in (0, pi/2), got {args.window}")
 
 
-def _outdir(args, command: str) -> Path:
+def _outdir(args) -> Path:
+    """The output directory (--out, else a timestamped one), made if
+    missing, with the command and its parameters in run_manifest.json."""
     if args.out:
         out = Path(args.out)
     else:
-        out = Path(f"{command}-{time.strftime('%Y%m%d-%H%M%S')}")
+        out = Path(f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
     out.mkdir(parents=True, exist_ok=True)
+    params = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func", "config") and v is not None}
+    _write_json(out / "run_manifest.json", {"command": args.command, "params": params})
     return out
 
 
@@ -79,12 +84,6 @@ def _finite_or_null(obj):
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_finite_or_null(obj), sort_keys=True, indent=1,
                                allow_nan=False) + "\n")
-
-
-def _write_run_manifest(out: Path, command: str, args) -> None:
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "config") and v is not None}
-    _write_json(out / "run_manifest.json", {"command": command, "params": params})
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +115,10 @@ def cmd_verify(args) -> int:
     orth, through_o = checks.arc_residuals()
     ode_law, closed_d1 = checks.angle_law_residuals()
     pairing, decreasing = checks.pairing_residuals()
-    initial = hc.initial_curve(args.rho, args.d, args.nodes)
-    lam_ref, _ = hc.solve_orthogonal_pair(args.rho, args.d)
-    traj = flw.run(flw.FlowRunConfig(d=args.d, initial=initial, n=args.nodes,
-                                     t_end=args.t_end, record_every=args.record_every))
+    traj = _run_flow(args.d, args.rho, args.nodes, args.t_end, args.record_every)
     ode = flw.theta_bar_ode_check(traj, tol_ode=args.tol_ode, raise_on_fail=False)
-    speed = flw.speed_bound_check(traj, lam_ref, tol=args.tol_inv, raise_on_fail=False)
+    speed = flw.speed_bound_check(traj, traj.lambda_ref, tol=args.tol_inv,
+                                  raise_on_fail=False)
     rows = [
         ("hyperbolic identity a^2 - b^2 = 1", checks.hyperbolic_identity_residual(),
          1e-14, "abs_max"),
@@ -147,8 +144,7 @@ def cmd_verify(args) -> int:
     ]
     report = [_check(*row) for row in rows]
     passed = all(c["passed"] for c in report)
-    out = _outdir(args, "verify")
-    _write_run_manifest(out, "verify", args)
+    out = _outdir(args)
     _write_json(out / "report.json", {"checks": report, "passed": passed})
     for c in report:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
@@ -165,24 +161,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_barriers(args) -> int:
-    out = _outdir(args, "barriers")
-    _write_run_manifest(out, "barriers", args)
     cfg = bar.ProblemConfig(args.d)
-    reports = []
     kinds = {"dn": [bar.ArcKind.DIRICHLET_NEUMANN], "nn": [bar.ArcKind.NEUMANN_NEUMANN],
              "both": [bar.ArcKind.DIRICHLET_NEUMANN, bar.ArcKind.NEUMANN_NEUMANN]}
-    for kind in kinds[args.kind]:
-        for t in bar.time_window(cfg, kind, args.t_min, args.t_max, args.t_count):
-            rep = bar.verify_barrier_inequality(cfg, kind, float(t), args.samples)
-            reports.append(rep.as_dict())
-    _write_json(out / "barrier_reports.json", {"reports": reports})
-    print(f"{len(reports)} barrier slices verified; reports in {out}")
-    return 0
+    reports = [rep for kind in kinds[args.kind]
+               for rep in bar.window_reports(cfg, kind, args.samples, args.t_min,
+                                             args.t_max, args.t_count)]
+    out = _outdir(args)
+    _write_json(out / "barrier_reports.json",
+                {"reports": [rep.as_dict() for rep in reports]})
+    # a NaN slack counts as violated
+    violated = [rep for rep in reports if not rep.min_slack >= bar.SLACK_TOL]
+    for rep in violated:
+        print(f"{rep.kind.value} inequality violated at t={rep.t}: "
+              f"slack {rep.min_slack:.3e}", file=sys.stderr)
+    print(f"{len(reports)} barrier slices checked, {len(violated)} violated; "
+          f"reports in {out}")
+    return 1 if violated else 0
 
 
 def cmd_pair(args) -> int:
-    out = _outdir(args, "pair")
-    _write_run_manifest(out, "pair", args)
     lam, t = hc.solve_orthogonal_pair(args.theta, args.d)
     s = hc.HairclipSlice(lam=lam, t=t, d=args.d)
     slope = float(hc.slice_slope(s, math.cos(args.theta)))
@@ -194,11 +192,10 @@ def cmd_pair(args) -> int:
         "tangent_residual": abs(math.atan(slope) - args.theta),
         "lambda0": hc.lambda0(args.d).lambda0,
     }
-    _write_json(out / "pair.json", payload)
     curve = hc.initial_curve(args.theta, args.d, args.nodes)
+    out = _outdir(args)
+    _write_json(out / "pair.json", payload)
     (out / "slice.csv").write_text(geo.curve_to_csv(curve))
-    _write_json(out / "slice_meta.json",
-                {"lambda": lam, "t": t, "d": args.d, "rho": args.theta})
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -215,10 +212,8 @@ def _run_flow(d, rho, nodes, t_end, record_every):
 
 
 def cmd_flow(args) -> int:
-    out = _outdir(args, "flow")
-    _write_run_manifest(out, "flow", args)
     traj = _run_flow(args.d, args.rho, args.nodes, args.t_end, args.record_every)
-    flw.write_trajectory(traj, out / "trajectory")
+    flw.write_trajectory(traj, _outdir(args) / "trajectory")
     print(f"outcome: {traj.outcome.kind} at t={traj.outcome.time}")
     return 0
 
@@ -234,8 +229,7 @@ def cmd_ancient(args) -> int:
         raise ParameterError("every rho must lie in (0, pi/2)")
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         raise ParameterError("rho list must be strictly decreasing")
-    out = _outdir(args, "ancient")
-    _write_run_manifest(out, "ancient", args)
+    out = _outdir(args)
     lam0 = hc.lambda0(args.d).lambda0
     rows = []
     failures = []
@@ -266,9 +260,8 @@ def cmd_ancient(args) -> int:
 def cmd_blowup(args) -> int:
     if args.d != 1.0:
         raise ParameterError("blow-up extraction requires d = 1")
-    out = _outdir(args, "blowup")
-    _write_run_manifest(out, "blowup", args)
     traj = _run_flow(args.d, args.rho, args.nodes, None, args.record_every)
+    out = _outdir(args)
     flw.write_trajectory(traj, out / "trajectory")
     seq = ana.extract_blowup(traj, count=args.count)
     rep = ana.compare_grim_reaper(seq, window_halfwidth=args.window)
@@ -301,9 +294,7 @@ def cmd_fit(args) -> int:
                "profile_error": fit.profile_error, "window": list(fit.window),
                "n_states": fit.n_states}
     if args.out:
-        out = _outdir(args, "fit")
-        _write_run_manifest(out, "fit", args)
-        _write_json(out / "fit.json", payload)
+        _write_json(_outdir(args) / "fit.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

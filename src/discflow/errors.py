@@ -14,13 +14,8 @@ class InvalidCurve(DiscFlowError, ValueError):
     nodes, self-intersection, endpoint constraints, ...)."""
 
 
-class BarrierViolation(DiscFlowError):
-    """A sub/supersolution inequality failed beyond round-off slack."""
-
-    def __init__(self, message, point=None, slack=None):
-        super().__init__(message)
-        self.point = point
-        self.slack = slack
+class ResidualError(DiscFlowError, ArithmeticError):
+    """A computed root failed the re-check of its own equation."""
 
 
 class ComparisonViolation(DiscFlowError):

@@ -51,9 +51,6 @@ def tol_inv(kappa_max: float) -> float:
     return 1e-3 * (1.0 + kappa_max)
 
 
-#: per-step tolerance of the discrete Neumann constraint (radians)
-TOL_BC = 1e-8
-
 #: containment slack during stepping; looser than EPS_GEOM so transient
 #: O(h^2) overshoots next to the boundary node do not reject valid steps
 STEP_CONTAIN_TOL = 1e-7
@@ -124,9 +121,6 @@ class Trajectory:
     lambda_ref: float | None = None
     record_every: int = 1
     dt_safety: float = DT_SAFETY
-
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
 
     def table(self) -> dict[str, np.ndarray]:
         """One array per column of COLUMNS, one entry per recorded state."""
@@ -296,6 +290,8 @@ def run(cfg: FlowRunConfig,
     convergence to the minimizing arc (d < 1), extinction at o (d = 1),
     the time horizon, the step budget, an invariant violation, or a state
     whose diagnostics raise InvalidCurve (not recorded; the run ends).
+    `callback` sees every recorded state after the initial one, the final
+    state included, as it is recorded.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
@@ -311,30 +307,30 @@ def run(cfg: FlowRunConfig,
     while outcome is None:
         if t_end is not None and t >= t_end:
             outcome = FlowOutcome(kind="max_time", time=t)
-            break
-        if step_i >= max_steps:
+        elif step_i >= max_steps:
             outcome = FlowOutcome(kind="max_steps", time=t)
-            break
-
-        dt = DT_SAFETY * (float(np.add.reduce(frame[1])) / n) ** 2
-        for _ in range(MAX_DT_RETRIES + 1):
-            candidate, reason, shed = _advance_checked(frame, d, dt, n)
-            if reason is None:
-                break
-            events.append((t, f"step_rejected: {reason}"))
-            dt *= 0.5
         else:
-            outcome = FlowOutcome(kind="invariant_violation", time=t,
-                                  detail=f"step rejected {MAX_DT_RETRIES + 1} times")
+            dt = DT_SAFETY * (float(np.add.reduce(frame[1])) / n) ** 2
+            for _ in range(MAX_DT_RETRIES + 1):
+                candidate, reason, shed = _advance_checked(frame, d, dt, n)
+                if reason is None:
+                    break
+                events.append((t, f"step_rejected: {reason}"))
+                dt *= 0.5
+            else:
+                outcome = FlowOutcome(kind="invariant_violation", time=t,
+                                      detail=f"step rejected {MAX_DT_RETRIES + 1} times")
+        if outcome is None:
+            frame = candidate
+            t += dt
+            step_i += 1
+            shed_accum += shed
+            if step_i % record_every:
+                continue
+        elif states[-1].step == step_i:
             break
-        frame = candidate
-        t += dt
-        step_i += 1
-        shed_accum += shed
 
-        if step_i % record_every:
-            continue
-
+        # every record_every-th state, and the final one
         nodes = _as_nodes(frame[0])
         try:
             state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
@@ -344,25 +340,19 @@ def run(cfg: FlowRunConfig,
         states.append(state)
         if callback is not None:
             callback(state)
+        if outcome is not None:
+            break
         diag = state.diagnostics
         if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
-            omega = t + 0.5 * diag.length / diag.kappa_max
             events.append((t, "extinct"))
-            outcome = FlowOutcome(kind="extinct", time=omega)
-            break
-        if d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
-                and diag.kappa_max < CONVERGED_EPS:
-            if hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
-                events.append((t, "converged"))
-                outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
-                break
+            outcome = FlowOutcome(kind="extinct",
+                                  time=t + 0.5 * diag.length / diag.kappa_max)
+        elif d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
+                and diag.kappa_max < CONVERGED_EPS \
+                and hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
+            events.append((t, "converged"))
+            outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
 
-    if outcome.kind != "invalid_state" and states[-1].step != step_i:
-        try:
-            states.append(_make_state(_as_nodes(frame[0]), d, t, step_i,
-                                      area_shed=shed_accum))
-        except InvalidCurve as exc:
-            outcome = FlowOutcome(kind="invalid_state", time=t, detail=str(exc))
     if outcome.kind == "max_time":
         events.append((t, "max_time"))
     return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
@@ -478,7 +468,6 @@ def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
 @dataclass(frozen=True)
 class SpeedBoundReport:
     min_margin: float
-    kappa_over_y: list[tuple[float, float]]
     tol: float
 
     @property
@@ -489,13 +478,10 @@ class SpeedBoundReport:
 def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
                       raise_on_fail: bool = True) -> SpeedBoundReport:
     """Check the sharp speed lower bound kappa/cos(theta) >=
-    lam * tan(lam * y) wherever cos(theta) > 0.1, and report
-    max kappa/y per recorded state (its excess over the squared eigenvalue
-    should shrink toward early times)."""
+    lam * tan(lam * y) wherever cos(theta) > 0.1."""
     min_margin = math.inf
-    ratios: list[tuple[float, float]] = []
     kept = [s for s in traj.states if s.step >= TRANSIENT_STEPS or s.step == 0]
-    for chunk, nodes, prof in _profile_chunks(kept):
+    for _, nodes, prof in _profile_chunks(kept):
         y = nodes[:, :, 1]
         cos_t = np.cos(prof.theta)
         mask = cos_t > 0.1
@@ -503,13 +489,7 @@ def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
             margin = prof.kappa[mask] / cos_t[mask] \
                 - lambda_ref * np.tan(lambda_ref * y[mask])
             min_margin = min(min_margin, float(margin.min()))
-        ymask = y > 1e-9
-        ratio = np.full(y.shape, -math.inf)
-        np.divide(prof.kappa, y, out=ratio, where=ymask)
-        ratios += [(s.time, r) for s, r, some in
-                   zip(chunk, ratio.max(axis=1).tolist(), ymask.any(axis=1).tolist())
-                   if some]
-    report = SpeedBoundReport(min_margin=min_margin, kappa_over_y=ratios, tol=tol)
+    report = SpeedBoundReport(min_margin=min_margin, tol=tol)
     if raise_on_fail and not report.passed:
         raise ComparisonViolation(
             f"speed lower bound violated: margin {min_margin:.3e}",

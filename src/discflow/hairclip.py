@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidCurve
+from .errors import DomainError, InvalidCurve, ResidualError
 from .geometry import MIN_SEGMENTS, Curve, _resample_nodes, curvature_profile
 
 
@@ -143,12 +143,12 @@ def _checked_pair(lam: float, theta: float, d: float) -> tuple[float, float]:
     s = HairclipSlice(lam=lam, t=t, d=d)
     on_slice = abs(math.sin(lam * st) - s.growth * math.sinh(lam * (ct + d)))
     if on_slice > 1e-10:
-        raise ArithmeticError(f"endpoint off the slice by {on_slice:.3e}")
+        raise ResidualError(f"endpoint off the slice by {on_slice:.3e}")
     slope = slice_slope(s, ct)
     tangent = math.atan2(float(slope), 1.0)
     residual = abs(tangent - theta)
     if residual > 1e-8:
-        raise ArithmeticError(f"slice tangent not radial: {residual:.3e} rad")
+        raise ResidualError(f"slice tangent not radial: {residual:.3e} rad")
     return lam, t
 
 
@@ -158,7 +158,7 @@ def lambda0(d: float) -> Eigenvalue:
         raise DomainError(f"d must lie in (0, 1], got {d}")
     eig = Eigenvalue(lambda0=float(lambda0_roots(np.array([d]))[0]), d=d)
     if abs(eig.residual) > 1e-12:
-        raise ArithmeticError(f"eigenvalue residual {eig.residual:.3e}")
+        raise ResidualError(f"eigenvalue residual {eig.residual:.3e}")
     return eig
 
 

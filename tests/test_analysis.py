@@ -1,11 +1,13 @@
 """Post-processing: asymptotic fits, blow-up extraction, soliton comparison."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from discflow.analysis import (
     BlowupSequence,
+    _tip_frame,
     area_balance,
     compare_grim_reaper,
     extract_blowup,
@@ -165,6 +167,17 @@ class TestGrimReaper:
         rep = compare_grim_reaper(seq, window_halfwidth=0.5)
         half = len(rep.deviations) // 2
         assert max(rep.deviations[half:]) <= max(rep.deviations[:half])
+
+    def test_straight_member_has_a_finite_frame(self):
+        # a collinear tip triple has no circumcircle: the chord normal
+        # orients the frame, which then lays the member along the x-axis
+        xs = np.linspace(0.0, 2.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = _tip_frame(np.column_stack([xs, 0.5 * xs]))
+        assert np.all(np.isfinite(frame))
+        assert np.abs(frame[:, 1]).max() < 1e-12
+        assert np.hypot(*frame[1]) < 1e-12
 
     def test_empty_sequence(self):
         empty = BlowupSequence(times=[], scales=[], basepoints=[],

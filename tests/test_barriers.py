@@ -15,10 +15,12 @@ from discflow.barriers import (
     nn_slack,
     theta_minus,
     theta_plus,
+    time_window,
     verify_barrier_inequality,
+    window_reports,
 )
 from discflow.checks import D_GRID
-from discflow.errors import BarrierViolation, DomainError
+from discflow.errors import DomainError
 
 
 def _loop_theta_minus(cfg, t_arr):
@@ -248,18 +250,30 @@ class TestBarrierInequality:
         assert np.abs(np.hypot(pts[:, 0] - arc.center[0],
                                pts[:, 1] - arc.center[1]) - arc.radius).max() < 1e-12
 
-    def test_violation_raises(self, monkeypatch):
+    def test_violation_is_reported(self, monkeypatch):
         # strict positivity at a genuine arc point
         arc = nn_arc(0.4)
         assert float(nn_slack(0.4, float(arc.center[1] - arc.radius))) > 0.0
-        # force a negative slack to exercise the error path
+        # a forced negative slack comes back in the report, not as an error
         import discflow.barriers as mod
         monkeypatch.setattr(mod, "dn_slack", lambda cfg, theta, y: np.asarray(y) * 0.0 - 1.0)
-        with pytest.raises(BarrierViolation) as exc:
-            verify_barrier_inequality(ProblemConfig(0.5), ArcKind.DIRICHLET_NEUMANN,
-                                      -1.0, 64)
-        assert exc.value.slack == pytest.approx(-1.0)
-        assert exc.value.point is not None
+        rep = verify_barrier_inequality(ProblemConfig(0.5), ArcKind.DIRICHLET_NEUMANN,
+                                        -1.0, 64)
+        assert rep.min_slack == pytest.approx(-1.0)
+        # argmin of a constant slack is the first arc point, o itself
+        assert rep.argmin_point == pytest.approx((-0.5, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("d, kind, window", [
+        (0.3, ArcKind.DIRICHLET_NEUMANN, {}),
+        (1.0, ArcKind.DIRICHLET_NEUMANN, {}),
+        (0.3, ArcKind.DIRICHLET_NEUMANN, {"t_min": -30.0, "t_max": 1.0, "count": 40}),
+        (0.5, ArcKind.NEUMANN_NEUMANN, {}),
+    ])
+    def test_window_reports_equal_per_slice_calls(self, d, kind, window):
+        cfg = ProblemConfig(d)
+        want = [verify_barrier_inequality(cfg, kind, t, 64)
+                for t in time_window(cfg, kind, **window).tolist()]
+        assert window_reports(cfg, kind, 64, **window) == want
 
     def test_report_serializes(self):
         rep = verify_barrier_inequality(ProblemConfig(0.5),

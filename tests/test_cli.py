@@ -118,8 +118,8 @@ class TestPair:
         payload = json.loads((out / "pair.json").read_text())
         assert payload["lambda"] > 0.0
         assert payload["tangent_residual"] < 1e-8
-        meta = json.loads((out / "slice_meta.json").read_text())
-        assert set(meta) == {"lambda", "t", "d", "rho"}
+        assert sorted(p.name for p in out.iterdir()) == ["pair.json", "run_manifest.json",
+                                                          "slice.csv"]
         header = (out / "slice.csv").read_text().splitlines()[0]
         assert header == "x,y"
 
@@ -128,7 +128,7 @@ class TestPair:
         for out in (a, b):
             assert run_cli("pair", "--theta", "0.7", "--d", "0.5",
                            "--nodes", "32", "--out", str(out)) == 0
-        for name in ("pair.json", "slice.csv", "slice_meta.json"):
+        for name in ("pair.json", "slice.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -222,6 +222,19 @@ class TestBarriersCommand:
         assert len(payload["reports"]) == 12
         assert all(r["min_slack"] >= -1e-10 for r in payload["reports"])
 
+    def test_violated_slices_exit_1_with_every_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(barriers, "nn_slack",
+                            lambda theta, y: np.zeros_like(np.asarray(y)) - 1e-9)
+        out = tmp_path / "bars"
+        assert run_cli("barriers", "--d", "0.7", "--t-count", "6",
+                       "--samples", "64", "--out", str(out)) == 1
+        reports = json.loads((out / "barrier_reports.json").read_text())["reports"]
+        assert [r["kind"] for r in reports] == ["dn"] * 6 + ["nn"] * 6
+        assert all(r["min_slack"] == pytest.approx(-1e-9) for r in reports[6:])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6
+        assert all(line.startswith("nn inequality violated at t=") for line in err)
+
     def test_undeclared_run_option_is_a_usage_error(self, capsys):
         # barriers reads no initial slice, so --rho is not one of its options
         with pytest.raises(SystemExit) as exc:
@@ -300,6 +313,19 @@ def test_json_outputs_write_null_for_non_finite(tmp_path):
     _write_json(path, {"inf": math.inf, "rows": [(-math.inf, math.nan), 0.5]})
     assert json.loads(path.read_text(), parse_constant=reject_constant) == {
         "inf": None, "rows": [[None, None], 0.5]}
+
+
+@pytest.mark.parametrize("argv", [("pair", "--theta"), ("flow", "--rho"),
+                                  ("verify", "--rho")])
+def test_failed_pair_recheck_is_a_check_failure(argv, tmp_path, capsys):
+    # at this angle the paired slice's tangent misses the radial
+    # direction by 1.9e-8 rad, beyond the 1e-8 re-check
+    out = tmp_path / "X"
+    assert run_cli(*argv, "1.57079632679", "--d", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: slice tangent not radial")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestVerifyCommand:
