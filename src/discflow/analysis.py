@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptySequence,
-    InsufficientWindow,
-    NotExtinct,
-)
+from .errors import DomainError, InsufficientWindow, NotExtinct
 from .flow import TRANSIENT_STEPS, Trajectory, _profile_chunks
 from .geometry import Curve, _quadratic_extrapolate, curvature_profile
 
@@ -57,16 +52,12 @@ class BlowupSequence:
     def __len__(self) -> int:
         return len(self.times)
 
-    def type2_indicator(self) -> list[float]:
-        return [(self.omega - t) * lam ** 2
-                for t, lam in zip(self.times, self.scales)]
-
 
 @dataclass(frozen=True)
 class GrimReaperReport:
     sup_deviation: float
     window_halfwidth: float
-    type2_indicator: list[float]
+    type2_indicator: list[float]  # (omega - t) lam^2 per member: grows if type II
     deviations: list[float]
     tip_identity_error: float
 
@@ -251,7 +242,7 @@ def compare_grim_reaper(seq: BlowupSequence,
     range), plus the soliton identity kappa/cos(theta) = 1 near the tip of
     the last member."""
     if len(seq) == 0:
-        raise EmptySequence("blow-up sequence is empty")
+        raise InsufficientWindow("blow-up sequence is empty")
     if not (0.0 < window_halfwidth < 0.5 * math.pi):
         raise DomainError("window_halfwidth must lie in (0, pi/2)")
 
@@ -282,7 +273,8 @@ def compare_grim_reaper(seq: BlowupSequence,
         tip_err = math.inf
     return GrimReaperReport(sup_deviation=deviations[-1],
                             window_halfwidth=window_halfwidth,
-                            type2_indicator=seq.type2_indicator(),
+                            type2_indicator=[(seq.omega - t) * lam ** 2
+                                             for t, lam in zip(seq.times, seq.scales)],
                             deviations=deviations,
                             tip_identity_error=tip_err)
 

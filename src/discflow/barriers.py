@@ -55,7 +55,7 @@ class ProblemConfig:
         return math.log(2.0) if self.b == 0.0 else math.inf
 
 
-class ArcKind(Enum):
+class ArcKind(str, Enum):  # a str, so json writes a report's kind as "dn" or "nn"
     DIRICHLET_NEUMANN = "dn"
     NEUMANN_NEUMANN = "nn"
 
@@ -219,11 +219,6 @@ class BarrierReport:
     samples: int
     min_slack: float
     argmin_point: tuple[float, float]
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind.value, "d": self.d, "t": self.t,
-                "samples": self.samples, "min_slack": self.min_slack,
-                "argmin_point": list(self.argmin_point)}
 
 
 def dn_slack(cfg: ProblemConfig, theta: float, y) -> np.ndarray:

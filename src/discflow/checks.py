@@ -84,9 +84,7 @@ def pairing_residuals() -> tuple[float, bool]:
     thetas = np.tile(np.linspace(0.1, 0.5 * math.pi - 0.05, 10), 10).tolist()
     pairs = hc.solve_orthogonal_pairs(thetas, ds)
     for (lam, t), theta, d in zip(pairs, thetas, ds):
-        s = hc.HairclipSlice(lam=lam, t=t, d=d)
-        worst = max(worst, abs(math.atan(float(hc.slice_slope(s, math.cos(theta))))
-                               - theta))
+        worst = max(worst, hc.tangent_residual(hc.HairclipSlice(lam=lam, t=t, d=d), theta))
         lam_hi = 0.5 * math.pi / math.sin(theta)
         # one 1000-scale grid per lane: a 100 x 1000 array would raise peak memory
         g = hc.pairing_function_g(np.linspace(1e-4, lam_hi * (1 - 1e-9), 1000), theta, d)

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis as ana
@@ -53,6 +54,11 @@ def _validate_common(args) -> None:
         raise ParameterError(f"count must be >= {ana.MIN_BLOWUP_COUNT}, got {args.count}")
     if getattr(args, "window", None) is not None and not (0.0 < args.window < 0.5 * math.pi):
         raise ParameterError(f"window must lie in (0, pi/2), got {args.window}")
+    if args.out:
+        # the nearest existing ancestor of --out must be a directory to make it in
+        there = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        if not there.is_dir():
+            raise ParameterError(f"out {args.out}: {there} is not a directory")
 
 
 def _outdir(args) -> Path:
@@ -168,8 +174,7 @@ def cmd_barriers(args) -> int:
                for rep in bar.window_reports(cfg, kind, args.samples, args.t_min,
                                              args.t_max, args.t_count)]
     out = _outdir(args)
-    _write_json(out / "barrier_reports.json",
-                {"reports": [rep.as_dict() for rep in reports]})
+    _write_json(out / "barrier_reports.json", {"reports": [asdict(rep) for rep in reports]})
     # a NaN slack counts as violated
     violated = [rep for rep in reports if not rep.min_slack >= bar.SLACK_TOL]
     for rep in violated:
@@ -182,14 +187,13 @@ def cmd_barriers(args) -> int:
 
 def cmd_pair(args) -> int:
     lam, t = hc.solve_orthogonal_pair(args.theta, args.d)
-    s = hc.HairclipSlice(lam=lam, t=t, d=args.d)
-    slope = float(hc.slice_slope(s, math.cos(args.theta)))
     payload = {
         "theta": args.theta,
         "d": args.d,
         "lambda": lam,
         "t": t,
-        "tangent_residual": abs(math.atan(slope) - args.theta),
+        "tangent_residual": hc.tangent_residual(hc.HairclipSlice(lam=lam, t=t, d=args.d),
+                                                args.theta),
         "lambda0": hc.lambda0(args.d).lambda0,
     }
     curve = hc.initial_curve(args.theta, args.d, args.nodes)
@@ -272,15 +276,7 @@ def cmd_blowup(args) -> int:
         members.append({"blowup_index": i, "file": name, "time": seq.times[i],
                         "scale": seq.scales[i],
                         "basepoint": [float(v) for v in seq.basepoints[i]]})
-    _write_json(out / "blowup.json", {
-        "omega": seq.omega,
-        "members": members,
-        "type2_indicator": rep.type2_indicator,
-        "deviations": rep.deviations,
-        "sup_deviation": rep.sup_deviation,
-        "tip_identity_error": rep.tip_identity_error,
-        "window_halfwidth": rep.window_halfwidth,
-    })
+    _write_json(out / "blowup.json", {"omega": seq.omega, "members": members, **asdict(rep)})
     print(f"extinction at {seq.omega:.6f}; final soliton deviation "
           f"{rep.sup_deviation:.4f} on |x| <= {rep.window_halfwidth}")
     return 0
@@ -290,9 +286,7 @@ def cmd_fit(args) -> int:
     traj = flw.load_trajectory(Path(args.run_dir))
     lam0 = hc.lambda0(traj.d).lambda0
     fit = ana.fit_asymptotics(traj, lam0, traj.d)
-    payload = {"d": traj.d, "lambda0": lam0, "rate": fit.rate, "A": fit.A,
-               "profile_error": fit.profile_error, "window": list(fit.window),
-               "n_states": fit.n_states}
+    payload = {"d": traj.d, "lambda0": lam0, **asdict(fit)}
     if args.out:
         _write_json(_outdir(args) / "fit.json", payload)
     print(json.dumps(payload, sort_keys=True))

@@ -27,15 +27,11 @@ class ComparisonViolation(DiscFlowError):
 
 
 class InsufficientWindow(DiscFlowError):
-    """Not enough recorded states to run the requested analysis."""
+    """Not enough recorded states or blow-up members for the analysis."""
 
 
 class NotExtinct(DiscFlowError):
     """Blow-up extraction requires a trajectory that ended by extinction."""
-
-
-class EmptySequence(DiscFlowError):
-    """An empty blow-up sequence was passed to a comparison routine."""
 
 
 class ParameterError(DiscFlowError, ValueError):

@@ -10,11 +10,13 @@ of freedom and keeps the explicit scheme stable at dt <= DT_SAFETY * h^2.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import shutil
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -36,13 +38,13 @@ from .geometry import (
     Frame,
     _area,
     _as_complex,
+    _as_nodes,
     _frame,
-    _has_proper_intersection,
     _resample_nodes,
-    _turns_by_pi,
     curvature_profile,  # noqa: F401  (a name the benchmark's tracer wraps here)
     curvature_profiles,
     curve_diagnostics,
+    is_embedded,
 )
 
 def tol_inv(kappa_max: float) -> float:
@@ -115,7 +117,7 @@ class Trajectory:
     d: float
     n: int
     states: list[FlowState]
-    events: list[tuple[float, str]]
+    events: list[tuple[float, str]]  # (time, "step_rejected: <reason>")
     outcome: FlowOutcome
     rho: float | None = None
     lambda_ref: float | None = None
@@ -160,11 +162,6 @@ def _project_end(z: np.ndarray) -> None:
 #: targets are ``indices * (length / n)``, bit-identical to
 #: ``np.linspace(0, length, n + 1)`` on every interior node
 _NODE_INDICES: dict[int, np.ndarray] = {}
-
-
-def _as_nodes(z: np.ndarray) -> np.ndarray:
-    """The (M, 2) float view of M complex nodes."""
-    return z.view(np.float64).reshape(-1, 2)
 
 
 def _step(frame: Frame, d: float, dt: float, n: int) -> tuple[Frame, float]:
@@ -219,7 +216,7 @@ def _step(frame: Frame, d: float, dt: float, n: int) -> tuple[Frame, float]:
 
 def _reason(frame: Frame) -> str | None:
     """Reason the frame's nodes are not an admissible state, or None."""
-    z, seg, joint = frame
+    z, seg, _ = frame
     if not (np.minimum.reduce(seg) > 1e-15):
         return "coincident or non-finite nodes"
     if float(np.minimum.reduce(z.imag)) < -EPS_GEOM:
@@ -227,9 +224,7 @@ def _reason(frame: Frame) -> str | None:
     r_max = float(np.maximum.reduce(np.abs(z)))
     if r_max * r_max > 1.0 + 2.0 * STEP_CONTAIN_TOL:
         return "node outside the unit disc"
-    # a tangent angle range below pi makes the polyline a graph over some
-    # direction, hence embedded; only a wider range needs the O(N^2) test
-    if _turns_by_pi(joint) and _has_proper_intersection(_as_nodes(z)):
+    if not is_embedded(frame):
         return "self-intersection"
     return None
 
@@ -291,7 +286,8 @@ def run(cfg: FlowRunConfig,
     the time horizon, the step budget, an invariant violation, or a state
     whose diagnostics raise InvalidCurve (not recorded; the run ends).
     `callback` sees every recorded state after the initial one, the final
-    state included, as it is recorded.
+    state included, as it is recorded.  The outcome alone records how the
+    run ended.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
@@ -344,17 +340,13 @@ def run(cfg: FlowRunConfig,
             break
         diag = state.diagnostics
         if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
-            events.append((t, "extinct"))
             outcome = FlowOutcome(kind="extinct",
                                   time=t + 0.5 * diag.length / diag.kappa_max)
         elif d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
                 and diag.kappa_max < CONVERGED_EPS \
                 and hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
-            events.append((t, "converged"))
             outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
 
-    if outcome.kind == "max_time":
-        events.append((t, "max_time"))
     return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
                       record_every=record_every, dt_safety=DT_SAFETY)
 
@@ -384,16 +376,13 @@ def hausdorff_to_minimizing_arc(nodes: np.ndarray, d: float) -> float:
 
 @dataclass(frozen=True)
 class OdeCheckReport:
-    skipped: bool
-    t_star: float | None
     min_growth_margin: float
     max_barrier_excess: float
     tol: float
 
     @property
     def passed(self) -> bool:
-        return self.skipped or (self.min_growth_margin >= -self.tol
-                                and self.max_barrier_excess <= self.tol)
+        return self.min_growth_margin >= -self.tol and self.max_barrier_excess <= self.tol
 
 
 #: most recorded states the trajectory checks stack at once: about 100 KB
@@ -434,28 +423,26 @@ def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
     (ii) after shifting time so theta_bar = pi/2 at t = 0, theta_bar stays
         below the subsolution angle theta_minus up to tol for t <= 0.
 
-    Flat trajectories (stationary arcs) are vacuous and reported as skipped.
+    Flat trajectories (stationary arcs) are vacuous: both margins are 0.
     """
     cfg = ProblemConfig(traj.d)
     tab = traj.table()
     keep = tab["step"] >= TRANSIENT_STEPS
     ts, th = tab["t"][keep], tab["theta_max"][keep]
     if ts.size < 3 or float(np.max(np.abs(th))) < 1e-8:
-        return OdeCheckReport(skipped=True, t_star=None, min_growth_margin=0.0,
-                              max_barrier_excess=0.0, tol=tol_ode)
+        return OdeCheckReport(min_growth_margin=0.0, max_barrier_excess=0.0, tol=tol_ode)
 
     dth = (th[2:] - th[:-2]) / (ts[2:] - ts[:-2])
     rhs = characteristic_rhs(cfg, th[1:-1])
     min_growth = float((dth - rhs).min())
 
-    t_star = half_pi_crossing(traj)
+    t_half = half_pi_crossing(traj)
     max_excess = 0.0  # vacuous until theta_bar crosses pi/2
-    if t_star is not None and np.any(ts <= t_star):
-        before = ts <= t_star
-        max_excess = float((th[before] - theta_minus(cfg, ts[before] - t_star)).max())
+    if t_half is not None and np.any(ts <= t_half):
+        before = ts <= t_half
+        max_excess = float((th[before] - theta_minus(cfg, ts[before] - t_half)).max())
 
-    report = OdeCheckReport(skipped=False, t_star=t_star,
-                            min_growth_margin=min_growth,
+    report = OdeCheckReport(min_growth_margin=min_growth,
                             max_barrier_excess=max_excess, tol=tol_ode)
     if raise_on_fail and not report.passed:
         raise ComparisonViolation(
@@ -585,11 +572,30 @@ FORMAT_VERSION = 3
 STATES_FILE = "states.npy"
 #: Trajectory.table, one row per recorded state
 TABLE_FILE = "diagnostics.csv"
+
+
+def _typed(kinds: tuple, value):
+    """value, if it is of one of the types kinds; a boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{value!r} is not {' or '.join(k.__name__ for k in kinds)}")
+    return value
+
+
+def _number(value) -> float:
+    return float(_typed((int, float), value))
+
+
+def _number_or_null(value) -> float | None:
+    return None if value is None else _number(value)
+
+
 #: the Trajectory fields in manifest.json beside format_version and outcome,
-#: with the conversion load_trajectory applies (rho and lambda_ref may be null)
+#: with the check and conversion load_trajectory applies to each
 _MANIFEST = {
-    "d": float, "n": int, "rho": None, "lambda_ref": None, "record_every": int, "dt_safety": float,
-    "events": lambda events: [(float(t), str(name)) for t, name in events],
+    "d": _number, "n": partial(_typed, (int,)), "rho": _number_or_null,
+    "lambda_ref": _number_or_null, "record_every": partial(_typed, (int,)),
+    "dt_safety": _number,
+    "events": lambda events: [(_number(t), _typed((str,), name)) for t, name in events],
 }
 
 
@@ -604,8 +610,7 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
     trajectory); anything else is a ParameterError and is left alone.
     """
     outdir = Path(outdir)
-    replace_old = (outdir / "manifest.json").is_file()
-    if outdir.exists() and not replace_old and \
+    if outdir.exists() and not (outdir / "manifest.json").is_file() and \
             (not outdir.is_dir() or any(outdir.iterdir())):
         raise ParameterError(f"{outdir} is not empty and holds no trajectory; "
                              "not replacing it")
@@ -623,14 +628,12 @@ def write_trajectory(traj: Trajectory, outdir: str | Path) -> Path:
         (tmp / TABLE_FILE).write_text(",".join(COLUMNS) + "\n"
                                       + row * len(traj.states) % tuple(values))
         (tmp / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-        if replace_old:
-            # a non-empty directory cannot be renamed over: move it aside
-            old = tmp.with_suffix(".old")
+        # a non-empty directory cannot be renamed over: move any old one aside
+        old = tmp.with_suffix(".old")
+        with contextlib.suppress(FileNotFoundError):
             os.replace(outdir, old)
-            os.replace(tmp, outdir)
-            shutil.rmtree(old)
-        else:
-            os.replace(tmp, outdir)
+        os.replace(tmp, outdir)
+        shutil.rmtree(old, ignore_errors=True)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -694,7 +697,7 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     _require(outcome if isinstance(outcome, dict) else {}, fields, f"{path} outcome")
     for key, parse in _MANIFEST.items():
         try:
-            manifest[key] = parse(manifest[key]) if parse else manifest[key]
+            manifest[key] = parse(manifest[key])
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"{path}: malformed {key}: {exc}") from exc
     rows = _read_table(outdir / TABLE_FILE)

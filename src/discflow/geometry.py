@@ -173,11 +173,7 @@ def _profile_arrays(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Menger curvature 2 cross / (|a| |b| |a + b|) on the segments a, b,
     # its sign set by each curve's handedness
     cross = (e[..., :-1].conj() * e[..., 1:]).imag
-    for i in rows:
-        th = theta[i]
-        if th[-1] - th[0] < 0.0:
-            cross[i] *= -1.0
-    cross *= 2.0
+    cross *= np.where(theta[..., -1:] - theta[..., :1] < 0.0, -2.0, 2.0)
     denom = seg[..., :-1] * seg[..., 1:]
     denom *= np.abs(t[..., 1:-1])
     kappa = np.empty(z.shape)
@@ -193,7 +189,7 @@ def _profile_arrays(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, kappa, theta
 
 
-def enclosed_area(c: Curve, d: float) -> float:
+def enclosed_area(c: Curve) -> float:
     """Area of the region above the curve inside the disc.
 
     The region is bounded by the curve, the unit-circle arc running
@@ -202,12 +198,12 @@ def enclosed_area(c: Curve, d: float) -> float:
     a shoelace sum; the circle arc contributes its exact sector integral,
     and the return segment along y = 0 contributes nothing.
     """
-    nodes = c.nodes
-    if float(nodes[:, 1].min()) < -EPS_GEOM:
+    if float(c.nodes[:, 1].min()) < -EPS_GEOM:
         raise InvalidCurve("curve must lie in the closed upper half disc")
-    if not is_embedded(nodes):
+    frame = _frame(_as_complex(c.nodes))
+    if not is_embedded(frame):
         raise InvalidCurve("self-intersecting polyline")
-    return _area(_as_complex(nodes))
+    return _area(frame[0])
 
 
 def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -229,6 +225,11 @@ def _as_complex(nodes: np.ndarray) -> np.ndarray:
     values (of a (K, M, 2) stack as (K, M)), so one numpy call handles
     both coordinates."""
     return np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _as_nodes(z: np.ndarray) -> np.ndarray:
+    """The (M, 2) float view of M complex nodes."""
+    return z.view(np.float64).reshape(-1, 2)
 
 
 #: a polyline as the explicit step sees it: (z, seg, joint), where z holds
@@ -268,17 +269,16 @@ def _turns_by_pi(joint: np.ndarray) -> bool:
     return max(float(turn.max()), 0.0) - min(float(turn.min()), 0.0) >= gate
 
 
-def is_embedded(nodes: np.ndarray) -> bool:
-    """True iff the open polyline has no self-intersection.
+def is_embedded(frame: Frame) -> bool:
+    """True iff the open polyline of the frame has no self-intersection.
 
     Fast path: if all segment directions fit in an open half-plane (the
     tangent angle ranges over less than pi) the polyline is a graph over
     some line, hence simple.  Otherwise run the full vectorized
     segment-pair test.
     """
-    if not _turns_by_pi(_frame(_as_complex(nodes))[2]):
-        return True
-    return not _has_proper_intersection(nodes)
+    z, _, joint = frame
+    return not (_turns_by_pi(joint) and _has_proper_intersection(_as_nodes(z)))
 
 
 def _has_proper_intersection(nodes: np.ndarray) -> bool:
@@ -317,7 +317,7 @@ def _has_proper_intersection(nodes: np.ndarray) -> bool:
 
 def curve_diagnostics(c: Curve, d: float) -> CurveDiagnostics:
     prof = curvature_profile(c)
-    area = enclosed_area(c, d)
+    area = enclosed_area(c)
     if area < -1e-6 or area > 0.5 * math.pi + 1e-6:
         raise InvalidCurve(f"enclosed area {area:.6f} outside [0, pi/2]")
     theta = prof.theta

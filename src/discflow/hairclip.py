@@ -144,12 +144,16 @@ def _checked_pair(lam: float, theta: float, d: float) -> tuple[float, float]:
     on_slice = abs(math.sin(lam * st) - s.growth * math.sinh(lam * (ct + d)))
     if on_slice > 1e-10:
         raise ResidualError(f"endpoint off the slice by {on_slice:.3e}")
-    slope = slice_slope(s, ct)
-    tangent = math.atan2(float(slope), 1.0)
-    residual = abs(tangent - theta)
+    residual = tangent_residual(s, theta)
     if residual > 1e-8:
         raise ResidualError(f"slice tangent not radial: {residual:.3e} rad")
     return lam, t
+
+
+def tangent_residual(s: HairclipSlice, theta: float) -> float:
+    """|atan(slope) - theta| of the slice at abscissa cos(theta): zero when
+    its tangent there is radial."""
+    return abs(math.atan(float(slice_slope(s, math.cos(theta)))) - theta)
 
 
 def lambda0(d: float) -> Eigenvalue:

@@ -270,7 +270,7 @@ def test_criterion_9_geometry_oracles():
     for n in (64, 128, 256):
         nodes = sample_circle_arc(center, r, psi0, psi0 + dpsi, n)
         c = Curve(nodes=nodes)
-        area_errs.append(abs(enclosed_area(c, d) - exact))
+        area_errs.append(abs(enclosed_area(c) - exact))
     area_ratios = (area_errs[0] / area_errs[1], area_errs[1] / area_errs[2])
 
     elapsed = time.perf_counter() - t0

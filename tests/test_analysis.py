@@ -15,7 +15,7 @@ from discflow.analysis import (
     grim_reaper_height,
 )
 from discflow.barriers import nn_arc, nn_slack, theta_plus
-from discflow.errors import EmptySequence, InsufficientWindow, NotExtinct
+from discflow.errors import InsufficientWindow, NotExtinct
 from discflow.flow import FlowOutcome, FlowRunConfig, FlowState, Trajectory, run, unstable_arc
 from discflow.geometry import Curve, curvature_profile, curve_diagnostics
 from discflow.hairclip import lambda0
@@ -126,8 +126,7 @@ class TestExtractBlowup:
             assert prof.kappa.max() == pytest.approx(1.0, abs=1e-6)
 
     def test_type_two_indicator_increases(self, extinct_run):
-        seq = extract_blowup(extinct_run, count=8)
-        ind = seq.type2_indicator()
+        ind = compare_grim_reaper(extract_blowup(extinct_run, count=8)).type2_indicator
         assert all(b > a for a, b in zip(ind, ind[1:]))
 
 
@@ -160,7 +159,8 @@ class TestGrimReaper:
         rep = compare_grim_reaper(seq, window_halfwidth=1.0)
         assert rep.sup_deviation < 0.05
         assert rep.tip_identity_error < 0.05
-        assert rep.type2_indicator == seq.type2_indicator()
+        assert rep.type2_indicator == [(seq.omega - t) * lam ** 2
+                                       for t, lam in zip(seq.times, seq.scales)]
 
     def test_deviations_shrink_along_sequence(self, extinct_run):
         seq = extract_blowup(extinct_run, count=8)
@@ -182,7 +182,7 @@ class TestGrimReaper:
     def test_empty_sequence(self):
         empty = BlowupSequence(times=[], scales=[], basepoints=[],
                                rescaled_curves=[], omega=0.0)
-        with pytest.raises(EmptySequence):
+        with pytest.raises(InsufficientWindow):
             compare_grim_reaper(empty)
 
 

@@ -1,6 +1,7 @@
 """Barrier families: exact identities, angle laws, inequality slack."""
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ class TestBarrierInequality:
         (1.0, ArcKind.DIRICHLET_NEUMANN, {}),
         (0.3, ArcKind.DIRICHLET_NEUMANN, {"t_min": -30.0, "t_max": 1.0, "count": 40}),
         (0.5, ArcKind.NEUMANN_NEUMANN, {}),
-    ])
+    ], ids=lambda v: f"ArcKind.{v.name}" if isinstance(v, ArcKind) else None)
     def test_window_reports_equal_per_slice_calls(self, d, kind, window):
         cfg = ProblemConfig(d)
         want = [verify_barrier_inequality(cfg, kind, t, 64)
@@ -278,11 +279,12 @@ class TestBarrierInequality:
     def test_report_serializes(self):
         rep = verify_barrier_inequality(ProblemConfig(0.5),
                                         ArcKind.DIRICHLET_NEUMANN, -1.0, 64)
-        row = rep.as_dict()
+        row = json.loads(json.dumps(asdict(rep)))
         assert row["kind"] == "dn"
         assert row["samples"] == 64
         assert sorted(row) == ["argmin_point", "d", "kind", "min_slack", "samples", "t"]
-        assert json.loads(json.dumps(row)) == row
+        assert row["argmin_point"] == list(rep.argmin_point)
+        assert row["min_slack"] == rep.min_slack
 
     def test_time_domain_checks(self):
         cfg = ProblemConfig(1.0)

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, file formats, determinism."""
+import dataclasses
 import json
 import math
 import shutil
@@ -8,6 +9,7 @@ import pytest
 
 import discflow.barriers as barriers
 import discflow.flow as flow
+from discflow.analysis import GrimReaperReport
 from discflow.cli import _write_json, main
 
 
@@ -97,6 +99,20 @@ class TestValidation:
         assert run_cli("blowup", "--count", "2", "--out", str(out)) == 2
         assert "count must be >= 3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, out", [(("pair", "--theta", "0.6"), "afile"),
+                                           (("flow",), "afile/sub")], ids=["pair", "flow"])
+    def test_out_naming_a_file_runs_nothing(self, argv, out, tmp_path, monkeypatch, capsys):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(flow, "run", no_flow)
+        (tmp_path / "afile").touch()
+        assert run_cli(*argv, "--out", str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ")
+        assert f"{tmp_path / 'afile'} is not a directory" in err
+        assert (tmp_path / "afile").read_bytes() == b""
 
     @pytest.mark.parametrize("window", ["2", "0"])
     def test_window_outside_range_runs_no_flow(self, window, tmp_path, monkeypatch, capsys):
@@ -390,15 +406,23 @@ class TestVerifyCommand:
         assert -5e-3 < row["value"] < 0.0
 
 
+@pytest.fixture(scope="class")
+def blowup_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "blow"
+    assert run_cli("blowup", "--rho", "0.3", "--nodes", "48", "--record-every", "50",
+                   "--count", "6", "--out", str(out)) == 0
+    return out
+
+
 class TestBlowupCommand:
-    def test_full_pipeline(self, tmp_path):
-        out = tmp_path / "blow"
-        code = run_cli("blowup", "--rho", "0.3", "--nodes", "48",
-                       "--record-every", "50", "--count", "6",
-                       "--out", str(out))
-        assert code == 0
-        payload = json.loads((out / "blowup.json").read_text())
+    def test_full_pipeline(self, blowup_out):
+        payload = json.loads((blowup_out / "blowup.json").read_text())
         assert payload["omega"] > 0.0
         ind = payload["type2_indicator"]
         assert all(b > a for a, b in zip(ind, ind[1:]))
-        assert (out / payload["members"][0]["file"]).exists()
+        assert (blowup_out / payload["members"][0]["file"]).exists()
+
+    def test_blowup_json_is_the_report(self, blowup_out):
+        payload = json.loads((blowup_out / "blowup.json").read_text())
+        fields = {f.name for f in dataclasses.fields(GrimReaperReport)}
+        assert set(payload) == {"omega", "members"} | fields

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import discflow.flow as flow
+import discflow.geometry as geometry
 from discflow.barriers import ProblemConfig, characteristic_rhs, theta_minus
 from discflow.errors import (
     ComparisonViolation,
@@ -104,7 +105,7 @@ def reference_advance(nodes, d, dt, n):
         p[-1] = (math.cos(phi), math.sin(phi))
 
     def area(p):
-        return enclosed_area(Curve(nodes=p), d)
+        return enclosed_area(Curve(nodes=p))
 
     out = nodes.copy()
     out[1:-1] += dt * curvature_vectors(nodes)
@@ -195,8 +196,8 @@ class TestFusedStep:
     def test_self_intersection_past_the_gate(self, monkeypatch):
         assert self.turning_range(self.LOOP) > math.pi
         calls = []
-        real = flow._has_proper_intersection
-        monkeypatch.setattr(flow, "_has_proper_intersection",
+        real = geometry._has_proper_intersection
+        monkeypatch.setattr(geometry, "_has_proper_intersection",
                             lambda p: calls.append(len(p)) or real(p))
         assert flow._step_valid(self.LOOP) == "self-intersection"
         assert calls == [len(self.LOOP)]
@@ -204,8 +205,8 @@ class TestFusedStep:
     def test_gate_passes_embedded_hook_and_convex_curves(self, monkeypatch):
         assert self.turning_range(self.HOOK) > math.pi
         calls = []
-        real = flow._has_proper_intersection
-        monkeypatch.setattr(flow, "_has_proper_intersection",
+        real = geometry._has_proper_intersection
+        monkeypatch.setattr(geometry, "_has_proper_intersection",
                             lambda p: calls.append(len(p)) or real(p))
         assert flow._step_valid(self.HOOK) is None
         assert calls == [len(self.HOOK)]
@@ -302,6 +303,15 @@ class TestRunOutcomes:
         assert traj.outcome.kind == "extinct"
         assert 0.0 < traj.outcome.time < 10.0
         assert traj.states[-1].diagnostics.length < 1e-2
+
+    @pytest.mark.parametrize("fixture, kind", [("extinct_run", "extinct"),
+                                               ("converged_run", "converged_to_minimizer"),
+                                               ("short_run", "max_time")])
+    def test_events_are_step_rejections_only(self, request, fixture, kind):
+        # the outcome alone records how a run ended
+        traj = request.getfixturevalue(fixture)
+        assert traj.outcome.kind == kind
+        assert all(name.startswith("step_rejected") for _, name in traj.events)
 
     def test_records_are_time_ordered(self, converged_run):
         ts = converged_run.table()["t"]
@@ -403,19 +413,20 @@ class TestMonotoneQuantities:
 class TestComparisons:
     def test_ode_check_on_flow(self, short_run):
         rep = theta_bar_ode_check(short_run, tol_ode=5e-3)
-        assert not rep.skipped
+        assert rep.min_growth_margin != 0.0
         assert rep.min_growth_margin >= -5e-3
 
     def test_ode_check_full_run_with_alignment(self, converged_run):
         rep = theta_bar_ode_check(converged_run, tol_ode=5e-3)
-        assert rep.t_star is not None
+        assert half_pi_crossing(converged_run) is not None
         assert rep.max_barrier_excess <= 5e-3
 
     def test_ode_check_vacuous_on_stationary(self):
         c = unstable_arc(0.5, 64)
         cfg = FlowRunConfig(d=0.5, initial=c, n=64, t_end=0.005, record_every=5)
         rep = theta_bar_ode_check(run(cfg))
-        assert rep.skipped
+        assert rep.min_growth_margin == rep.max_barrier_excess == 0.0
+        assert rep.passed
 
     def test_ode_margin_improves_with_resolution(self):
         worst = []
@@ -743,6 +754,11 @@ class TestStrictLoad:
         with pytest.raises(ParameterError, match="outcome lacks detail$"):
             load_trajectory(out)
 
+    def test_rejection_events_load(self, short_run, tmp_path):
+        events = [(0.25, "step_rejected: node below the x-axis"), (0.5, "step_rejected: x")]
+        out = write_trajectory(dataclasses.replace(short_run, events=events), tmp_path / "run")
+        assert load_trajectory(out).events == events
+
     def test_null_rho_and_lambda_ref_load(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
         edit_manifest(out, lambda m: m.update(rho=None, lambda_ref=None))
@@ -765,7 +781,16 @@ class TestStrictLoad:
         (lambda m: m.update(n="abc"), "malformed n"),
         (lambda m: m.update(dt_safety="abc"), "malformed dt_safety"),
         (lambda m: m.update(outcome=["extinct"]), "outcome lacks kind, time, detail$"),
-    ], ids=["short_event", "events_number", "d", "n", "dt_safety", "outcome_list"])
+        (lambda m: m.update(d=True), "malformed d: True is not int or float"),
+        (lambda m: m.update(n=32.9), "malformed n: 32.9 is not int"),
+        (lambda m: m.update(record_every=10.7), "malformed record_every"),
+        (lambda m: m.update(d="0.5"), "malformed d"),
+        (lambda m: m.update(n="32"), "malformed n"),
+        (lambda m: m.update(rho="x"), "malformed rho"),
+        (lambda m: m.update(events=[[0.1, 5]]), "malformed events: 5 is not str"),
+    ], ids=["short_event", "events_number", "d", "n", "dt_safety", "outcome_list",
+            "d_true", "n_fraction", "record_every_fraction", "d_string", "n_string",
+            "rho_string", "event_name_number"])
     def test_malformed_manifest_value(self, short_run, tmp_path, change, message):
         out = write_trajectory(short_run, tmp_path / "run")
         edit_manifest(out, change)

@@ -13,6 +13,8 @@ from discflow.geometry import (
     curvature_profile,
     curvature_profiles,
     curve_diagnostics,
+    _as_complex,
+    _frame,
     _resample_nodes,
     curve_to_csv,
     enclosed_area,
@@ -116,10 +118,10 @@ class TestEnclosedArea:
     def test_unstable_arc_gives_half_disc(self):
         x = np.linspace(-0.5, 1.0, 65)
         c = Curve(np.column_stack([x, np.zeros_like(x)]))
-        assert abs(enclosed_area(c, 0.5) - math.pi / 2) < 1e-3
+        assert abs(enclosed_area(c) - math.pi / 2) < 1e-3
 
     def test_semicircle_gives_zero(self):
-        assert abs(enclosed_area(upper_semicircle(128), 1.0)) < 1e-3
+        assert abs(enclosed_area(upper_semicircle(128))) < 1e-3
 
     def test_dn_arc_against_closed_form(self):
         d, theta, n = 0.5, math.pi / 2, 128
@@ -135,14 +137,14 @@ class TestEnclosedArea:
         arc_part = 0.5 * r * r * dpsi + 0.5 * r * (center[0] * (e1[1] - e0[1])
                                                    - center[1] * (e1[0] - e0[0]))
         exact = arc_part + 0.5 * (math.pi - theta)
-        assert abs(enclosed_area(c, d) - exact) < 1e-4
+        assert abs(enclosed_area(c) - exact) < 1e-4
 
     def test_order_two_on_analytic_shapes(self):
         d, theta = 0.5, math.pi / 2
         vals = []
         for n in (64, 128, 256, 512):
             nodes, _, _ = dn_arc_nodes(d, theta, n)
-            vals.append(enclosed_area(Curve(nodes), d))
+            vals.append(enclosed_area(Curve(nodes)))
         errs = [abs(v - vals[-1]) for v in vals[:-1]]
         # against the finest level the coarse errors must drop ~4x
         assert errs[0] / errs[1] >= 3.5
@@ -151,7 +153,7 @@ class TestEnclosedArea:
         x = np.linspace(-0.5, 1.0, 17)
         nodes = np.column_stack([x, -0.1 * np.ones_like(x)])
         with pytest.raises(InvalidCurve):
-            enclosed_area(Curve(nodes), 0.5)
+            enclosed_area(Curve(nodes))
 
 
 class TestResample:
@@ -224,13 +226,13 @@ def test_resample_length_property(lengths, turn):
 class TestEmbedding:
     def test_graph_like_fast_path(self):
         nodes, _, _ = dn_arc_nodes(0.5, 1.0, 40)
-        assert is_embedded(nodes)
+        assert is_embedded(_frame(_as_complex(nodes)))
 
     def test_detects_crossing(self):
         nodes = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
                           [1.0, -1.0], [0.9, -1.0], [0.9, 1.1], [0.5, 1.1],
                           [0.5, 1.2], [0.4, 1.2]])
-        assert not is_embedded(nodes)
+        assert not is_embedded(_frame(_as_complex(nodes)))
 
 
 class TestDiagnostics:
