@@ -26,8 +26,8 @@ from .hairclip import bisect
 #: slack tolerance for analytically exact inequalities (round-off only)
 SLACK_TOL = -1e-10
 
-#: fewest arc points verify_barrier_inequality accepts
-MIN_SAMPLES = 16
+#: arc points at which each barrier slice is checked
+SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,8 @@ def dn_arc(cfg: ProblemConfig, theta: float) -> ArcBarrier:
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
     st, ct = math.sin(theta), math.cos(theta)
     r = (cfg.a + ct) / st
+    if not math.isfinite(r * r):  # sampling the arc squares its radius
+        raise DomainError(f"DN arc radius {r:.3e} at d = {cfg.d} overflows when squared")
     center = np.array([ct - r * st, st + r * ct])
     return ArcBarrier(kind=ArcKind.DIRICHLET_NEUMANN, theta=theta,
                       center=center, radius=r)
@@ -199,16 +201,14 @@ def integrate_characteristic_ode(cfg: ProblemConfig, t_min: float, t_max: float,
     return t_grid, theta_grid
 
 
-def time_window(cfg: ProblemConfig, kind: ArcKind, t_min: float = -8.0,
-                t_max: float = 3.0, count: int = 20) -> np.ndarray:
-    """`count` slice times in [t_min, t_max], cut where the arc radius
-    diverges and the slack is pure round-off: NN theta_plus >= 1e-3 and
-    t <= -0.05, DN theta_minus <= pi - 1e-3 and t <= omega - 0.05."""
+def time_window(cfg: ProblemConfig, kind: ArcKind) -> np.ndarray:
+    """20 slice times in [-8, 3], cut where the arc radius diverges and
+    the slack is pure round-off: NN theta_plus >= 1e-3 and t <= -0.05,
+    DN theta_minus <= pi - 1e-3 and t <= omega - 0.05."""
     if kind is ArcKind.NEUMANN_NEUMANN:
-        t_lo = max(min(t_min, -0.05), 0.5 * math.log(math.sin(1e-3)))
-        return np.linspace(t_lo, -0.05, count)
-    t_hi = min(cfg.omega - 0.05, t_max, characteristic_time(cfg, math.pi - 1e-3))
-    return np.linspace(t_min, t_hi, count)
+        return np.linspace(0.5 * math.log(math.sin(1e-3)), -0.05, 20)
+    t_hi = min(cfg.omega - 0.05, 3.0, characteristic_time(cfg, math.pi - 1e-3))
+    return np.linspace(-8.0, t_hi, 20)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,6 @@ class BarrierReport:
     kind: ArcKind
     d: float
     t: float
-    samples: int
     min_slack: float
     argmin_point: tuple[float, float]
 
@@ -248,8 +247,7 @@ def family_angles(cfg: ProblemConfig, kind: ArcKind, ts):
     return theta_plus(ts)
 
 
-def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float,
-                              samples: int) -> BarrierReport:
+def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float) -> BarrierReport:
     """Check the sub/supersolution inequality on one timeslice.
 
     For the DN family with theta = theta_minus(t), normal speed
@@ -260,32 +258,27 @@ def verify_barrier_inequality(cfg: ProblemConfig, kind: ArcKind, t: float,
     """
     if kind is ArcKind.NEUMANN_NEUMANN and t >= 0.0:
         raise DomainError("NN family requires t < 0")
-    return slice_report(cfg, kind, t, float(family_angles(cfg, kind, t)), samples)
+    return slice_report(cfg, kind, t, float(family_angles(cfg, kind, t)))
 
 
-def slice_report(cfg: ProblemConfig, kind: ArcKind, t: float, theta: float,
-                 samples: int) -> BarrierReport:
+def slice_report(cfg: ProblemConfig, kind: ArcKind, t: float, theta: float) -> BarrierReport:
     """verify_barrier_inequality on the slice at time t whose angle theta
     the caller has taken from the family's angle law."""
-    if samples < MIN_SAMPLES:
-        raise DomainError(f"need at least {MIN_SAMPLES} samples")
     if kind is ArcKind.DIRICHLET_NEUMANN:
-        pts = dn_arc(cfg, theta).points(samples)
+        pts = dn_arc(cfg, theta).points(SAMPLES)
         slack = dn_slack(cfg, theta, pts[:, 1])
     else:
-        pts = nn_arc(theta).points(samples)
+        pts = nn_arc(theta).points(SAMPLES)
         slack = nn_slack(theta, pts[:, 1])
     i_min = int(np.argmin(slack))
-    return BarrierReport(kind=kind, d=cfg.d, t=t, samples=samples,
+    return BarrierReport(kind=kind, d=cfg.d, t=t,
                          min_slack=float(slack[i_min]),
                          argmin_point=(float(pts[i_min, 0]), float(pts[i_min, 1])))
 
 
-def window_reports(cfg: ProblemConfig, kind: ArcKind, samples: int,
-                   t_min: float = -8.0, t_max: float = 3.0,
-                   count: int = 20) -> list[BarrierReport]:
+def window_reports(cfg: ProblemConfig, kind: ArcKind) -> list[BarrierReport]:
     """slice_report on each slice of time_window, with every angle from
     one family_angles call."""
-    ts = time_window(cfg, kind, t_min, t_max, count)
-    return [slice_report(cfg, kind, t, theta, samples)
+    ts = time_window(cfg, kind)
+    return [slice_report(cfg, kind, t, theta)
             for t, theta in zip(ts.tolist(), family_angles(cfg, kind, ts).tolist())]

@@ -59,12 +59,12 @@ def angle_law_residuals() -> tuple[float, float]:
     return worst, closed
 
 
-def barrier_min_slack(samples: int) -> float:
+def barrier_min_slack() -> float:
     """Least slack over 80 slices (DN per d, and NN) on their time windows."""
     families = [(bar.ProblemConfig(d), bar.ArcKind.DIRICHLET_NEUMANN) for d in D_GRID]
     families.append((bar.ProblemConfig(1.0), bar.ArcKind.NEUMANN_NEUMANN))
     return min(rep.min_slack for cfg, kind in families
-               for rep in bar.window_reports(cfg, kind, samples))
+               for rep in bar.window_reports(cfg, kind))
 
 
 def eigenvalue_residual() -> float:

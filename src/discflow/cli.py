@@ -24,11 +24,6 @@ from . import hairclip as hc
 from .errors import DiscFlowError, DomainError, InsufficientWindow, ParameterError
 
 
-def _positive(name, value):
-    if value is not None and value <= 0.0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-
-
 def _validate_common(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -43,17 +38,11 @@ def _validate_common(args) -> None:
         raise ParameterError(f"nodes must be >= {geo.MIN_SEGMENTS}, got {args.nodes}")
     if getattr(args, "record_every", None) is not None and args.record_every < 1:
         raise ParameterError("record-every must be >= 1")
-    for tol_name in ("tol_ode", "tol_inv", "tol_slack", "tol_bc"):
-        _positive(tol_name.replace("_", "-"), getattr(args, tol_name, None))
-    _positive("t-end", getattr(args, "t_end", None))
-    _positive("t-count", getattr(args, "t_count", None))
+    if getattr(args, "t_end", None) is not None and args.t_end <= 0.0:
+        raise ParameterError(f"t-end must be positive, got {args.t_end}")
     # checked here, before any output directory exists
-    if getattr(args, "samples", None) is not None and args.samples < bar.MIN_SAMPLES:
-        raise ParameterError(f"samples must be >= {bar.MIN_SAMPLES}, got {args.samples}")
     if getattr(args, "count", None) is not None and args.count < ana.MIN_BLOWUP_COUNT:
         raise ParameterError(f"count must be >= {ana.MIN_BLOWUP_COUNT}, got {args.count}")
-    if getattr(args, "window", None) is not None and not (0.0 < args.window < 0.5 * math.pi):
-        raise ParameterError(f"window must lie in (0, pi/2), got {args.window}")
     if args.out:
         # the nearest existing ancestor of --out must be a directory to make it in
         there = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
@@ -122,9 +111,8 @@ def cmd_verify(args) -> int:
     ode_law, closed_d1 = checks.angle_law_residuals()
     pairing, decreasing = checks.pairing_residuals()
     traj = _run_flow(args.d, args.rho, args.nodes, args.t_end, args.record_every)
-    ode = flw.theta_bar_ode_check(traj, tol_ode=args.tol_ode, raise_on_fail=False)
-    speed = flw.speed_bound_check(traj, traj.lambda_ref, tol=args.tol_inv,
-                                  raise_on_fail=False)
+    ode = flw.theta_bar_ode_check(traj, raise_on_fail=False)
+    speed = flw.speed_bound_check(traj, traj.lambda_ref, raise_on_fail=False)
     rows = [
         ("hyperbolic identity a^2 - b^2 = 1", checks.hyperbolic_identity_residual(),
          1e-14, "abs_max"),
@@ -132,14 +120,13 @@ def cmd_verify(args) -> int:
         ("DN arc passes through o", through_o, 1e-12, "abs_max"),
         ("characteristic ODE vs closed form", ode_law, 1e-8, "abs_max"),
         ("d=1 angle law closed form", closed_d1, 1e-12, "abs_max"),
-        ("barrier inequality slack", checks.barrier_min_slack(args.samples),
-         args.tol_slack, "min"),
+        ("barrier inequality slack", checks.barrier_min_slack(), -bar.SLACK_TOL, "min"),
         ("eigenvalue residual", checks.eigenvalue_residual(), 1e-12, "abs_max"),
-        ("pairing orthogonality residual", pairing, args.tol_bc, "abs_max"),
+        ("pairing orthogonality residual", pairing, hc.TANGENT_TOL, "abs_max"),
         ("pairing function strictly decreasing", decreasing, 1.0, "flag"),
-        ("flow growth vs characteristic law", ode.min_growth_margin, args.tol_ode, "min"),
-        ("theta_bar below subsolution", ode.max_barrier_excess, args.tol_ode, "max"),
-        ("sharp speed lower bound", speed.min_margin, args.tol_inv, "min"),
+        ("flow growth vs characteristic law", ode.min_growth_margin, flw.TOL_ODE, "min"),
+        ("theta_bar below subsolution", ode.max_barrier_excess, flw.TOL_ODE, "max"),
+        ("sharp speed lower bound", speed.min_margin, flw.TOL_SPEED, "min"),
         ("maximum-principle margins",
          _or_nan(lambda: min(vars(flw.maximum_principle_check(traj)).values())),
          0.0, "min"),
@@ -168,11 +155,7 @@ def cmd_verify(args) -> int:
 
 def cmd_barriers(args) -> int:
     cfg = bar.ProblemConfig(args.d)
-    kinds = {"dn": [bar.ArcKind.DIRICHLET_NEUMANN], "nn": [bar.ArcKind.NEUMANN_NEUMANN],
-             "both": [bar.ArcKind.DIRICHLET_NEUMANN, bar.ArcKind.NEUMANN_NEUMANN]}
-    reports = [rep for kind in kinds[args.kind]
-               for rep in bar.window_reports(cfg, kind, args.samples, args.t_min,
-                                             args.t_max, args.t_count)]
+    reports = [rep for kind in bar.ArcKind for rep in bar.window_reports(cfg, kind)]
     out = _outdir(args)
     _write_json(out / "barrier_reports.json", {"reports": [asdict(rep) for rep in reports]})
     # a NaN slack counts as violated
@@ -262,13 +245,11 @@ def cmd_ancient(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    if args.d != 1.0:
-        raise ParameterError("blow-up extraction requires d = 1")
-    traj = _run_flow(args.d, args.rho, args.nodes, None, args.record_every)
+    traj = _run_flow(1.0, args.rho, args.nodes, None, args.record_every)
     out = _outdir(args)
     flw.write_trajectory(traj, out / "trajectory")
     seq = ana.extract_blowup(traj, count=args.count)
-    rep = ana.compare_grim_reaper(seq, window_halfwidth=args.window)
+    rep = ana.compare_grim_reaper(seq)
     members = []
     for i, nodes in enumerate(seq.rescaled_curves):
         name = f"rescaled_{i:03d}.csv"
@@ -297,13 +278,13 @@ def cmd_fit(args) -> int:
 # argument plumbing
 
 
-def _add_common(p, reads=(), *, d=0.5, rho=0.3, nodes=128, record_every=100,
-                t_end=None):
-    """--d, --out and --config, plus the run options named in `reads`
-    ("rho", "nodes", "record_every", "t_end"): the ones the command uses."""
-    p.add_argument("--d", type=float, default=d, help="Dirichlet offset in (0, 1]")
+def _add_common(p, reads=(), *, nodes=128, record_every=100, t_end=None):
+    """--out and --config, plus the run options named in `reads` ("d",
+    "rho", "nodes", "record_every", "t_end"): the ones the command uses."""
+    if "d" in reads:
+        p.add_argument("--d", type=float, default=0.5, help="Dirichlet offset in (0, 1]")
     if "rho" in reads:
-        p.add_argument("--rho", type=float, default=rho,
+        p.add_argument("--rho", type=float, default=0.3,
                        help="boundary angle of the initial slice, in (0, pi/2)")
     if "nodes" in reads:
         p.add_argument("--nodes", type=int, default=nodes, help="node budget N")
@@ -325,27 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "Dirichlet-Neumann boundary conditions")
     add_command = parser.add_subparsers(dest="command", required=True).add_parser
 
-    run_options = ("rho", "nodes", "record_every", "t_end")
+    run_options = ("d", "rho", "nodes", "record_every", "t_end")
     p = add_command("verify", help="run the full invariant suite")
     _add_common(p, run_options, nodes=64, record_every=25, t_end=0.5)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--tol-ode", dest="tol_ode", type=float, default=5e-3)
-    p.add_argument("--tol-inv", dest="tol_inv", type=float, default=1e-3)
-    p.add_argument("--tol-slack", dest="tol_slack", type=float, default=1e-10)
-    p.add_argument("--tol-bc", dest="tol_bc", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify)
 
     p = add_command("barriers", help="verify barrier inequalities on a time grid")
-    _add_common(p)
-    p.add_argument("--kind", choices=("dn", "nn", "both"), default="both")
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--t-min", dest="t_min", type=float, default=-8.0)
-    p.add_argument("--t-max", dest="t_max", type=float, default=3.0)
-    p.add_argument("--t-count", dest="t_count", type=int, default=20)
+    _add_common(p, ("d",))
     p.set_defaults(func=cmd_barriers)
 
     p = add_command("pair", help="solve the orthogonal slice pairing")
-    _add_common(p, ("nodes",))
+    _add_common(p, ("d", "nodes"))
     p.add_argument("--theta", type=float, required=True,
                    help="boundary angle in (0, pi/2)")
     p.set_defaults(func=cmd_pair)
@@ -355,15 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = add_command("ancient", help="sweep decreasing rho toward the ancient limit")
-    _add_common(p, ("nodes", "record_every", "t_end"))
+    _add_common(p, ("d", "nodes", "record_every", "t_end"))
     p.add_argument("--rho-list", dest="rho_list", default="0.3,0.1,0.03",
                    help="comma-separated strictly decreasing angles")
     p.set_defaults(func=cmd_ancient)
 
     p = add_command("blowup", help="extract the type-II blow-up sequence (d = 1)")
-    _add_common(p, ("rho", "nodes", "record_every"), d=1.0)
+    _add_common(p, ("rho", "nodes", "record_every"))
     p.add_argument("--count", type=int, default=8)
-    p.add_argument("--window", type=float, default=1.0)
     p.set_defaults(func=cmd_blowup)
 
     p = add_command("fit", help="fit height asymptotics of a stored trajectory")

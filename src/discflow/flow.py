@@ -86,12 +86,15 @@ class FlowState:
     area_shed: float = 0.0  # cumulative area removed by resampling
 
 
+#: the outcome kinds run() produces (invalid_state: a recorded state's diagnostics
+#: raised InvalidCurve; the trajectory ends at the last good record)
+OUTCOME_KINDS = ("converged_to_minimizer", "extinct", "max_time", "max_steps",
+                 "invariant_violation", "invalid_state")
+
+
 @dataclass(frozen=True)
 class FlowOutcome:
-    # converged_to_minimizer | extinct | max_time | max_steps |
-    # invariant_violation | invalid_state (a recorded state's diagnostics
-    # raised InvalidCurve; the trajectory ends at the last good record)
-    kind: str
+    kind: str  # one of OUTCOME_KINDS
     time: float | None = None
     detail: str = ""
 
@@ -374,15 +377,19 @@ def hausdorff_to_minimizing_arc(nodes: np.ndarray, d: float) -> float:
 # comparison-principle checks
 
 
+#: tolerances of theta_bar_ode_check and speed_bound_check
+TOL_ODE = 5e-3
+TOL_SPEED = 1e-3
+
+
 @dataclass(frozen=True)
 class OdeCheckReport:
     min_growth_margin: float
     max_barrier_excess: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.min_growth_margin >= -self.tol and self.max_barrier_excess <= self.tol
+        return self.min_growth_margin >= -TOL_ODE and self.max_barrier_excess <= TOL_ODE
 
 
 #: most recorded states the trajectory checks stack at once: about 100 KB
@@ -414,14 +421,13 @@ def half_pi_crossing(traj: Trajectory) -> float | None:
     return float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
 
 
-def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
-                        raise_on_fail: bool = True) -> OdeCheckReport:
+def theta_bar_ode_check(traj: Trajectory, raise_on_fail: bool = True) -> OdeCheckReport:
     """Check the two comparison facts for theta_bar along a trajectory:
 
     (i) the discrete growth rate dominates the characteristic law,
-        d(theta_bar)/dt >= sin(theta_bar)/(a + cos(theta_bar)) - tol, and
+        d(theta_bar)/dt >= sin(theta_bar)/(a + cos(theta_bar)) - TOL_ODE, and
     (ii) after shifting time so theta_bar = pi/2 at t = 0, theta_bar stays
-        below the subsolution angle theta_minus up to tol for t <= 0.
+        below the subsolution angle theta_minus up to TOL_ODE for t <= 0.
 
     Flat trajectories (stationary arcs) are vacuous: both margins are 0.
     """
@@ -430,7 +436,7 @@ def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
     keep = tab["step"] >= TRANSIENT_STEPS
     ts, th = tab["t"][keep], tab["theta_max"][keep]
     if ts.size < 3 or float(np.max(np.abs(th))) < 1e-8:
-        return OdeCheckReport(min_growth_margin=0.0, max_barrier_excess=0.0, tol=tol_ode)
+        return OdeCheckReport(min_growth_margin=0.0, max_barrier_excess=0.0)
 
     dth = (th[2:] - th[:-2]) / (ts[2:] - ts[:-2])
     rhs = characteristic_rhs(cfg, th[1:-1])
@@ -442,8 +448,7 @@ def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
         before = ts <= t_half
         max_excess = float((th[before] - theta_minus(cfg, ts[before] - t_half)).max())
 
-    report = OdeCheckReport(min_growth_margin=min_growth,
-                            max_barrier_excess=max_excess, tol=tol_ode)
+    report = OdeCheckReport(min_growth_margin=min_growth, max_barrier_excess=max_excess)
     if raise_on_fail and not report.passed:
         raise ComparisonViolation(
             f"theta_bar comparison failed: growth margin {min_growth:.3e}, "
@@ -455,17 +460,16 @@ def theta_bar_ode_check(traj: Trajectory, tol_ode: float = 5e-3,
 @dataclass(frozen=True)
 class SpeedBoundReport:
     min_margin: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.min_margin >= -self.tol
+        return self.min_margin >= -TOL_SPEED
 
 
-def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
+def speed_bound_check(traj: Trajectory, lambda_ref: float,
                       raise_on_fail: bool = True) -> SpeedBoundReport:
     """Check the sharp speed lower bound kappa/cos(theta) >=
-    lam * tan(lam * y) wherever cos(theta) > 0.1."""
+    lam * tan(lam * y) - TOL_SPEED wherever cos(theta) > 0.1."""
     min_margin = math.inf
     kept = [s for s in traj.states if s.step >= TRANSIENT_STEPS or s.step == 0]
     for _, nodes, prof in _profile_chunks(kept):
@@ -476,7 +480,7 @@ def speed_bound_check(traj: Trajectory, lambda_ref: float, tol: float = 1e-3,
             margin = prof.kappa[mask] / cos_t[mask] \
                 - lambda_ref * np.tan(lambda_ref * y[mask])
             min_margin = min(min_margin, float(margin.min()))
-    report = SpeedBoundReport(min_margin=min_margin, tol=tol)
+    report = SpeedBoundReport(min_margin=min_margin)
     if raise_on_fail and not report.passed:
         raise ComparisonViolation(
             f"speed lower bound violated: margin {min_margin:.3e}",
@@ -589,6 +593,15 @@ def _number_or_null(value) -> float | None:
     return None if value is None else _number(value)
 
 
+def _outcome_kind(value) -> str:
+    if _typed((str,), value) in OUTCOME_KINDS:
+        return value
+    raise ValueError(f"{value!r} is not one of {', '.join(OUTCOME_KINDS)}")
+
+
+#: the FlowOutcome fields in manifest.json, with their checks
+_OUTCOME = {"kind": _outcome_kind, "time": _number_or_null, "detail": partial(_typed, (str,))}
+
 #: the Trajectory fields in manifest.json beside format_version and outcome,
 #: with the check and conversion load_trajectory applies to each
 _MANIFEST = {
@@ -693,13 +706,14 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
         raise ParameterError(f"{outdir} has an old or unknown trajectory layout: "
                              f"format_version {version}, expected {FORMAT_VERSION}")
     _require(manifest, (*_MANIFEST, "outcome"), path)
-    outcome, fields = manifest["outcome"], ("kind", "time", "detail")
-    _require(outcome if isinstance(outcome, dict) else {}, fields, f"{path} outcome")
-    for key, parse in _MANIFEST.items():
-        try:
-            manifest[key] = parse(manifest[key])
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{path}: malformed {key}: {exc}") from exc
+    outcome = manifest["outcome"]
+    _require(outcome if isinstance(outcome, dict) else {}, _OUTCOME, f"{path} outcome")
+    for obj, parsers, prefix in ((manifest, _MANIFEST, ""), (outcome, _OUTCOME, "outcome ")):
+        for key, parse in parsers.items():
+            try:
+                obj[key] = parse(obj[key])
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"{path}: malformed {prefix}{key}: {exc}") from exc
     rows = _read_table(outdir / TABLE_FILE)
     states_path = outdir / STATES_FILE
     nodes = _read(states_path, lambda p: np.load(p, allow_pickle=False))
@@ -712,5 +726,5 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     states = [FlowState(curve=Curve(nodes=row), time=t, diagnostics=diag,
                         step=step_i, area_shed=shed)
               for row, (t, diag, step_i, shed) in zip(nodes, rows)]
-    return Trajectory(states=states, outcome=FlowOutcome(*(outcome[k] for k in fields)),
+    return Trajectory(states=states, outcome=FlowOutcome(**{k: outcome[k] for k in _OUTCOME}),
                       **{k: manifest[k] for k in _MANIFEST})

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import DomainError, InvalidCurve, ResidualError
 from .geometry import MIN_SEGMENTS, Curve, _resample_nodes, curvature_profile
 
+#: radians by which a paired slice's tangent may miss the radial direction
+TANGENT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class HairclipSlice:
@@ -116,7 +119,8 @@ def solve_orthogonal_pair(theta: float, d: float) -> tuple[float, float]:
     lam is the bisection root of g to 1e-12; t then places the endpoint on
     the slice exactly.  Construction guarantees are re-checked: the
     endpoint lies on the slice to 1e-10 and the slice tangent there is
-    radial to 1e-8 radians.
+    radial to TANGENT_TOL radians.  An angle so small that the root lies
+    below the bracket (sin(theta) around 2e-12 or less) is a DomainError.
     """
     return solve_orthogonal_pairs([theta], [d])[0]
 
@@ -131,8 +135,13 @@ def solve_orthogonal_pairs(thetas, ds) -> list[tuple[float, float]]:
     st, ct, tan_th = (np.array(list(map(f, thetas))) for f in (math.sin, math.cos, math.tan))
     ct_d = ct + np.asarray(ds, dtype=float)
     hi = 0.5 * math.pi / st
-    lams = bisect(lambda lam: _g(lam, st, ct_d, tan_th) > 0.0,
-                  1e-12 * hi, hi * (1.0 - 1e-14))
+    lo = 1e-12 * hi
+    # g decreases in lam, so the root lies in the bracket iff g(lo) > 0
+    below = ~(_g(lo, st, ct_d, tan_th) > 0.0)
+    if below.any():
+        raise DomainError(f"theta = {thetas[int(np.argmax(below))]!r} is too small: "
+                          "its pairing root lies below the bisection bracket")
+    lams = bisect(lambda lam: _g(lam, st, ct_d, tan_th) > 0.0, lo, hi * (1.0 - 1e-14))
     return [_checked_pair(lam, theta, d) for lam, theta, d in zip(lams.tolist(), thetas, ds)]
 
 
@@ -145,7 +154,7 @@ def _checked_pair(lam: float, theta: float, d: float) -> tuple[float, float]:
     if on_slice > 1e-10:
         raise ResidualError(f"endpoint off the slice by {on_slice:.3e}")
     residual = tangent_residual(s, theta)
-    if residual > 1e-8:
+    if residual > TANGENT_TOL:
         raise ResidualError(f"slice tangent not radial: {residual:.3e} rad")
     return lam, t
 

@@ -94,7 +94,7 @@ def test_criterion_1_barrier_ode_agreement():
 
 def test_criterion_2_barrier_inequalities():
     t0 = time.perf_counter()
-    min_slack = barrier_min_slack(256)
+    min_slack = barrier_min_slack()
     elapsed = time.perf_counter() - t0
     ok = min_slack >= -1e-10 and elapsed < 1.0
     report(2, ok, f"DN+NN min slack {min_slack:.2e} (>= -1e-10) over 80 slices",
@@ -197,9 +197,8 @@ def test_criterion_7_maximum_principle_invariants(run_c4_128, run_c4_256,
                          ("c6/256", run_c6_256)):
         traj = bundle["traj"]
         mp = maximum_principle_check(traj)
-        ode = theta_bar_ode_check(traj, tol_ode=5e-3, raise_on_fail=False)
-        speed = speed_bound_check(traj, traj.lambda_ref, tol=1e-3,
-                                  raise_on_fail=False)
+        ode = theta_bar_ode_check(traj, raise_on_fail=False)
+        speed = speed_bound_check(traj, traj.lambda_ref, raise_on_fail=False)
         run_ok = (mp.passed and ode.max_barrier_excess <= 5e-3
                   and speed.min_margin >= -1e-3)
         all_ok = all_ok and run_ok

@@ -101,6 +101,12 @@ class TestArcs:
         with pytest.raises(DomainError):
             dn_arc(cfg, math.pi)
 
+    def test_dn_radius_whose_square_overflows_raises(self):
+        # radius about 1/(2d): 5e149 squares to a float, 5e159 does not
+        assert dn_arc(ProblemConfig(1e-150), math.pi / 2).radius == pytest.approx(5e149)
+        with pytest.raises(DomainError, match="overflows when squared"):
+            dn_arc(ProblemConfig(1e-160), math.pi / 2)
+
     @pytest.mark.parametrize("d", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("theta", np.linspace(0.05, math.pi - 0.05, 9).tolist())
     def test_dn_invariants(self, d, theta):
@@ -199,7 +205,7 @@ class TestAngleLaws:
 class TestBarrierInequality:
     def test_dn_family_slack(self):
         cfg = ProblemConfig(0.7)
-        rep = verify_barrier_inequality(cfg, ArcKind.DIRICHLET_NEUMANN, -2.0, 256)
+        rep = verify_barrier_inequality(cfg, ArcKind.DIRICHLET_NEUMANN, -2.0)
         assert rep.min_slack >= -1e-10
         # equality only where y = sin(theta): the right endpoint
         theta = theta_minus(cfg, -2.0)
@@ -215,8 +221,7 @@ class TestBarrierInequality:
             assert slack_o == pytest.approx(1.0 / arc.radius, rel=1e-12)
 
     def test_nn_family_slack(self):
-        rep = verify_barrier_inequality(ProblemConfig(0.5), ArcKind.NEUMANN_NEUMANN,
-                                        -1.0, 256)
+        rep = verify_barrier_inequality(ProblemConfig(0.5), ArcKind.NEUMANN_NEUMANN, -1.0)
         assert rep.min_slack >= -1e-10
 
     def test_nn_speed_against_finite_difference(self):
@@ -258,39 +263,33 @@ class TestBarrierInequality:
         # a forced negative slack comes back in the report, not as an error
         import discflow.barriers as mod
         monkeypatch.setattr(mod, "dn_slack", lambda cfg, theta, y: np.asarray(y) * 0.0 - 1.0)
-        rep = verify_barrier_inequality(ProblemConfig(0.5), ArcKind.DIRICHLET_NEUMANN,
-                                        -1.0, 64)
+        rep = verify_barrier_inequality(ProblemConfig(0.5), ArcKind.DIRICHLET_NEUMANN, -1.0)
         assert rep.min_slack == pytest.approx(-1.0)
         # argmin of a constant slack is the first arc point, o itself
         assert rep.argmin_point == pytest.approx((-0.5, 0.0), abs=1e-12)
 
-    @pytest.mark.parametrize("d, kind, window", [
-        (0.3, ArcKind.DIRICHLET_NEUMANN, {}),
-        (1.0, ArcKind.DIRICHLET_NEUMANN, {}),
-        (0.3, ArcKind.DIRICHLET_NEUMANN, {"t_min": -30.0, "t_max": 1.0, "count": 40}),
-        (0.5, ArcKind.NEUMANN_NEUMANN, {}),
+    @pytest.mark.parametrize("d, kind", [
+        (0.3, ArcKind.DIRICHLET_NEUMANN),
+        (1.0, ArcKind.DIRICHLET_NEUMANN),
+        (0.5, ArcKind.NEUMANN_NEUMANN),
     ], ids=lambda v: f"ArcKind.{v.name}" if isinstance(v, ArcKind) else None)
-    def test_window_reports_equal_per_slice_calls(self, d, kind, window):
+    def test_window_reports_equal_per_slice_calls(self, d, kind):
         cfg = ProblemConfig(d)
-        want = [verify_barrier_inequality(cfg, kind, t, 64)
-                for t in time_window(cfg, kind, **window).tolist()]
-        assert window_reports(cfg, kind, 64, **window) == want
+        want = [verify_barrier_inequality(cfg, kind, t)
+                for t in time_window(cfg, kind).tolist()]
+        assert window_reports(cfg, kind) == want
 
     def test_report_serializes(self):
-        rep = verify_barrier_inequality(ProblemConfig(0.5),
-                                        ArcKind.DIRICHLET_NEUMANN, -1.0, 64)
+        rep = verify_barrier_inequality(ProblemConfig(0.5), ArcKind.DIRICHLET_NEUMANN, -1.0)
         row = json.loads(json.dumps(asdict(rep)))
         assert row["kind"] == "dn"
-        assert row["samples"] == 64
-        assert sorted(row) == ["argmin_point", "d", "kind", "min_slack", "samples", "t"]
+        assert sorted(row) == ["argmin_point", "d", "kind", "min_slack", "t"]
         assert row["argmin_point"] == list(rep.argmin_point)
         assert row["min_slack"] == rep.min_slack
 
     def test_time_domain_checks(self):
         cfg = ProblemConfig(1.0)
         with pytest.raises(DomainError):
-            verify_barrier_inequality(cfg, ArcKind.NEUMANN_NEUMANN, 0.0, 64)
+            verify_barrier_inequality(cfg, ArcKind.NEUMANN_NEUMANN, 0.0)
         with pytest.raises(DomainError):
-            verify_barrier_inequality(cfg, ArcKind.DIRICHLET_NEUMANN, 1.0, 64)
-        with pytest.raises(DomainError):
-            verify_barrier_inequality(cfg, ArcKind.DIRICHLET_NEUMANN, -1.0, 8)
+            verify_barrier_inequality(cfg, ArcKind.DIRICHLET_NEUMANN, 1.0)

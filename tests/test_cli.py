@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, file formats, determinism."""
+import argparse
 import dataclasses
 import json
 import math
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import discflow.barriers as barriers
 import discflow.flow as flow
 from discflow.analysis import GrimReaperReport
-from discflow.cli import _write_json, main
+from discflow.cli import _write_json, build_parser, main
 
 
 def run_cli(*argv):
@@ -36,9 +39,6 @@ class TestValidation:
         assert run_cli("verify", "--d", "0") == 2
         assert "d must lie in (0, 1]" in capsys.readouterr().err
 
-    def test_negative_tolerance_exits_2(self):
-        assert run_cli("verify", "--tol-ode", "-1") == 2
-
     def test_empty_rho_list_exits_2(self):
         assert run_cli("ancient", "--rho-list", "") == 2
 
@@ -48,20 +48,15 @@ class TestValidation:
     def test_bad_rho_exits_2(self):
         assert run_cli("flow", "--rho", "2.0") == 2
 
-    def test_blowup_requires_d_one(self):
-        assert run_cli("blowup", "--d", "0.5") == 2
+    def test_blowup_requires_d_one(self, capsys):
+        # blowup runs at d = 1 alone, so --d is not one of its options
+        with pytest.raises(SystemExit) as exc:
+            run_cli("blowup", "--d", "0.5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --d 0.5" in capsys.readouterr().err
 
     def test_bad_nodes_exits_2(self):
         assert run_cli("flow", "--nodes", "4") == 2
-
-    def test_bad_t_count_exits_2(self):
-        assert run_cli("barriers", "--t-count", "-1") == 2
-
-    def test_too_few_samples_writes_nothing(self, tmp_path, capsys):
-        out = tmp_path / "X"
-        assert run_cli("barriers", "--samples", "8", "--out", str(out)) == 2
-        assert "samples must be >= 16" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unparsable_rho_list_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def no_flow(*args, **kwargs):
@@ -74,11 +69,11 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ("barriers", "--t-min", "nan"),
-        ("barriers", "--t-max", "inf"),
-        ("verify", "--tol-ode", "nan"),
+        ("barriers", "--d", "nan"),
+        ("pair", "--theta", "inf"),
+        ("verify", "--rho", "nan"),
         ("verify", "--t-end", "inf"),
-        ("blowup", "--window", "nan"),
+        ("blowup", "--rho", "inf"),
     ])
     def test_non_finite_option_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
         def no_flow(*args, **kwargs):
@@ -114,16 +109,48 @@ class TestValidation:
         assert f"{tmp_path / 'afile'} is not a directory" in err
         assert (tmp_path / "afile").read_bytes() == b""
 
-    @pytest.mark.parametrize("window", ["2", "0"])
-    def test_window_outside_range_runs_no_flow(self, window, tmp_path, monkeypatch, capsys):
-        def no_flow(*args, **kwargs):
-            raise AssertionError("the flow ran")
-
-        monkeypatch.setattr(flow, "run", no_flow)
+    @pytest.mark.parametrize("argv, message", [
+        (("pair", "--theta", "1e-15"), "theta = 1e-15 is too small"),
+        (("flow", "--rho", "1e-13"), "theta = 1e-13 is too small"),
+        (("barriers", "--d", "1e-160"), "DN arc radius 5.000e+159 at d = 1e-160 overflows"),
+    ], ids=["pair_theta", "flow_rho", "barriers_d"])
+    def test_too_small_value_writes_nothing(self, argv, message, tmp_path, capsys):
+        # a pairing root below the bisection bracket, a barrier radius whose
+        # square overflows: parameter errors, not wrong numbers or tracebacks
         out = tmp_path / "X"
-        assert run_cli("blowup", "--window", window, "--out", str(out)) == 2
-        assert "window must lie in (0, pi/2)" in capsys.readouterr().err
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ") and message in err
+        assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--tol-ode", "1"), ("verify", "--tol-inv", "1"),
+        ("verify", "--tol-slack", "1"), ("verify", "--tol-bc", "1"),
+        ("verify", "--samples", "64"), ("barriers", "--samples", "64"),
+        ("barriers", "--t-min", "-1"), ("barriers", "--t-max", "1"),
+        ("barriers", "--t-count", "6"), ("barriers", "--kind", "nn"),
+        ("blowup", "--d", "1"), ("blowup", "--window", "1"),
+    ], ids=lambda argv: "_".join(argv[:2]))
+    def test_deleted_option_is_a_usage_error(self, argv, capsys):
+        # each check has one tolerance and one grid, a constant of its module
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_readme_option_table_is_the_parser():
+    table = re.findall(r"^\| `(\w+)` +\| `([^`]*)` \|$",
+                       (Path(__file__).parents[1] / "README.md").read_text(), re.M)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser_options = [(name, " ".join(flag for action in sub._actions
+                                       if not isinstance(action, argparse._HelpAction)
+                                       for flag in action.option_strings))
+                      for name, sub in subparsers.choices.items()]
+    assert table == parser_options
+    assert sum(len(options.split()) for _, options in parser_options) == 38
 
 
 class TestPair:
@@ -232,23 +259,21 @@ class TestAncient:
 class TestBarriersCommand:
     def test_reports_written(self, tmp_path):
         out = tmp_path / "bars"
-        assert run_cli("barriers", "--d", "0.7", "--t-count", "6",
-                       "--samples", "64", "--out", str(out)) == 0
+        assert run_cli("barriers", "--d", "0.7", "--out", str(out)) == 0
         payload = json.loads((out / "barrier_reports.json").read_text())
-        assert len(payload["reports"]) == 12
+        assert len(payload["reports"]) == 40
         assert all(r["min_slack"] >= -1e-10 for r in payload["reports"])
 
     def test_violated_slices_exit_1_with_every_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(barriers, "nn_slack",
                             lambda theta, y: np.zeros_like(np.asarray(y)) - 1e-9)
         out = tmp_path / "bars"
-        assert run_cli("barriers", "--d", "0.7", "--t-count", "6",
-                       "--samples", "64", "--out", str(out)) == 1
+        assert run_cli("barriers", "--d", "0.7", "--out", str(out)) == 1
         reports = json.loads((out / "barrier_reports.json").read_text())["reports"]
-        assert [r["kind"] for r in reports] == ["dn"] * 6 + ["nn"] * 6
-        assert all(r["min_slack"] == pytest.approx(-1e-9) for r in reports[6:])
+        assert [r["kind"] for r in reports] == ["dn"] * 20 + ["nn"] * 20
+        assert all(r["min_slack"] == pytest.approx(-1e-9) for r in reports[20:])
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 6
+        assert len(err) == 20
         assert all(line.startswith("nn inequality violated at t=") for line in err)
 
     def test_undeclared_run_option_is_a_usage_error(self, capsys):
@@ -283,14 +308,14 @@ class TestConfigFile:
         assert f"cannot read config {missing}" in capsys.readouterr().err
 
     def test_config_value_outside_choices_exits_2(self, tmp_path, capsys):
-        # the same usage error as --kind bogus on the command line
+        # the same usage error as --nodes abc on the command line
         cfg = tmp_path / "bogus.cfg"
-        cfg.write_text("kind = bogus\n")
-        for argv in (["--config", str(cfg)], ["--kind", "bogus"]):
+        cfg.write_text("nodes = abc\n")
+        for argv in (["--config", str(cfg)], ["--nodes", "abc"]):
             with pytest.raises(SystemExit) as exc:
-                run_cli("barriers", *argv)
+                run_cli("flow", *argv)
             assert exc.value.code == 2
-            assert "argument --kind: invalid choice: 'bogus'" in capsys.readouterr().err
+            assert "argument --nodes: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 #: the rows of verify's report.json, in order
@@ -312,7 +337,7 @@ VERIFY_ROWS = [
     "area first variation",
 ]
 
-SMALL_VERIFY = ("verify", "--nodes", "48", "--t-end", "0.3", "--samples", "64")
+SMALL_VERIFY = ("verify", "--nodes", "48", "--t-end", "0.3")
 
 
 def reject_constant(name):
@@ -365,19 +390,15 @@ class TestVerifyCommand:
     def test_violated_barrier_is_a_fail_row(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(barriers, "nn_slack",
                             lambda theta, y: np.zeros_like(np.asarray(y)) - 1e-9)
-        loose = tmp_path / "loose"
-        assert run_cli(*SMALL_VERIFY, "--tol-slack", "1e-6", "--out", str(loose)) == 0
-        report, rows = verify_rows(loose)
-        assert report["passed"]
-        assert rows["barrier inequality slack"]["value"] == pytest.approx(-1e-9)
-        strict = tmp_path / "strict"
-        assert run_cli(*SMALL_VERIFY, "--out", str(strict)) == 1
-        report, rows = verify_rows(strict)
+        out = tmp_path / "verify"
+        assert run_cli(*SMALL_VERIFY, "--out", str(out)) == 1
+        report, rows = verify_rows(out)
         assert not report["passed"]
+        assert rows["barrier inequality slack"]["value"] == pytest.approx(-1e-9)
         assert not rows["barrier inequality slack"]["passed"]
         assert all(c["passed"] for name, c in rows.items()
                    if name != "barrier inequality slack")
-        assert (strict / "run_manifest.json").exists()
+        assert (out / "run_manifest.json").exists()
         assert "[FAIL] barrier inequality slack" in capsys.readouterr().out
 
     def test_too_short_run_gives_fail_rows(self, tmp_path, capsys):
@@ -398,8 +419,7 @@ class TestVerifyCommand:
         # by t = 2.5 theta_bar has crossed pi/2 (near t = 2.05 at d = 0.5),
         # so the row compares the run with the aligned subsolution
         out = tmp_path / "long"
-        assert run_cli("verify", "--nodes", "32", "--t-end", "2.5", "--samples", "64",
-                       "--out", str(out)) == 0
+        assert run_cli("verify", "--nodes", "32", "--t-end", "2.5", "--out", str(out)) == 0
         _, rows = verify_rows(out)
         row = rows["theta_bar below subsolution"]
         assert row["passed"]

@@ -412,12 +412,12 @@ class TestMonotoneQuantities:
 
 class TestComparisons:
     def test_ode_check_on_flow(self, short_run):
-        rep = theta_bar_ode_check(short_run, tol_ode=5e-3)
+        rep = theta_bar_ode_check(short_run)
         assert rep.min_growth_margin != 0.0
         assert rep.min_growth_margin >= -5e-3
 
     def test_ode_check_full_run_with_alignment(self, converged_run):
-        rep = theta_bar_ode_check(converged_run, tol_ode=5e-3)
+        rep = theta_bar_ode_check(converged_run)
         assert half_pi_crossing(converged_run) is not None
         assert rep.max_barrier_excess <= 5e-3
 
@@ -439,7 +439,7 @@ class TestComparisons:
 
     def test_speed_bound_along_run(self, short_run):
         lam, _ = solve_orthogonal_pair(0.3, 0.5)
-        rep = speed_bound_check(short_run, lam, tol=1e-3)
+        rep = speed_bound_check(short_run, lam)
         assert rep.min_margin >= -1e-3
 
     def test_speed_equality_on_initial_slice(self):
@@ -788,9 +788,18 @@ class TestStrictLoad:
         (lambda m: m.update(n="32"), "malformed n"),
         (lambda m: m.update(rho="x"), "malformed rho"),
         (lambda m: m.update(events=[[0.1, 5]]), "malformed events: 5 is not str"),
+        (lambda m: m["outcome"].update(kind=5), "malformed outcome kind: 5 is not str"),
+        (lambda m: m["outcome"].update(kind="nonsense"),
+         "malformed outcome kind: 'nonsense' is not one of converged_to_minimizer, "),
+        (lambda m: m["outcome"].update(time="0.5"), "malformed outcome time: '0.5' is not"),
+        (lambda m: m["outcome"].update(time=True), "malformed outcome time: True is not"),
+        (lambda m: m["outcome"].update(detail=None),
+         "malformed outcome detail: None is not str"),
     ], ids=["short_event", "events_number", "d", "n", "dt_safety", "outcome_list",
             "d_true", "n_fraction", "record_every_fraction", "d_string", "n_string",
-            "rho_string", "event_name_number"])
+            "rho_string", "event_name_number", "outcome_kind_number",
+            "outcome_kind_unknown", "outcome_time_string", "outcome_time_true",
+            "outcome_detail_null"])
     def test_malformed_manifest_value(self, short_run, tmp_path, change, message):
         out = write_trajectory(short_run, tmp_path / "run")
         edit_manifest(out, change)

@@ -132,6 +132,16 @@ class TestOrthogonalPair:
         with pytest.raises(DomainError):
             solve_orthogonal_pair(0.0, 0.5)
 
+    def test_angle_below_the_bracket_raises(self):
+        # at theta = 1e-11 the root is lam0 to 3e-14; at 1e-12 it lies below
+        # the bisection bracket, whose lower end (1.5708) would come back
+        lam, _ = solve_orthogonal_pair(1e-11, 0.5)
+        assert lam == pytest.approx(lambda0(0.5).lambda0, abs=1e-12)
+        with pytest.raises(DomainError, match="theta = 1e-12 is too small"):
+            solve_orthogonal_pair(1e-12, 0.5)
+        with pytest.raises(DomainError, match="theta = 3e-12 is too small"):
+            solve_orthogonal_pair(3e-12, 0.1)
+
 
 class TestBatchedPairs:
     def test_lanes_equal_scalar_bisection(self):
@@ -140,7 +150,7 @@ class TestBatchedPairs:
         assert [solve_orthogonal_pair(theta, d)
                 for theta, d in zip(GRID_THETAS, GRID_DS)] == want
 
-    @pytest.mark.parametrize("bad", [0.0, 0.5 * math.pi, -0.2, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, 0.5 * math.pi, -0.2, math.nan, 1e-13])
     def test_any_lane_out_of_domain_raises(self, bad):
         with pytest.raises(DomainError):
             solve_orthogonal_pairs([0.3, bad, 0.9], [0.5, 0.5, 0.5])
