@@ -73,13 +73,14 @@ def _window_states(traj: Trajectory):
     return states
 
 
-def fit_asymptotics(traj: Trajectory, lambda0: float, d: float) -> AsymptoticFit:
+def fit_asymptotics(traj: Trajectory, lambda0: float) -> AsymptoticFit:
     """Fit the early-time height evolution.
 
     rate is the least-squares slope of log(max height) over the window of
     recorded states with theta_bar < 0.2; A and profile_error come from
-    projecting e^{-lambda0^2 t} y(x, t) onto sinh(lambda0 (x + d)) in L^2
-    over the common x-range of the window states.
+    projecting e^{-lambda0^2 t} y(x, t) onto sinh(lambda0 (x + traj.d)) in
+    L^2 over the common x-range of the window states.  A window state of
+    height <= 0 (a flat run has no log height) raises InsufficientWindow.
     """
     states = _window_states(traj)
     if len(states) < MIN_WINDOW_STATES:
@@ -87,6 +88,8 @@ def fit_asymptotics(traj: Trajectory, lambda0: float, d: float) -> AsymptoticFit
             f"only {len(states)} states with theta_bar < {EARLY_THETA}")
     ts = np.array([s.time for s in states])
     ybar = np.array([s.diagnostics.height_max for s in states])
+    if not np.all(ybar > 0.0):
+        raise InsufficientWindow("a window state has height <= 0: no rate to fit")
     rate = float(np.polyfit(ts, np.log(ybar), 1)[0])
 
     # least squares over all window states, each integrated on its own
@@ -106,7 +109,7 @@ def fit_asymptotics(traj: Trajectory, lambda0: float, d: float) -> AsymptoticFit
         w[1:-1] = 0.5 * (x[2:] - x[:-2])
         w[0] = 0.5 * (x[1] - x[0])
         w[-1] = 0.5 * (x[-1] - x[-2])
-        basis = np.sinh(lambda0 * (x + d))
+        basis = np.sinh(lambda0 * (x + traj.d))
         num += float(np.sum(w * yh * basis))
         den += float(np.sum(w * basis * basis))
         pieces.append((w, yh, basis))

@@ -66,48 +66,42 @@ class ArcBarrier:
     theta: float
     center: np.ndarray
     radius: float
+    sweep: float  # the angle the arc subtends at its center
 
     def points(self, samples: int) -> np.ndarray:
         """Arc nodes sampled uniformly in the arc's own angle parameter,
         endpoints included."""
-        cx, cy = self.center
         if self.kind is ArcKind.NEUMANN_NEUMANN:
+            cx, cy = self.center
             psi = np.linspace(-self.theta, self.theta, samples)
             # lower arc of the circle: (r sin(psi), eta - r cos(psi))
             return np.column_stack([self.radius * np.sin(psi),
                                     cy - self.radius * np.cos(psi)])
-        # DN: from the Dirichlet point to the circle endpoint
-        end = np.array([math.cos(self.theta), math.sin(self.theta)])
-        psi1 = math.atan2(end[1] - cy, end[0] - cx)
-        # the start angle is recovered from the known point o on the arc
-        o = _dn_origin(self)
-        psi0 = math.atan2(o[1] - cy, o[0] - cx)
-        dpsi = (psi1 - psi0 + math.pi) % (2.0 * math.pi) - math.pi
-        psi = psi0 + np.linspace(0.0, dpsi, samples)
-        return np.column_stack([cx + self.radius * np.cos(psi),
-                                cy + self.radius * np.sin(psi)])
-
-
-def _dn_origin(barrier: ArcBarrier) -> np.ndarray:
-    # the DN circle center sits at x = -a, so o = (-d, 0) is the larger of
-    # the two y = 0 crossings
-    cx, cy = barrier.center
-    disc = barrier.radius ** 2 - cy ** 2
-    return np.array([cx + math.sqrt(max(disc, 0.0)), 0.0])
+        # DN: from o to the circle endpoint P = e^{i theta}, turning back
+        # from P by u in [0, sweep]: z = P + (P - c)(e^{-iu} - 1) with
+        # (P - c)/r = -iP, and e^{-iu} - 1 = -2i sin(u/2) e^{-iu/2}, so
+        # z = P (1 - 2r sin(u/2) e^{-iu/2}); nothing cancels for large r
+        end = complex(math.cos(self.theta), math.sin(self.theta))
+        half = np.linspace(0.5 * self.sweep, 0.0, samples)
+        z = end * (1.0 - 2.0 * self.radius * np.sin(half) * np.exp(-1j * half))
+        return np.column_stack([z.real, z.imag])
 
 
 def dn_arc(cfg: ProblemConfig, theta: float) -> ArcBarrier:
     """Dirichlet-Neumann arc through o meeting the circle orthogonally at
-    (cos(theta), sin(theta)); radius (a + cos(theta))/sin(theta)."""
+    P = (cos(theta), sin(theta)); radius (a + cos(theta))/sin(theta).  The
+    chord |P - o| is 2r sin(sweep/2) and |1 + d e^{i theta}|, so the sweep
+    is 2 arg(1 + d e^{i theta}), which no large radius makes inexact."""
     if not (0.0 < theta < math.pi):
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
     st, ct = math.sin(theta), math.cos(theta)
     r = (cfg.a + ct) / st
-    if not math.isfinite(r * r):  # sampling the arc squares its radius
-        raise DomainError(f"DN arc radius {r:.3e} at d = {cfg.d} overflows when squared")
+    if not math.isfinite(r):
+        raise DomainError(f"DN arc radius at d = {cfg.d} is not finite")
     center = np.array([ct - r * st, st + r * ct])
+    sweep = 2.0 * math.atan2(cfg.d * st, 1.0 + cfg.d * ct)
     return ArcBarrier(kind=ArcKind.DIRICHLET_NEUMANN, theta=theta,
-                      center=center, radius=r)
+                      center=center, radius=r, sweep=sweep)
 
 
 def nn_arc(theta: float) -> ArcBarrier:
@@ -116,7 +110,7 @@ def nn_arc(theta: float) -> ArcBarrier:
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
     return ArcBarrier(kind=ArcKind.NEUMANN_NEUMANN, theta=theta,
                       center=np.array([0.0, 1.0 / math.sin(theta)]),
-                      radius=1.0 / math.tan(theta))
+                      radius=1.0 / math.tan(theta), sweep=2.0 * theta)
 
 
 def theta_plus(t):

@@ -58,8 +58,7 @@ def _outdir(args) -> Path:
     else:
         out = Path(f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
     out.mkdir(parents=True, exist_ok=True)
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "config") and v is not None}
+    params = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     _write_json(out / "run_manifest.json", {"command": args.command, "params": params})
     return out
 
@@ -130,7 +129,7 @@ def cmd_verify(args) -> int:
         ("maximum-principle margins",
          _or_nan(lambda: min(vars(flw.maximum_principle_check(traj)).values())),
          0.0, "min"),
-        ("avoidance of upper barrier", flw.nn_avoidance_check(traj, args.rho), 1e-6, "min"),
+        ("avoidance of upper barrier", flw.nn_avoidance_check(traj), 1e-6, "min"),
         ("area first variation",
          _or_nan(lambda: ana.area_balance(traj).max_discrepancy),
          5e-3 * (128.0 / args.nodes) ** 2, "abs_max"),
@@ -229,7 +228,7 @@ def cmd_ancient(args) -> int:
             row = {"rho": rho, "lambda_rho": traj.lambda_ref,
                    "outcome": traj.outcome.kind, "outcome_time": traj.outcome.time}
             try:
-                fit = ana.fit_asymptotics(traj, lam0, args.d)
+                fit = ana.fit_asymptotics(traj, lam0)
                 row.update({"rate": fit.rate, "A": fit.A,
                             "profile_error": fit.profile_error})
             except DiscFlowError as exc:
@@ -266,7 +265,7 @@ def cmd_blowup(args) -> int:
 def cmd_fit(args) -> int:
     traj = flw.load_trajectory(Path(args.run_dir))
     lam0 = hc.lambda0(traj.d).lambda0
-    fit = ana.fit_asymptotics(traj, lam0, traj.d)
+    fit = ana.fit_asymptotics(traj, lam0)
     payload = {"d": traj.d, "lambda0": lam0, **asdict(fit)}
     if args.out:
         _write_json(_outdir(args) / "fit.json", payload)
@@ -279,8 +278,8 @@ def cmd_fit(args) -> int:
 
 
 def _add_common(p, reads=(), *, nodes=128, record_every=100, t_end=None):
-    """--out and --config, plus the run options named in `reads` ("d",
-    "rho", "nodes", "record_every", "t_end"): the ones the command uses."""
+    """--out, plus the run options named in `reads` ("d", "rho", "nodes",
+    "record_every", "t_end"): the ones the command uses."""
     if "d" in reads:
         p.add_argument("--d", type=float, default=0.5, help="Dirichlet offset in (0, 1]")
     if "rho" in reads:
@@ -295,8 +294,6 @@ def _add_common(p, reads=(), *, nodes=128, record_every=100, t_end=None):
         p.add_argument("--t-end", dest="t_end", type=float, default=t_end,
                        help="stop the flow at this time")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None,
-                   help="flat key=value file; explicit flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,47 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("fit", help="fit height asymptotics of a stored trajectory")
     p.add_argument("--run-dir", dest="run_dir", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
+    _add_common(p)
     p.set_defaults(func=cmd_fit)
     return parser
-
-
-def _apply_config(parser, argv: list[str]) -> list[str]:
-    """argv with the --config file's values inserted as options right
-    after the subcommand: argparse applies each option's type and choices
-    to them, and explicit flags, parsed later, override them."""
-    ns, _ = parser.parse_known_args(argv)
-    path = getattr(ns, "config", None)
-    if not path:
-        return argv
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read config {path}: {exc}") from exc
-    # the namespace holds every option of the subcommand
-    known = vars(ns).keys() - {"command", "func"}
-    options = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParameterError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in known:
-            raise ParameterError(f"unknown config key {key!r}")
-        options.append(f"--{key.replace('_', '-')}={value.strip()}")
-    at = argv.index(ns.command) + 1
-    return argv[:at] + options + argv[at:]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_apply_config(parser, argv))
+        args = parser.parse_args(argv)
         _validate_common(args)
         return args.func(args)
     except (ParameterError, DomainError) as exc:

@@ -542,16 +542,20 @@ def maximum_principle_check(traj: Trajectory) -> MaxPrincipleReport:
                               gradient_bound_margin=gb_m)
 
 
-def nn_avoidance_check(traj: Trajectory, rho: float) -> float:
+def nn_avoidance_check(traj: Trajectory) -> float:
     """Minimum signed distance of the recorded curves to the translated
-    supersolution arcs that start just above the initial slice.
+    supersolution arcs that start just above the initial slice, of angle
+    traj.rho.
 
     The family angle is aligned so theta_plus matches
     sin(theta_rho) = 2 sin(rho)/(1 + sin^2(rho)) at the run start; the
     curves must stay below (outside) the arcs while the family exists,
-    so a negative margin is a crossing.  Nothing is raised.
+    so a negative margin is a crossing, not an exception.  A trajectory
+    without rho raises DomainError.
     """
-    sin_rho = math.sin(rho)
+    if traj.rho is None:
+        raise DomainError("the avoidance check needs the run's initial angle rho")
+    sin_rho = math.sin(traj.rho)
     sin_theta_rho = 2.0 * sin_rho / (1.0 + sin_rho ** 2)
     tau0 = 0.5 * math.log(sin_theta_rho)
     t0 = traj.states[0].time
@@ -593,6 +597,12 @@ def _number_or_null(value) -> float | None:
     return None if value is None else _number(value)
 
 
+def _node_count(value) -> int:
+    if _typed((int,), value) >= MIN_SEGMENTS:
+        return value
+    raise ValueError(f"{value} is below the node minimum {MIN_SEGMENTS}")
+
+
 def _outcome_kind(value) -> str:
     if _typed((str,), value) in OUTCOME_KINDS:
         return value
@@ -605,7 +615,7 @@ _OUTCOME = {"kind": _outcome_kind, "time": _number_or_null, "detail": partial(_t
 #: the Trajectory fields in manifest.json beside format_version and outcome,
 #: with the check and conversion load_trajectory applies to each
 _MANIFEST = {
-    "d": _number, "n": partial(_typed, (int,)), "rho": _number_or_null,
+    "d": _number, "n": _node_count, "rho": _number_or_null,
     "lambda_ref": _number_or_null, "record_every": partial(_typed, (int,)),
     "dt_safety": _number,
     "events": lambda events: [(_number(t), _typed((str,), name)) for t, name in events],
@@ -679,9 +689,12 @@ def _read_table(path: Path) -> list[tuple[float, CurveDiagnostics, int, float]]:
         if len(cells) != len(COLUMNS):
             raise ParameterError(f"{path} line {i}: {len(cells)} values, not {len(COLUMNS)}")
         try:
-            t, *diag, step_i, shed = map(float, cells)
+            values = list(map(float, cells))
         except ValueError as exc:
             raise ParameterError(f"{path} line {i}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ParameterError(f"{path} line {i}: a value is not finite")
+        t, *diag, step_i, shed = values
         if not step_i.is_integer():
             raise ParameterError(f"{path} line {i}: step {step_i} is not an integer")
         rows.append((t, CurveDiagnostics(*diag), int(step_i), shed))
@@ -692,10 +705,11 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     """Read a directory written by write_trajectory.
 
     Raises ParameterError naming an unreadable file, a manifest of another
-    format_version, a missing or malformed manifest value, a
-    diagnostics.csv whose header is not COLUMNS or whose rows are not
-    numbers of that width, or a states.npy that is not a float64 array of
-    shape (rows, n + 1, 2); nothing is defaulted.  Each state's nodes are
+    format_version, a missing or malformed manifest value (n below
+    MIN_SEGMENTS included), a diagnostics.csv whose header is not COLUMNS
+    or whose rows are not finite numbers of that width, or a states.npy
+    that is not a finite float64 array of shape (rows, n + 1, 2): nothing
+    run() cannot write.  Nothing is defaulted.  Each state's nodes are
     one C-contiguous row of that array.
     """
     outdir = Path(outdir)
@@ -723,6 +737,9 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
         raise ParameterError(f"{states_path} holds {getattr(nodes, 'dtype', '?')} "
                              f"{getattr(nodes, 'shape', '?')}, {TABLE_FILE} rows and n "
                              f"need float64 {shape}")
+    # min and max carry any NaN or inf, and allocate no mask of the nodes
+    if not (math.isfinite(nodes.min(initial=0.0)) and math.isfinite(nodes.max(initial=0.0))):
+        raise ParameterError(f"{states_path} holds a non-finite node")
     states = [FlowState(curve=Curve(nodes=row), time=t, diagnostics=diag,
                         step=step_i, area_shed=shed)
               for row, (t, diag, step_i, shed) in zip(nodes, rows)]

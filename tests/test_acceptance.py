@@ -147,7 +147,7 @@ def test_criterion_5_backward_rate(run_c5):
     t0 = time.perf_counter()
     traj = run_c5["traj"]
     lam0 = lambda0(0.5).lambda0
-    fit = fit_asymptotics(traj, lam0, 0.5)
+    fit = fit_asymptotics(traj, lam0)
     rel = abs(fit.rate - lam0 ** 2) / lam0 ** 2
     wall = run_c5["wall"] + (time.perf_counter() - t0)
     ok = rel < 0.03 and fit.profile_error < 0.02 and fit.A > 0.0 and wall < 300.0

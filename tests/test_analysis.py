@@ -41,7 +41,7 @@ class TestFitAsymptotics:
         states = [graph_state(xs, 0.7 * math.exp(lam ** 2 * t) * np.sinh(lam * (xs + d)),
                               t, 100 + i, d)
                   for i, t in enumerate(np.linspace(-14.0, -10.0, 15))]
-        fit = fit_asymptotics(synthetic_trajectory(states, d, 199), lam, d)
+        fit = fit_asymptotics(synthetic_trajectory(states, d, 199), lam)
         assert fit.A == pytest.approx(0.7, abs=1e-6)
         assert fit.rate == pytest.approx(lam ** 2, abs=1e-6)
         assert fit.profile_error < 1e-6
@@ -68,7 +68,7 @@ class TestFitAsymptotics:
                     hi = mid
             xs = np.linspace(-d, lo, 400)
             states.append(graph_state(xs, height(xs), t, 100 + i, d))
-        fit = fit_asymptotics(synthetic_trajectory(states, d, 399), lam, d)
+        fit = fit_asymptotics(synthetic_trajectory(states, d, 399), lam)
         assert fit.rate == pytest.approx(lam ** 2, abs=1e-4)
         assert fit.profile_error < 1e-3
 
@@ -90,7 +90,7 @@ class TestFitAsymptotics:
         gaps = []
         for t_lo, t_hi in ((-8.0, -6.0), (-11.0, -9.0), (-14.0, -12.0)):
             fit = fit_asymptotics(
-                synthetic_trajectory(window_states(t_lo, t_hi), d, 299), lam, d)
+                synthetic_trajectory(window_states(t_lo, t_hi), d, 299), lam)
             gaps.append(abs(fit.rate - lam ** 2))
         assert all(g < 0.05 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -102,7 +102,18 @@ class TestFitAsymptotics:
         states = [graph_state(xs, 1e-3 * np.sinh(lam * (xs + d)), t, 100 + i, d)
                   for i, t in enumerate(np.linspace(-3.0, -2.0, 4))]
         with pytest.raises(InsufficientWindow):
-            fit_asymptotics(synthetic_trajectory(states, d, 49), lam, d)
+            fit_asymptotics(synthetic_trajectory(states, d, 49), lam)
+
+    def test_flat_window_has_no_rate(self):
+        # states of height 0 (the stationary long arc) have no log height
+        d = 0.5
+        xs = np.linspace(-d, 1.0, 50)
+        states = [graph_state(xs, np.zeros_like(xs), t, 100 + i, d)
+                  for i, t in enumerate(np.linspace(0.0, 1.0, 12))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientWindow, match="height <= 0"):
+                fit_asymptotics(synthetic_trajectory(states, d, 49), lambda0(d).lambda0)
 
 
 class TestExtractBlowup:

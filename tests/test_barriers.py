@@ -101,11 +101,21 @@ class TestArcs:
         with pytest.raises(DomainError):
             dn_arc(cfg, math.pi)
 
-    def test_dn_radius_whose_square_overflows_raises(self):
-        # radius about 1/(2d): 5e149 squares to a float, 5e159 does not
-        assert dn_arc(ProblemConfig(1e-150), math.pi / 2).radius == pytest.approx(5e149)
-        with pytest.raises(DomainError, match="overflows when squared"):
-            dn_arc(ProblemConfig(1e-160), math.pi / 2)
+    def test_dn_radius_must_be_finite(self):
+        # radius about 1/(2d): 5e159 is a float; at d = 1e-320 1/d is not
+        assert dn_arc(ProblemConfig(1e-160), math.pi / 2).radius == pytest.approx(5e159)
+        with pytest.raises(DomainError, match="radius at d = 1e-320 is not finite"):
+            dn_arc(ProblemConfig(1e-320), math.pi / 2)
+
+    @pytest.mark.parametrize("d", [1.0, 0.999, 1e-12, 1e-160])
+    def test_dn_points_start_at_o_and_end_on_the_circle(self, d):
+        # the circle is nearly tangent to y = 0 at o as d -> 1, and its
+        # radius is about 1/(2d): neither may cost the sampled ends digits
+        cfg = ProblemConfig(d)
+        for theta in np.linspace(0.05, math.pi - 0.05, 25).tolist():
+            pts = dn_arc(cfg, theta).points(256)
+            assert np.hypot(pts[0, 0] + d, pts[0, 1]) < 1e-14
+            assert pts[-1].tolist() == [math.cos(theta), math.sin(theta)]
 
     @pytest.mark.parametrize("d", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("theta", np.linspace(0.05, math.pi - 0.05, 9).tolist())

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,12 @@ class TestValidation:
 
     def test_bad_nodes_exits_2(self):
         assert run_cli("flow", "--nodes", "4") == 2
+
+    def test_unparsable_nodes_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("flow", "--nodes", "abc")
+        assert exc.value.code == 2
+        assert "argument --nodes: invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_unparsable_rho_list_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def no_flow(*args, **kwargs):
@@ -112,11 +119,11 @@ class TestValidation:
     @pytest.mark.parametrize("argv, message", [
         (("pair", "--theta", "1e-15"), "theta = 1e-15 is too small"),
         (("flow", "--rho", "1e-13"), "theta = 1e-13 is too small"),
-        (("barriers", "--d", "1e-160"), "DN arc radius 5.000e+159 at d = 1e-160 overflows"),
+        (("barriers", "--d", "1e-320"), "DN arc radius at d = 1e-320 is not finite"),
     ], ids=["pair_theta", "flow_rho", "barriers_d"])
     def test_too_small_value_writes_nothing(self, argv, message, tmp_path, capsys):
-        # a pairing root below the bisection bracket, a barrier radius whose
-        # square overflows: parameter errors, not wrong numbers or tracebacks
+        # a pairing root below the bisection bracket, a barrier radius that
+        # is not a float: parameter errors, not wrong numbers or tracebacks
         out = tmp_path / "X"
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -131,11 +138,15 @@ class TestValidation:
         ("barriers", "--t-min", "-1"), ("barriers", "--t-max", "1"),
         ("barriers", "--t-count", "6"), ("barriers", "--kind", "nn"),
         ("blowup", "--d", "1"), ("blowup", "--window", "1"),
+        *((command, "--config", "x") for command in
+          ("verify", "barriers", "pair", "flow", "ancient", "blowup", "fit")),
     ], ids=lambda argv: "_".join(argv[:2]))
     def test_deleted_option_is_a_usage_error(self, argv, capsys):
-        # each check has one tolerance and one grid, a constant of its module
+        # each check has one tolerance and one grid, a constant of its
+        # module, and each run value comes from the command line alone
+        required = {"pair": ("--theta", "0.6"), "fit": ("--run-dir", "x")}
         with pytest.raises(SystemExit) as exc:
-            run_cli(*argv)
+            run_cli(*argv, *required.get(argv[0], ()))
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
@@ -150,7 +161,7 @@ def test_readme_option_table_is_the_parser():
                                        for flag in action.option_strings))
                       for name, sub in subparsers.choices.items()]
     assert table == parser_options
-    assert sum(len(options.split()) for _, options in parser_options) == 38
+    assert sum(len(options.split()) for _, options in parser_options) == 31
 
 
 class TestPair:
@@ -223,6 +234,28 @@ class TestFlowAndFit:
         assert run_cli("fit", "--run-dir", str(tmp_path / "absent")) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_fit_on_too_few_nodes_exits_2(self, flow_dir, tmp_path, capsys):
+        # n = 4 with a matching (rows, 5, 2) states.npy: run() takes n >= 8
+        broken = tmp_path / "broken"
+        shutil.copytree(flow_dir / "trajectory", broken)
+        path = broken / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n": 4}))
+        np.save(broken / "states.npy", np.load(broken / "states.npy")[:, :5])
+        assert run_cli("fit", "--run-dir", str(broken)) == 2
+        assert "malformed n: 4 is below the node minimum 8" in capsys.readouterr().err
+
+    def test_fit_on_a_flat_run_is_a_check_failure(self, tmp_path, capsys):
+        # the long critical arc is stationary at height 0: log height has no slope
+        traj = flow.run(flow.FlowRunConfig(d=0.5, initial=flow.unstable_arc(0.5, 32), n=32,
+                                           t_end=0.05, record_every=5))
+        flow.write_trajectory(traj, tmp_path / "flat")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--run-dir", str(tmp_path / "flat")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("check failed: ") and "height <= 0" in captured.err
+        assert captured.out == ""
+
     def test_fit_on_malformed_manifest_exits_2(self, flow_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(flow_dir / "trajectory", broken)
@@ -264,6 +297,20 @@ class TestBarriersCommand:
         assert len(payload["reports"]) == 40
         assert all(r["min_slack"] >= -1e-10 for r in payload["reports"])
 
+    def test_tiny_d_reports_points_on_the_arcs(self, tmp_path):
+        # the DN radius is about 5e159: each slice's least slack, 0, lies at
+        # its circle endpoint (cos(theta), sin(theta)), which ends the arc
+        out = tmp_path / "bars"
+        assert run_cli("barriers", "--d", "1e-160", "--out", str(out)) == 0
+        reports = json.loads((out / "barrier_reports.json").read_text())["reports"]
+        cfg = barriers.ProblemConfig(1e-160)
+        dn = [r for r in reports if r["kind"] == "dn"]
+        assert len(dn) == 20
+        for r in dn:
+            theta = barriers.theta_minus(cfg, r["t"])
+            assert r["argmin_point"] == [math.cos(theta), math.sin(theta)]
+            assert r["min_slack"] == 0.0
+
     def test_violated_slices_exit_1_with_every_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(barriers, "nn_slack",
                             lambda theta, y: np.zeros_like(np.asarray(y)) - 1e-9)
@@ -282,40 +329,6 @@ class TestBarriersCommand:
             run_cli("barriers", "--rho", "0.3")
         assert exc.value.code == 2
         assert "unrecognized arguments: --rho 0.3" in capsys.readouterr().err
-
-
-class TestConfigFile:
-    def test_config_provides_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("theta = 0.7\nnodes = 32\n# comment\n")
-        out = tmp_path / "out"
-        assert run_cli("pair", "--config", str(cfg), "--theta", "0.6",
-                       "--out", str(out)) == 0
-        payload = json.loads((out / "pair.json").read_text())
-        # explicit flag wins over the config value
-        assert payload["theta"] == 0.6
-        # the config's nodes = 32 took effect: 33 node rows under the header
-        assert len((out / "slice.csv").read_text().splitlines()) == 1 + 33
-
-    def test_unknown_config_key_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 1\n")
-        assert run_cli("pair", "--config", str(cfg), "--theta", "0.6") == 2
-
-    def test_missing_config_file_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "absent.cfg"
-        assert run_cli("flow", "--config", str(missing)) == 2
-        assert f"cannot read config {missing}" in capsys.readouterr().err
-
-    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys):
-        # the same usage error as --nodes abc on the command line
-        cfg = tmp_path / "bogus.cfg"
-        cfg.write_text("nodes = abc\n")
-        for argv in (["--config", str(cfg)], ["--nodes", "abc"]):
-            with pytest.raises(SystemExit) as exc:
-                run_cli("flow", *argv)
-            assert exc.value.code == 2
-            assert "argument --nodes: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 #: the rows of verify's report.json, in order

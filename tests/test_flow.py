@@ -11,6 +11,7 @@ import discflow.geometry as geometry
 from discflow.barriers import ProblemConfig, characteristic_rhs, theta_minus
 from discflow.errors import (
     ComparisonViolation,
+    DomainError,
     InsufficientWindow,
     InvalidCurve,
     ParameterError,
@@ -461,13 +462,17 @@ class TestComparisons:
         assert rep.gradient_bound_margin >= 0.0
 
     def test_avoidance_of_translated_upper_barrier(self, short_run):
-        margin = nn_avoidance_check(short_run, rho=0.3)
+        margin = nn_avoidance_check(short_run)
         assert margin >= -1e-6
 
     def test_avoidance_reports_a_crossing(self, short_run):
         # arcs aligned to a lower slice (rho = 0.1) start below the
         # rho = 0.3 run: the crossing comes back as a negative margin
-        assert nn_avoidance_check(short_run, rho=0.1) < -0.05
+        assert nn_avoidance_check(dataclasses.replace(short_run, rho=0.1)) < -0.05
+
+    def test_avoidance_needs_rho(self, short_run):
+        with pytest.raises(DomainError, match="initial angle rho"):
+            nn_avoidance_check(dataclasses.replace(short_run, rho=None))
 
     def test_half_pi_crossing_detected(self, converged_run):
         t_star = half_pi_crossing(converged_run)
@@ -816,8 +821,12 @@ class TestStrictLoad:
         (lambda lines: lines[:2] + [lines[2].replace(",50,", ",50.5,")] + lines[3:],
          "line 3: step 50.5 is not an integer"),
         (lambda lines: lines + [lines[-1]], r"diagnostics\.csv rows"),
+        (lambda lines: lines[:1] + [lines[1].replace("0,", "nan,", 1)] + lines[2:],
+         "line 2: a value is not finite"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",inf"] + lines[3:],
+         "line 3: a value is not finite"),
     ], ids=["header", "long_row", "short_row", "not_a_number", "fractional_step",
-            "extra_row"])
+            "extra_row", "nan_cell", "inf_cell"])
     def test_malformed_table(self, short_run, tmp_path, change, message):
         out = write_trajectory(short_run, tmp_path / "run")
         edit_table(out, change)
@@ -856,6 +865,23 @@ class TestStrictLoad:
             path.write_bytes(data[:cut])
             with pytest.raises(ParameterError, match=r"cannot read .*states\.npy"):
                 load_trajectory(out)
+
+    def test_too_few_nodes(self, short_run, tmp_path):
+        # a matching (rows, 5, 2) states.npy: n = 4 is below what run() takes
+        out = write_trajectory(short_run, tmp_path / "run")
+        edit_manifest(out, lambda m: m.update(n=4))
+        np.save(out / "states.npy", np.zeros((len(short_run.states), 5, 2)))
+        with pytest.raises(ParameterError, match="malformed n: 4 is below the node minimum 8"):
+            load_trajectory(out)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node(self, short_run, tmp_path, value):
+        out = write_trajectory(short_run, tmp_path / "run")
+        nodes = np.stack([s.curve.nodes for s in short_run.states])
+        nodes[1, 40, 1] = value
+        np.save(out / "states.npy", nodes)
+        with pytest.raises(ParameterError, match=r"states\.npy holds a non-finite node"):
+            load_trajectory(out)
 
     def test_wrongly_shaped_states(self, short_run, tmp_path):
         out = write_trajectory(short_run, tmp_path / "run")
