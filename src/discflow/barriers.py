@@ -32,14 +32,18 @@ SAMPLES = 256
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Dirichlet offset d in (0, 1] and its derived coefficients
-    a = (1/d + d)/2, b = (1/d - d)/2; a^2 - b^2 = 1 holds exactly."""
+    """Dirichlet offset d in (0, 1], with 1/d finite, and its derived
+    coefficients a = (1/d + d)/2, b = (1/d - d)/2; a^2 - b^2 = 1 holds
+    exactly."""
 
     d: float
 
     def __post_init__(self):
         if not (0.0 < self.d <= 1.0):
             raise DomainError(f"d must lie in (0, 1], got {self.d}")
+        # Python float division: inf, with no numpy overflow warning
+        if not math.isfinite(1.0 / float(self.d)):
+            raise DomainError(f"d = {self.d} is too small: 1/d overflows")
 
     @property
     def a(self) -> float:

@@ -28,8 +28,8 @@ def _validate_common(args) -> None:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ParameterError(f"{name.replace('_', '-')} must be finite, got {value}")
-    if getattr(args, "d", None) is not None and not (0.0 < args.d <= 1.0):
-        raise ParameterError(f"d must lie in (0, 1], got {args.d}")
+    if getattr(args, "d", None) is not None:
+        bar.ProblemConfig(args.d)  # the one rule for d
     if getattr(args, "rho", None) is not None and not (0.0 < args.rho < 0.5 * math.pi):
         raise ParameterError(f"rho must lie in (0, pi/2), got {args.rho}")
     if getattr(args, "theta", None) is not None and not (0.0 < args.theta < 0.5 * math.pi):
@@ -38,7 +38,7 @@ def _validate_common(args) -> None:
         raise ParameterError(f"nodes must be >= {geo.MIN_SEGMENTS}, got {args.nodes}")
     if getattr(args, "record_every", None) is not None and args.record_every < 1:
         raise ParameterError("record-every must be >= 1")
-    if getattr(args, "t_end", None) is not None and args.t_end <= 0.0:
+    if getattr(args, "t_end", None) is not None and not args.t_end > 0.0:
         raise ParameterError(f"t-end must be positive, got {args.t_end}")
     # checked here, before any output directory exists
     if getattr(args, "count", None) is not None and args.count < ana.MIN_BLOWUP_COUNT:

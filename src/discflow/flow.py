@@ -7,6 +7,12 @@ and {last segment radial}, whose one-dimensional root has the closed form
 phi = atan2(y, x) of the penultimate node.  Nodes are redistributed to
 uniform arclength after every step, which supplies the tangential degree
 of freedom and keeps the explicit scheme stable at dt <= DT_SAFETY * h^2.
+
+run() makes its node buffers once: two sets of complex nodes with their
+segment lengths and joint products, and one scratch set.  Each step reads
+one set and writes its candidate into the other with out= ufuncs; an
+accepted candidate is carried forward, a rejected one is overwritten by the
+retry.  Recorded states copy the nodes out, so no state aliases a buffer.
 """
 from __future__ import annotations
 
@@ -35,7 +41,6 @@ from .geometry import (
     MIN_SEGMENTS,
     Curve,
     CurveDiagnostics,
-    Frame,
     _area,
     _as_complex,
     _as_nodes,
@@ -113,6 +118,11 @@ class FlowRunConfig:
             raise DomainError(f"need n >= {MIN_SEGMENTS}, got {self.n}")
         if self.record_every < 1:
             raise DomainError("record_every must be >= 1")
+        # `not t_end > 0` refuses NaN too, which `t_end <= 0` lets through
+        if self.t_end is not None and not self.t_end > 0.0:
+            raise DomainError(f"t_end must be positive, got {self.t_end}")
+        if self.max_steps < 1:
+            raise DomainError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass
@@ -161,97 +171,155 @@ def _project_end(z: np.ndarray) -> None:
     z[-1] = complex(math.cos(phi), math.sin(phi))
 
 
-#: read-only node indices 0..n as floats, per n: the uniform-arclength
-#: targets are ``indices * (length / n)``, bit-identical to
-#: ``np.linspace(0, length, n + 1)`` on every interior node
-_NODE_INDICES: dict[int, np.ndarray] = {}
+class _NodeBuffer:
+    """One node buffer of a run: the complex nodes z, with their frame
+    (z, seg, joint) and the views of them the explicit step reads and
+    writes, all built once.  `nodes` is the (M, 2) float view of z.
+
+    A run steps on two of these, each the other's `other`: a step reads
+    one and fills the other, and both share one scratch set (see
+    _run_buffers)."""
+
+    __slots__ = ("z", "seg", "joint", "frame", "nodes", "y", "r", "read", "write",
+                 "other", "scratch")
+
+    def __init__(self, m: int):
+        z = np.empty(m, dtype=np.complex128)
+        seg = np.empty(m - 1)
+        joint = np.empty(m - 2, dtype=np.complex128)
+        self.z, self.seg, self.joint = z, seg, joint
+        self.frame = (z, seg, joint)
+        self.nodes = _as_nodes(z)
+        self.y = z.imag
+        self.r = np.empty(m)
+        # the step reads the chord ends, the interior, the pairs of
+        # adjacent segment lengths and the cross products of the joints
+        self.read = (z[2:], z[:-2], z[1:-1], seg[:-1], seg[1:], joint.imag)
+        self.write = (z, z[1:], z[:-1], seg, joint)
+        self.other: _NodeBuffer | None = None
+        self.scratch: tuple | None = None
 
 
-def _step(frame: Frame, d: float, dt: float, n: int) -> tuple[Frame, float]:
-    """One explicit step; returns the frame of the candidate resampled to
-    n segments and the area shed by the resampling pass (corner cutting
-    of the linear interpolant), which the area-balance diagnostics add
-    back.  The input frame is not written to.
-
-    The composition is curvature_vectors, re-pinning o and projecting the
-    right end, _resample_nodes, projecting again; it runs on the complex
-    view of the nodes to keep the number of numpy calls per step small.
-    The input's seg and joint give the curvature; the candidate's are
-    built once, here, for the validity check and the next step.
-    """
-    z, seg, joint = frame
-    c = z[2:] - z[:-2]
-    lc = np.abs(c)
-    denom = seg[:-1] * seg[1:]
-    denom *= lc
-    denom *= lc
-    cross = joint.imag
-    if np.minimum.reduce(denom) > 0.0:
-        half_scale = cross / denom
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            half_scale = np.where(denom > 0.0, cross / denom, 0.0)
-    # dt * kappa N at interior nodes: the chord c scaled by
-    # 2 cross / denom and turned by +90 degrees (the factor 2 is exact)
-    c *= half_scale
-    c *= complex(0.0, 2.0 * dt)
-    u = np.empty_like(z)
-    np.add(z[1:-1], c, out=u[1:-1])
-    u[0] = -d
-    _project_end(u)
-    area_pre = _area(u)
-
-    s = np.empty(u.shape[0])
-    s[0] = 0.0
-    np.add.accumulate(np.abs(u[1:] - u[:-1]), out=s[1:])
-    idx = _NODE_INDICES.get(n)
-    if idx is None:
-        idx = np.arange(n + 1, dtype=np.float64)
-        idx.flags.writeable = False
-        _NODE_INDICES[n] = idx
-    w = np.interp(idx * (s[-1] / n), s, u)
-    w[0] = u[0]
-    # resampling moved the penultimate node; re-solve the Neumann
-    # constraint so the committed state satisfies it exactly
-    _project_end(w)
-    return _frame(w), area_pre - _area(w)
+def _load(nodes: np.ndarray) -> _NodeBuffer:
+    """A buffer holding the (M, 2) nodes and their frame."""
+    buf = _NodeBuffer(nodes.shape[0])
+    buf.nodes[...] = nodes
+    _, buf.seg[...], buf.joint[...] = _frame(buf.z)
+    return buf
 
 
-def _reason(frame: Frame) -> str | None:
-    """Reason the frame's nodes are not an admissible state, or None."""
-    z, seg, _ = frame
-    if not (np.minimum.reduce(seg) > 1e-15):
+def _run_buffers(nodes: np.ndarray, n: int) -> _NodeBuffer:
+    """The buffers of a run on n segments: a buffer loaded with the
+    (M, 2) nodes of its first step, its partner of n + 1 nodes, and their
+    one scratch set, which _advance_checked unpacks in this order."""
+    buf = _load(nodes)
+    m = buf.z.shape[0]
+    buf.other = _NodeBuffer(n + 1)
+    buf.other.other = buf
+    u = np.empty(m, dtype=np.complex128)  # the nodes before resampling
+    s = np.zeros(m)  # their arclengths; the step writes s[1:]
+    e = np.empty(n, dtype=np.complex128)  # the candidate's segments
+    buf.scratch = buf.other.scratch = (
+        # the chord c, its length, the denominators and half_scale
+        np.empty(m - 2, dtype=np.complex128), np.empty(m - 2), np.empty(m - 2),
+        np.empty(m - 2),
+        u, u[1:-1], u[1:], u[:-1],
+        np.empty(m - 1, dtype=np.complex128), np.empty(m - 1),  # u's segments, lengths
+        s, s[1:],
+        # node indices 0..n as floats: the targets are indices * (length / n),
+        # bit-identical to np.linspace(0, length, n + 1) on every interior node
+        np.arange(n + 1, dtype=np.float64), np.empty(n + 1),
+        e, e[:-1], e[1:], np.empty(n - 1, dtype=np.complex128))
+    return buf
+
+
+def _reason(buf: _NodeBuffer) -> str | None:
+    """Reason the buffer's nodes are not an admissible state, or None."""
+    if not (np.minimum.reduce(buf.seg) > 1e-15):
         return "coincident or non-finite nodes"
-    if float(np.minimum.reduce(z.imag)) < -EPS_GEOM:
+    if float(np.minimum.reduce(buf.y)) < -EPS_GEOM:
         return "node below the x-axis"
-    r_max = float(np.maximum.reduce(np.abs(z)))
+    r_max = float(np.maximum.reduce(np.abs(buf.z, out=buf.r)))
     if r_max * r_max > 1.0 + 2.0 * STEP_CONTAIN_TOL:
         return "node outside the unit disc"
-    if not is_embedded(frame):
+    if not is_embedded(buf.frame):
         return "self-intersection"
     return None
 
 
+def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
+                     n: int) -> tuple[_NodeBuffer, str | None, float]:
+    """One explicit step from the buffer `frame` into `frame.other`, plus
+    the validity check; returns (frame.other, the reason it is not an
+    admissible state or None, the area shed by resampling).  The area
+    shed is the corner cutting of the linear interpolant, which the
+    area-balance diagnostics add back.  `frame` is not written to, so a
+    rejected step can retry from it.
+
+    The composition is curvature_vectors, re-pinning o and projecting the
+    right end, _resample_nodes, projecting again; it runs on the complex
+    view of the nodes with out= ufuncs into the run's buffers, so a step
+    allocates only np.interp's result (np.interp takes no out=).  The
+    input's seg and joint give the curvature; the candidate's are built
+    here, for the validity check and the next step.
+    """
+    out = frame.other
+    z_hi, z_lo, z_mid, seg_lo, seg_hi, cross = frame.read
+    w, w_hi, w_lo, seg, joint = out.write
+    (c, lc, denom, half_scale, u, u_mid, u_hi, u_lo, du, ds, s, s_tail,
+     idx, targets, e, e_lo, e_hi, e_conj) = frame.scratch
+    np.subtract(z_hi, z_lo, out=c)
+    np.abs(c, out=lc)
+    np.multiply(seg_lo, seg_hi, out=denom)
+    denom *= lc
+    denom *= lc
+    if np.minimum.reduce(denom) > 0.0:
+        np.divide(cross, denom, out=half_scale)
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            half_scale[...] = np.where(denom > 0.0, cross / denom, 0.0)
+    # dt * kappa N at interior nodes: the chord c scaled by
+    # 2 cross / denom and turned by +90 degrees (the factor 2 is exact)
+    c *= half_scale
+    c *= complex(0.0, 2.0 * dt)
+    np.add(z_mid, c, out=u_mid)
+    u[0] = -d
+    _project_end(u)
+    area_pre = _area(u)
+
+    np.subtract(u_hi, u_lo, out=du)
+    np.abs(du, out=ds)
+    np.add.accumulate(ds, out=s_tail)
+    np.multiply(idx, s[-1] / n, out=targets)
+    w[...] = np.interp(targets, s, u)
+    w[0] = u[0]
+    # resampling moved the penultimate node; re-solve the Neumann
+    # constraint so the committed state satisfies it exactly
+    _project_end(w)
+    np.subtract(w_hi, w_lo, out=e)
+    np.abs(e, out=seg)
+    np.conjugate(e_lo, out=e_conj)
+    np.multiply(e_conj, e_hi, out=joint)
+    return out, _reason(out), area_pre - _area(w)
+
+
+#: _advance_checked as defined here: the one-shot _advance steps with it
+#: even while run()'s module-level _advance_checked is wrapped
+_kernel = _advance_checked
+
+
 def _advance(nodes: np.ndarray, d: float, dt: float,
              n: int) -> tuple[np.ndarray, float]:
-    """One explicit step (see _step) on an (M, 2) node array; returns the
-    new (n + 1, 2) nodes and the area shed by resampling."""
-    (w, _, _), shed = _step(_frame(_as_complex(nodes)), d, dt, n)
-    return _as_nodes(w), shed
+    """One explicit step (see _advance_checked) on an (M, 2) node array,
+    on buffers of its own; returns the new (n + 1, 2) nodes and the area
+    shed by resampling."""
+    out, _, shed = _kernel(_run_buffers(nodes, n), d, dt, n)
+    return out.nodes, shed
 
 
 def _step_valid(nodes: np.ndarray) -> str | None:
-    """Reason the nodes are not an admissible state, or None."""
-    return _reason(_frame(_as_complex(nodes)))
-
-
-def _advance_checked(frame: Frame, d: float, dt: float,
-                     n: int) -> tuple[Frame, str | None, float]:
-    """One candidate step plus validity check; returns (the candidate's
-    frame, reason, area shed by resampling).  A rejected step can retry
-    from the same input frame."""
-    out, shed = _step(frame, d, dt, n)
-    return out, _reason(out), shed
+    """Reason the (M, 2) nodes are not an admissible state, or None."""
+    return _reason(_load(nodes))
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
@@ -295,7 +363,7 @@ def run(cfg: FlowRunConfig,
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
     nodes = prepare_initial(cfg)
-    frame = _frame(_as_complex(nodes))
+    frame = _run_buffers(nodes, n)
     t = 0.0
     step_i = 0
     states: list[FlowState] = [_make_state(nodes, d, t, step_i)]
@@ -309,7 +377,7 @@ def run(cfg: FlowRunConfig,
         elif step_i >= max_steps:
             outcome = FlowOutcome(kind="max_steps", time=t)
         else:
-            dt = DT_SAFETY * (float(np.add.reduce(frame[1])) / n) ** 2
+            dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2
             for _ in range(MAX_DT_RETRIES + 1):
                 candidate, reason, shed = _advance_checked(frame, d, dt, n)
                 if reason is None:
@@ -329,8 +397,9 @@ def run(cfg: FlowRunConfig,
         elif states[-1].step == step_i:
             break
 
-        # every record_every-th state, and the final one
-        nodes = _as_nodes(frame[0])
+        # every record_every-th state, and the final one; the state holds
+        # a copy of the buffer's nodes
+        nodes = frame.nodes
         try:
             state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
         except InvalidCurve as exc:

@@ -78,6 +78,13 @@ class TestProblemConfig:
         with pytest.raises(DomainError):
             ProblemConfig(d)
 
+    @pytest.mark.parametrize("d", [1e-320, np.float64(5e-324)], ids=["1e-320", "5e-324"])
+    def test_d_whose_inverse_overflows(self, d, recwarn):
+        # a = (1/d + d)/2 would be inf: refused here, without a numpy warning
+        with pytest.raises(DomainError, match=r"d = .* is too small: 1/d overflows"):
+            ProblemConfig(d)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestArcs:
     def test_dn_reference_values(self):
@@ -102,10 +109,11 @@ class TestArcs:
             dn_arc(cfg, math.pi)
 
     def test_dn_radius_must_be_finite(self):
-        # radius about 1/(2d): 5e159 is a float; at d = 1e-320 1/d is not
+        # radius (a + cos(theta)) / sin(theta), a about 1/(2d): 5e159 is a
+        # float; at d = 1e-300 and theta = 1e-10 the radius is not
         assert dn_arc(ProblemConfig(1e-160), math.pi / 2).radius == pytest.approx(5e159)
-        with pytest.raises(DomainError, match="radius at d = 1e-320 is not finite"):
-            dn_arc(ProblemConfig(1e-320), math.pi / 2)
+        with pytest.raises(DomainError, match="radius at d = 1e-300 is not finite"):
+            dn_arc(ProblemConfig(1e-300), 1e-10)
 
     @pytest.mark.parametrize("d", [1.0, 0.999, 1e-12, 1e-160])
     def test_dn_points_start_at_o_and_end_on_the_circle(self, d):

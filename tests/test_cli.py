@@ -119,17 +119,24 @@ class TestValidation:
     @pytest.mark.parametrize("argv, message", [
         (("pair", "--theta", "1e-15"), "theta = 1e-15 is too small"),
         (("flow", "--rho", "1e-13"), "theta = 1e-13 is too small"),
-        (("barriers", "--d", "1e-320"), "DN arc radius at d = 1e-320 is not finite"),
-    ], ids=["pair_theta", "flow_rho", "barriers_d"])
-    def test_too_small_value_writes_nothing(self, argv, message, tmp_path, capsys):
-        # a pairing root below the bisection bracket, a barrier radius that
-        # is not a float: parameter errors, not wrong numbers or tracebacks
+        (("barriers", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
+        (("pair", "--theta", "0.3", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
+        (("flow", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
+        (("verify", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
+        (("ancient", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
+    ], ids=["pair_theta", "flow_rho", "barriers_d", "pair_d", "flow_d", "verify_d",
+            "ancient_d"])
+    def test_too_small_value_writes_nothing(self, argv, message, tmp_path, capsys,
+                                            recwarn):
+        # a pairing root below the bisection bracket, a d whose 1/d is not
+        # a float: parameter errors, not wrong numbers, warnings or tracebacks
         out = tmp_path / "X"
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("parameter error: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--tol-ode", "1"), ("verify", "--tol-inv", "1"),

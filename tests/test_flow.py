@@ -146,9 +146,10 @@ class TestFusedStep:
 
     def test_checked_step_is_advance_plus_predicate(self):
         nodes = initial_curve(0.3, 0.5, 64).nodes
-        frame = flow._frame(flow._as_complex(nodes))
-        kept = [a.copy() for a in frame]
-        (z, seg, joint), reason, shed = flow._advance_checked(frame, 0.5, 1e-5, 64)
+        frame = flow._run_buffers(nodes, 64)
+        kept = [a.copy() for a in frame.frame]
+        candidate, reason, shed = flow._advance_checked(frame, 0.5, 1e-5, 64)
+        z, seg, joint = candidate.frame
         out_ref, shed_ref = flow._advance(nodes, 0.5, 1e-5, 64)
         out = flow._as_nodes(z)
         assert reason is None
@@ -158,7 +159,10 @@ class TestFusedStep:
         # input frame is left as it was
         for got, want in zip((z, seg, joint), flow._frame(flow._as_complex(out.copy()))):
             assert np.array_equal(got, want)
-        assert all(np.array_equal(a, b) for a, b in zip(frame, kept))
+        assert all(np.array_equal(a, b) for a, b in zip(frame.frame, kept))
+        # the candidate is the input's partner buffer, and steps back into it
+        assert candidate is frame.other and candidate.other is frame
+        assert flow._advance_checked(candidate, 0.5, 1e-5, 64)[0] is frame
 
     def test_coincident_nodes(self):
         nodes = initial_curve(0.3, 0.5, 64).nodes.copy()
@@ -252,8 +256,8 @@ class TestCarriedFrame:
     step exactly as the loop that recomputed everything from the nodes."""
 
     @staticmethod
-    def run_steps(d, steps):
-        return run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, 64), n=64,
+    def run_steps(d, steps, n=64):
+        return run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
                                  record_every=1, max_steps=steps))
 
     @staticmethod
@@ -268,6 +272,13 @@ class TestCarriedFrame:
     def test_run_matches_reference_loop(self, d):
         ref, events = reference_run(d, 64, 2000)
         traj = self.run_steps(d, 2000)
+        assert traj.events == events == []
+        self.assert_same_states(traj, ref)
+
+    def test_run_matches_reference_loop_at_blowup_settings(self):
+        # the blowup benchmark's d and node count
+        ref, events = reference_run(1.0, 96, 2000)
+        traj = self.run_steps(1.0, 2000, n=96)
         assert traj.events == events == []
         self.assert_same_states(traj, ref)
 
@@ -289,6 +300,53 @@ class TestCarriedFrame:
         assert traj.events == events
         assert [name for _, name in events] == ["step_rejected: forced rejection"]
         self.assert_same_states(traj, ref)
+
+
+class TestRunBuffers:
+    """run() steps on buffers of its own: no recorded state, callback
+    argument or other run shares their memory."""
+
+    def test_buffers_are_per_run_and_never_leak(self):
+        c = initial_curve(0.3, 0.5, 64)
+        cfg = FlowRunConfig(d=0.5, initial=c, n=64, record_every=5, max_steps=200)
+        seen, snapshots, inner = [], [], []
+
+        def callback(state):
+            seen.append(state)
+            snapshots.append(state.curve.nodes.copy())
+            if len(seen) == 10:  # a second run, on another n, partway through
+                inner.append(run(FlowRunConfig(d=0.7, initial=initial_curve(0.4, 0.7, 40),
+                                               n=40, record_every=3, max_steps=30)))
+
+        traj = run(cfg, callback=callback)
+        assert len(inner) == 1 and inner[0].outcome.kind == "max_steps"
+        assert seen == traj.states[1:]
+        for state, nodes in zip(seen, snapshots):
+            assert np.array_equal(state.curve.nodes, nodes)
+        arrays = [s.curve.nodes for s in traj.states + inner[0].states]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        plain = run(cfg)
+        assert plain.outcome == traj.outcome and plain.events == traj.events
+        assert len(plain.states) == len(traj.states)
+        for a, b in zip(plain.states, traj.states):
+            assert np.array_equal(a.curve.nodes, b.curve.nodes)
+            assert (a.time, a.step, a.area_shed, a.diagnostics) == \
+                (b.time, b.step, b.area_shed, b.diagnostics)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, -math.inf])
+    def test_t_end_must_be_positive(self, t_end):
+        c = initial_curve(0.3, 0.5, 64)
+        with pytest.raises(DomainError, match="t_end must be positive"):
+            FlowRunConfig(d=0.5, initial=c, n=64, t_end=t_end)
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_must_be_positive(self, max_steps):
+        c = initial_curve(0.3, 0.5, 64)
+        with pytest.raises(DomainError, match="max_steps must be >= 1"):
+            FlowRunConfig(d=0.5, initial=c, n=64, max_steps=max_steps)
 
 
 class TestRunOutcomes:
