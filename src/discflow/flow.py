@@ -8,11 +8,15 @@ phi = atan2(y, x) of the penultimate node.  Nodes are redistributed to
 uniform arclength after every step, which supplies the tangential degree
 of freedom and keeps the explicit scheme stable at dt <= DT_SAFETY * h^2.
 
-run() makes its node buffers once: two sets of complex nodes with their
-segment lengths and joint products, and one scratch set.  Each step reads
-one set and writes its candidate into the other with out= ufuncs; an
-accepted candidate is carried forward, a rejected one is overwritten by the
-retry.  Recorded states copy the nodes out, so no state aliases a buffer.
+run() makes its node buffers once, as a ring of CHECK_BLOCK + 1 rows: each
+row holds a set of complex nodes with their segment lengths and joint
+products, all rows share one scratch set, and each row's partner is the
+next row.  A step reads one row and writes its candidate into the next
+with out= ufuncs.  run() takes a block of up to CHECK_BLOCK candidate
+steps from row 0 and then decides them together with one batched validity
+predicate; the accepted rows are carried forward, the last one into row 0,
+and a rejected row is retried at dt / 2, one step at a time.  Recorded
+states copy the nodes out, so no state aliases a buffer.
 """
 from __future__ import annotations
 
@@ -66,6 +70,9 @@ STEP_CONTAIN_TOL = 1e-7
 TRANSIENT_STEPS = 10
 
 MAX_DT_RETRIES = 20
+
+#: most candidate steps run() takes before deciding their validity together
+CHECK_BLOCK = 32
 
 #: explicit step dt = DT_SAFETY * (length / n)^2
 DT_SAFETY = 0.25
@@ -172,54 +179,63 @@ def _project_end(z: np.ndarray) -> None:
 
 
 class _NodeBuffer:
-    """One node buffer of a run: the complex nodes z, with their frame
-    (z, seg, joint) and the views of them the explicit step reads and
-    writes, all built once.  `nodes` is the (M, 2) float view of z.
+    """One row of a run's ring (see _run_buffers): the complex nodes z,
+    with their frame (z, seg, joint) and the views of them the explicit
+    step reads and writes, all built once.  `nodes` is the (M, 2) float
+    view of z.  `check` is this row alone, and `block` rows 1 up to this
+    one, each as the stack _reason reads; `other` is the row a step from
+    this one writes to, and `scratch` the ring's one scratch set."""
 
-    A run steps on two of these, each the other's `other`: a step reads
-    one and fills the other, and both share one scratch set (see
-    _run_buffers)."""
+    __slots__ = ("z", "seg", "joint", "frame", "nodes", "read", "write",
+                 "check", "block", "other", "scratch")
 
-    __slots__ = ("z", "seg", "joint", "frame", "nodes", "y", "r", "read", "write",
-                 "other", "scratch")
-
-    def __init__(self, m: int):
-        z = np.empty(m, dtype=np.complex128)
-        seg = np.empty(m - 1)
-        joint = np.empty(m - 2, dtype=np.complex128)
+    def __init__(self, z: np.ndarray, seg: np.ndarray, joint: np.ndarray,
+                 check: tuple, block: tuple | None):
         self.z, self.seg, self.joint = z, seg, joint
         self.frame = (z, seg, joint)
         self.nodes = _as_nodes(z)
-        self.y = z.imag
-        self.r = np.empty(m)
         # the step reads the chord ends, the interior, the pairs of
         # adjacent segment lengths and the cross products of the joints
         self.read = (z[2:], z[:-2], z[1:-1], seg[:-1], seg[1:], joint.imag)
         self.write = (z, z[1:], z[:-1], seg, joint)
+        self.check, self.block = check, block
         self.other: _NodeBuffer | None = None
         self.scratch: tuple | None = None
 
 
-def _load(nodes: np.ndarray) -> _NodeBuffer:
-    """A buffer holding the (M, 2) nodes and their frame."""
-    buf = _NodeBuffer(nodes.shape[0])
-    buf.nodes[...] = nodes
-    _, buf.seg[...], buf.joint[...] = _frame(buf.z)
-    return buf
+def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> _NodeBuffer:
+    """The ring of a run on n segments: `rows` buffers, row i a view of
+    row i of one complex node array and of its segment, joint and check
+    arrays, each row's `other` the next row, cyclically.  Row 0 is loaded
+    with the (M, 2) nodes of the first step and has M nodes, the others
+    n + 1.  Returns row 0; all rows share one scratch set, which
+    _advance_checked unpacks in this order."""
+    m = nodes.shape[0]
+    width = max(m, n + 1)
+    z = np.empty((rows, width), dtype=np.complex128)
+    seg = np.empty((rows, width - 1))
+    joint = np.empty((rows, width - 2), dtype=np.complex128)
+    r = np.empty((rows, width))  # |z|
+    ang = np.empty((rows, width - 2))  # |arg joint|
 
+    def stack(lo: int, hi: int, w: int) -> tuple:
+        # rows lo..hi-1 of w nodes, as _reason reads them
+        zs, js = z[lo:hi, :w], joint[lo:hi, :w - 2]
+        return (zs, zs.imag, seg[lo:hi, :w - 1], js, js.real, js.imag,
+                r[lo:hi, :w], ang[lo:hi, :w - 2])
 
-def _run_buffers(nodes: np.ndarray, n: int) -> _NodeBuffer:
-    """The buffers of a run on n segments: a buffer loaded with the
-    (M, 2) nodes of its first step, its partner of n + 1 nodes, and their
-    one scratch set, which _advance_checked unpacks in this order."""
-    buf = _load(nodes)
-    m = buf.z.shape[0]
-    buf.other = _NodeBuffer(n + 1)
-    buf.other.other = buf
+    ring = [_NodeBuffer(z[i, :w], seg[i, :w - 1], joint[i, :w - 2], stack(i, i + 1, w),
+                        stack(1, i + 1, w) if i else None)
+            for i, w in enumerate([m] + [n + 1] * (rows - 1))]
+    for buf, nxt in zip(ring, ring[1:] + ring[:1]):
+        buf.other = nxt
+    head = ring[0]
+    head.nodes[...] = nodes
+    _, head.seg[...], head.joint[...] = _frame(head.z)
     u = np.empty(m, dtype=np.complex128)  # the nodes before resampling
     s = np.zeros(m)  # their arclengths; the step writes s[1:]
     e = np.empty(n, dtype=np.complex128)  # the candidate's segments
-    buf.scratch = buf.other.scratch = (
+    scratch = (
         # the chord c, its length, the denominators and half_scale
         np.empty(m - 2, dtype=np.complex128), np.empty(m - 2), np.empty(m - 2),
         np.empty(m - 2),
@@ -230,31 +246,59 @@ def _run_buffers(nodes: np.ndarray, n: int) -> _NodeBuffer:
         # bit-identical to np.linspace(0, length, n + 1) on every interior node
         np.arange(n + 1, dtype=np.float64), np.empty(n + 1),
         e, e[:-1], e[1:], np.empty(n - 1, dtype=np.complex128))
-    return buf
+    for buf in ring:
+        buf.scratch = scratch
+    return head
 
 
-def _reason(buf: _NodeBuffer) -> str | None:
-    """Reason the buffer's nodes are not an admissible state, or None."""
-    if not (np.minimum.reduce(buf.seg) > 1e-15):
-        return "coincident or non-finite nodes"
-    if float(np.minimum.reduce(buf.y)) < -EPS_GEOM:
-        return "node below the x-axis"
-    r_max = float(np.maximum.reduce(np.abs(buf.z, out=buf.r)))
-    if r_max * r_max > 1.0 + 2.0 * STEP_CONTAIN_TOL:
-        return "node outside the unit disc"
-    if not is_embedded(buf.frame):
-        return "self-intersection"
-    return None
+#: the reasons _reason gives before the embedding test, in the order it
+#: tests them
+_REASONS = ("coincident or non-finite nodes", "node below the x-axis",
+            "node outside the unit disc")
+
+#: rows whose absolute joint angles sum to this or more get the exact
+#: is_embedded: its own turning gate pi - 1e-9, less 1e-12 for the
+#: rounding of a sum taken over a stack of rows
+_TURN_FILTER = math.pi - 1e-9 - 1e-12
 
 
-def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
-                     n: int) -> tuple[_NodeBuffer, str | None, float]:
+def _reason(rows: tuple) -> tuple[int, str | None]:
+    """(i, reason) for the first of the stacked rows that is not an
+    admissible state, or (number of rows, None).
+
+    A row is not admissible if it has coincident or non-finite nodes, a
+    node below the x-axis, a node outside the unit disc or a
+    self-intersection, tested in that order.  The first three are one
+    axis reduction each over the stack; a row before the first failing
+    one whose tangent may turn by pi goes to the exact is_embedded.
+    """
+    z, y, seg, joint, re, im, r, ang = rows
+    np.abs(z, out=r)
+    np.arctan2(im, re, out=ang)
+    np.abs(ang, out=ang)
+    fails = (~(np.minimum.reduce(seg, axis=1) > 1e-15),
+             np.minimum.reduce(y, axis=1) < -EPS_GEOM,
+             np.square(np.maximum.reduce(r, axis=1)) > 1.0 + 2.0 * STEP_CONTAIN_TOL)
+    bad = fails[0] | fails[1] | fails[2]
+    first = int(bad.argmax()) if bad.any() else len(bad)
+    for i in np.flatnonzero(~(np.add.reduce(ang[:first], axis=1) < _TURN_FILTER)):
+        if not is_embedded((z[i], seg[i], joint[i])):
+            return int(i), "self-intersection"
+    if first == len(bad):
+        return first, None
+    return first, next(why for why, f in zip(_REASONS, fails) if f[first])
+
+
+def _advance_checked(frame: _NodeBuffer, d: float, dt: float, n: int, *,
+                     check: bool = True) -> tuple[_NodeBuffer, str | None, float]:
     """One explicit step from the buffer `frame` into `frame.other`, plus
     the validity check; returns (frame.other, the reason it is not an
     admissible state or None, the area shed by resampling).  The area
     shed is the corner cutting of the linear interpolant, which the
     area-balance diagnostics add back.  `frame` is not written to, so a
-    rejected step can retry from it.
+    rejected step can retry from it.  With check=False the reason is
+    None: the caller decides the candidate later, with others (run()'s
+    blocks).
 
     The composition is curvature_vectors, re-pinning o and projecting the
     right end, _resample_nodes, projecting again; it runs on the complex
@@ -300,7 +344,7 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
     np.abs(e, out=seg)
     np.conjugate(e_lo, out=e_conj)
     np.multiply(e_conj, e_hi, out=joint)
-    return out, _reason(out), area_pre - _area(w)
+    return out, _reason(out.check)[1] if check else None, area_pre - _area(w)
 
 
 #: _advance_checked as defined here: the one-shot _advance steps with it
@@ -314,12 +358,15 @@ def _advance(nodes: np.ndarray, d: float, dt: float,
     on buffers of its own; returns the new (n + 1, 2) nodes and the area
     shed by resampling."""
     out, _, shed = _kernel(_run_buffers(nodes, n), d, dt, n)
+    out.other = None  # unlink the ring (see run())
     return out.nodes, shed
 
 
 def _step_valid(nodes: np.ndarray) -> str | None:
     """Reason the (M, 2) nodes are not an admissible state, or None."""
-    return _reason(_load(nodes))
+    buf = _run_buffers(nodes, nodes.shape[0] - 1)
+    buf.other = None  # unlink the ring (see run())
+    return _reason(buf.check)[1]
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
@@ -359,17 +406,30 @@ def run(cfg: FlowRunConfig,
     `callback` sees every recorded state after the initial one, the final
     state included, as it is recorded.  The outcome alone records how the
     run ended.
+
+    Steps come in blocks of up to CHECK_BLOCK candidates, none past the
+    next record step or max_steps, with t_end checked before each; one
+    _reason call decides a block.  The candidates before its first
+    inadmissible one are accepted in order, and that step is retried at
+    dt / 2 one step at a time, checked as it is taken.  A rejection makes
+    the next block one step long, and each clean block doubles the length
+    up to CHECK_BLOCK.  So the states, times and events are those of
+    checking every step as it is taken.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
     nodes = prepare_initial(cfg)
-    frame = _run_buffers(nodes, n)
+    head = _run_buffers(nodes, n, CHECK_BLOCK + 1)
+    ring = [head]
+    while len(ring) <= CHECK_BLOCK:
+        ring.append(ring[-1].other)
     t = 0.0
     step_i = 0
     states: list[FlowState] = [_make_state(nodes, d, t, step_i)]
     events: list[tuple[float, str]] = []
     shed_accum = 0.0
     outcome: FlowOutcome | None = None
+    length = CHECK_BLOCK
 
     while outcome is None:
         if t_end is not None and t >= t_end:
@@ -377,21 +437,52 @@ def run(cfg: FlowRunConfig,
         elif step_i >= max_steps:
             outcome = FlowOutcome(kind="max_steps", time=t)
         else:
-            dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2
-            for _ in range(MAX_DT_RETRIES + 1):
-                candidate, reason, shed = _advance_checked(frame, d, dt, n)
-                if reason is None:
+            # candidates from row 0 into rows 1, 2, ..., with the time,
+            # area shed and dt after each; a reason here is the step's own
+            frame, t_k, shed_k, taken, reason = head, t, shed_accum, [], None
+            for _ in range(min(length, record_every - step_i % record_every,
+                               max_steps - step_i)):
+                dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2
+                candidate, reason, shed = _advance_checked(frame, d, dt, n, check=False)
+                if reason is not None:
                     break
-                events.append((t, f"step_rejected: {reason}"))
-                dt *= 0.5
+                frame = candidate
+                t_k += dt
+                shed_k += shed
+                taken.append((t_k, shed_k, dt))
+                if t_end is not None and t_k >= t_end:
+                    break
+            k = len(taken)
+            if k:
+                first, why = _reason(frame.block)
+                if why is not None:
+                    k, reason, dt = first, why, taken[first][2]
+                if k:
+                    t, shed_accum, _ = taken[k - 1]
+                    step_i += k
+            frame = ring[k]
+            if reason is None:
+                length = min(2 * length, CHECK_BLOCK)
             else:
-                outcome = FlowOutcome(kind="invariant_violation", time=t,
-                                      detail=f"step rejected {MAX_DT_RETRIES + 1} times")
+                length = 1
+                for _ in range(MAX_DT_RETRIES):
+                    events.append((t, f"step_rejected: {reason}"))
+                    dt *= 0.5
+                    candidate, reason, shed = _advance_checked(frame, d, dt, n)
+                    if reason is None:
+                        frame = candidate
+                        t += dt
+                        step_i += 1
+                        shed_accum += shed
+                        break
+                else:
+                    events.append((t, f"step_rejected: {reason}"))
+                    outcome = FlowOutcome(kind="invariant_violation", time=t,
+                                          detail=f"step rejected {MAX_DT_RETRIES + 1} times")
+            if frame is not head:  # every block starts from row 0
+                for row, last in zip(head.frame, frame.frame):
+                    row[...] = last
         if outcome is None:
-            frame = candidate
-            t += dt
-            step_i += 1
-            shed_accum += shed
             if step_i % record_every:
                 continue
         elif states[-1].step == step_i:
@@ -399,7 +490,7 @@ def run(cfg: FlowRunConfig,
 
         # every record_every-th state, and the final one; the state holds
         # a copy of the buffer's nodes
-        nodes = frame.nodes
+        nodes = head.nodes
         try:
             state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
         except InvalidCurve as exc:
@@ -419,6 +510,9 @@ def run(cfg: FlowRunConfig,
                 and hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
             outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
 
+    # the ring is a reference cycle: unlink it, so that it is freed when
+    # run() returns and not at the next full garbage collection
+    ring[-1].other = None
     return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
                       record_every=record_every, dt_safety=DT_SAFETY)
 

@@ -111,8 +111,13 @@ def test_checks_compute_no_single_curve_profiles(monkeypatch, blowup_like):
     assert calls == []
 
 
-@pytest.mark.parametrize("reject_call", [None, 3])
-def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call):
+@pytest.mark.parametrize("reject_call, record_every, max_steps", [
+    pytest.param(None, 7, 50, id="None"), pytest.param(3, 7, 50, id="3"),
+    # blocks that reach flow.CHECK_BLOCK steps
+    pytest.param(None, 1000, 100, id="None-block_cap"),
+    pytest.param(3, 1000, 100, id="3-block_cap")])
+def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
+                                              record_every, max_steps):
     # flow.step_calls is the call count of flow._advance_checked, looked
     # up through the module by run(); the benchmark checks it against the
     # steps and rejections it reads from the trajectory
@@ -120,17 +125,18 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call):
     real = flow._advance_checked
     calls = []
 
-    def counted(frame, d, dt, n):
-        out, reason, shed = real(frame, d, dt, n)
+    def counted(frame, d, dt, n, **kw):
+        out, reason, shed = real(frame, d, dt, n, **kw)
         calls.append(dt)
         return (out, "forced rejection", shed) if len(calls) == reject_call \
             else (out, reason, shed)
 
     monkeypatch.setattr(flow, "_advance_checked", counted)
     c = initial_curve(0.3, 0.5, 64)
-    traj = run(FlowRunConfig(d=0.5, initial=c, n=64, record_every=7, max_steps=50))
+    traj = run(FlowRunConfig(d=0.5, initial=c, n=64, record_every=record_every,
+                             max_steps=max_steps))
     counts = workloads.trajectory_counts([traj])
-    assert counts["flow.steps"] == 50
+    assert counts["flow.steps"] == max_steps
     assert counts["flow.rejected_steps"] == (reject_call is not None)
     assert len(calls) == counts["flow.steps"] + counts["flow.rejected_steps"]
 

@@ -2,9 +2,12 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discflow.flow as flow
 import discflow.geometry as geometry
@@ -221,6 +224,97 @@ class TestFusedStep:
         assert calls == [len(self.HOOK)]  # the gate did not trip
 
 
+def single_row_reason(nodes):
+    """The validity predicate on one polyline, as it was before run()
+    checked blocks of steps: the four conditions in order."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        z, seg, joint = flow._frame(flow._as_complex(nodes.copy()))
+    if not (np.minimum.reduce(seg) > 1e-15):
+        return "coincident or non-finite nodes"
+    if float(np.minimum.reduce(z.imag)) < -geometry.EPS_GEOM:
+        return "node below the x-axis"
+    r_max = float(np.maximum.reduce(np.abs(z)))
+    if r_max * r_max > 1.0 + 2.0 * flow.STEP_CONTAIN_TOL:
+        return "node outside the unit disc"
+    if not geometry.is_embedded((z, seg, joint)):
+        return "self-intersection"
+    return None
+
+
+def block_reason(rows):
+    """flow._reason on the (M, 2) rows, loaded into rows 1.. of a ring."""
+    buf = flow._run_buffers(np.zeros_like(rows[0]), len(rows[0]) - 1, len(rows) + 1)
+    for nodes in rows:
+        buf = buf.other
+        buf.nodes[...] = nodes
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, buf.seg[...], buf.joint[...] = flow._frame(buf.z)
+    return flow._reason(buf.block)
+
+
+#: TestFusedStep.HOOK with the midpoints of its first three segments
+#: added: the same embedded polyline on as many nodes as LOOP
+HOOK_11 = np.insert(TestFusedStep.HOOK, [1, 2, 3],
+                    0.5 * (TestFusedStep.HOOK[:3] + TestFusedStep.HOOK[1:4]), axis=0)
+
+
+#: a fold just past the turning gate: right along y = 0.2, sharply back
+#: and down across that segment; its joint angles sum to about pi + 0.2
+FOLD = np.array([[-0.5, 0.2], [-0.25, 0.2], [0.0, 0.2], [0.6, 0.2], [0.3, 0.21],
+                 [0.2, 0.19], [0.1, 0.17], [0.0, 0.15], [-0.1, 0.13], [-0.2, 0.11],
+                 [-0.3, 0.09]])
+
+
+@pytest.fixture(scope="module")
+def small_rows():
+    """Rows of 11 nodes: recorded states of an n = 10 run, LOOP, HOOK_11
+    and FOLD."""
+    traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 10), n=10,
+                             record_every=5, max_steps=100))
+    return [s.curve.nodes for s in traj.states] + [TestFusedStep.LOOP, HOOK_11, FOLD]
+
+
+class TestBlockPredicate:
+    """_reason on a stack of rows gives the first row the single-row
+    predicate rejects, and its reason."""
+
+    def test_turning_rows_get_the_exact_embedding_test(self, small_rows):
+        assert single_row_reason(HOOK_11) is None
+        assert TestFusedStep.turning_range(HOOK_11) > math.pi
+        flat = small_rows[0]
+        assert block_reason([flat, HOOK_11, flat]) == (3, None)
+        assert block_reason([flat, HOOK_11, TestFusedStep.LOOP, flat]) == \
+            (2, "self-intersection")
+        assert single_row_reason(FOLD) == "self-intersection"
+        assert TestFusedStep.turning_range(FOLD) < math.pi + 0.2
+        assert block_reason([flat, FOLD]) == (1, "self-intersection")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_loop_over_rows(self, short_run, small_rows, data):
+        pool = data.draw(st.sampled_from(
+            [[s.curve.nodes for s in short_run.states], small_rows]))
+        rows = [data.draw(st.sampled_from(pool)).copy()
+                for _ in range(data.draw(st.integers(1, 6)))]
+        for nodes in rows:
+            i = data.draw(st.integers(1, len(nodes) - 2))
+            kind = data.draw(st.sampled_from(
+                ["none", "none", "nan", "inf", "below", "outside", "coincident"]))
+            if kind in ("nan", "inf"):
+                nodes[i, data.draw(st.integers(0, 1))] = \
+                    np.nan if kind == "nan" else data.draw(st.sampled_from([np.inf, -np.inf]))
+            elif kind == "below":
+                nodes[i, 1] = -1e-8
+            elif kind == "outside":
+                nodes[i] *= (1.0 + 1e-6) / np.hypot(*nodes[i])
+            elif kind == "coincident":
+                nodes[i] = nodes[i + 1]
+        reasons = [single_row_reason(nodes) for nodes in rows]
+        bad = [i for i, why in enumerate(reasons) if why is not None]
+        want = (bad[0], reasons[bad[0]]) if bad else (len(rows), None)
+        assert block_reason(rows) == want
+
+
 def reference_run(d, n, steps, reject_call=None):
     """run()'s stepping as it was before frames were carried: dt from the
     complex segment lengths, then _advance, then _step_valid, each on the
@@ -288,8 +382,8 @@ class TestCarriedFrame:
         real = flow._advance_checked
         dts = []
 
-        def reject_fifth(frame, d, dt, n):
-            out, reason, shed = real(frame, d, dt, n)
+        def reject_fifth(frame, d, dt, n, **kw):
+            out, reason, shed = real(frame, d, dt, n, **kw)
             dts.append(dt)
             return (out, "forced rejection", shed) if len(dts) == 5 else (out, reason, shed)
 
@@ -302,9 +396,104 @@ class TestCarriedFrame:
         self.assert_same_states(traj, ref)
 
 
+def reference_loop(d, n, max_steps, record_every):
+    """run() as one step at a time: dt from the complex segment lengths,
+    _advance, then _step_valid on the candidate's nodes; a rejected step
+    is retried at dt / 2, and MAX_DT_RETRIES + 1 rejections of one step
+    end the run as an invariant violation.  No stop rule fires within
+    max_steps.  Returns [(nodes, t, step, area_shed)] for the records,
+    the rejection events and the outcome."""
+    nodes = flow.prepare_initial(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n))
+    t = shed_sum = 0.0
+    step = 0
+    states, events = [(nodes, t, step, shed_sum)], []
+    outcome = flow.FlowOutcome(kind="max_steps", time=None)
+    while step < max_steps:
+        z = flow._as_complex(nodes)
+        dt = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / n) ** 2
+        for _ in range(flow.MAX_DT_RETRIES + 1):
+            candidate, shed = flow._advance(nodes, d, dt, n)
+            reason = flow._step_valid(candidate)
+            if reason is None:
+                break
+            events.append((t, f"step_rejected: {reason}"))
+            dt *= 0.5
+        else:
+            outcome = flow.FlowOutcome(
+                kind="invariant_violation", time=t,
+                detail=f"step rejected {flow.MAX_DT_RETRIES + 1} times")
+            break
+        nodes, t, step, shed_sum = candidate, t + dt, step + 1, shed_sum + shed
+        if step % record_every == 0:
+            states.append((nodes, t, step, shed_sum))
+    if outcome.kind == "max_steps":
+        outcome = flow.FlowOutcome(kind="max_steps", time=t)
+    if states[-1][2] != step:
+        states.append((nodes, t, step, shed_sum))
+    return states, events, outcome
+
+
+class TestRealRejections:
+    """Steps the validity predicate itself rejects: a DT_SAFETY above the
+    stable bound makes the explicit step overshoot, and run() must halve
+    dt, retry and give up exactly as the one-step-at-a-time loop does."""
+
+    #: (rejection events, outcome, last step) of each run, as the
+    #: one-step-at-a-time loop gives them
+    SEEN = {(0.5, 0.55): (31, "max_steps", 2000), (0.5, 0.7): (341, "max_steps", 2000),
+            (0.5, 1.0): (1499, "max_steps", 2000), (0.5, 2.0): (3820, "max_steps", 2000),
+            (1.0, 0.55): (68, "max_steps", 2000), (1.0, 0.7): (512, "max_steps", 2000),
+            (1.0, 1.0): (74, "invariant_violation", 79),
+            (1.0, 2.0): (3867, "invariant_violation", 1972)}
+
+    @pytest.mark.parametrize("safety", [0.55, 0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
+    def test_run_matches_reference_loop(self, monkeypatch, safety, d, n):
+        monkeypatch.setattr(flow, "DT_SAFETY", safety)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
+                                     record_every=7, max_steps=2000))
+            ref, events, outcome = reference_loop(d, n, 2000, 7)
+        assert traj.outcome == outcome
+        assert traj.events == events
+        assert (len(events), outcome.kind, ref[-1][2]) == self.SEEN[d, safety]
+        assert len(traj.states) == len(ref)
+        for s, (nodes, t, step, shed) in zip(traj.states, ref):
+            assert np.array_equal(s.curve.nodes, nodes)
+            assert (s.time, s.step, s.area_shed) == (t, step, shed)
+
+
 class TestRunBuffers:
     """run() steps on buffers of its own: no recorded state, callback
     argument or other run shares their memory."""
+
+    @pytest.mark.parametrize("record_every, max_steps", [(5, 200), (1000, 100)])
+    def test_no_state_shares_a_ring_row(self, monkeypatch, record_every, max_steps):
+        # record_every 1000: blocks of CHECK_BLOCK steps, the last one cut
+        # by max_steps
+        real = flow._run_buffers
+        heads = []
+        monkeypatch.setattr(flow, "_run_buffers",
+                            lambda *args: heads.append(real(*args)) or heads[-1])
+        seen = []
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                                 record_every=record_every, max_steps=max_steps),
+                   callback=seen.append)
+        # run() unlinks its ring before returning, so the walk ends at None
+        ring = [heads[-1]]
+        while ring[-1].other is not None:
+            ring.append(ring[-1].other)
+        assert len(ring) == flow.CHECK_BLOCK + 1
+        assert seen == traj.states[1:]
+        for s in traj.states:
+            assert not any(np.shares_memory(s.curve.nodes, row.z) for row in ring)
+        ref, events, outcome = reference_loop(0.5, 64, max_steps, record_every)
+        assert traj.outcome == outcome and traj.events == events == []
+        assert len(traj.states) == len(ref)
+        for s, (nodes, t, step, shed) in zip(traj.states, ref):
+            assert np.array_equal(s.curve.nodes, nodes)
+            assert (s.time, s.step, s.area_shed) == (t, step, shed)
 
     def test_buffers_are_per_run_and_never_leak(self):
         c = initial_curve(0.3, 0.5, 64)
@@ -407,7 +596,7 @@ class TestRunOutcomes:
         c = initial_curve(0.3, 0.5, 64)
         cfg = FlowRunConfig(d=0.5, initial=c, n=64, t_end=1.0)
         monkeypatch.setattr(flow, "_advance_checked",
-                            lambda frame, d, dt, n: (frame, "synthetic failure", 0.0))
+                            lambda frame, d, dt, n, **kw: (frame, "synthetic failure", 0.0))
         traj = run(cfg)
         assert traj.outcome.kind == "invariant_violation"
         assert any("step_rejected" in name for _, name in traj.events)
