@@ -10,7 +10,8 @@ Two one-parameter families of circular arcs in the unit disc:
   orthogonally at (+-cos(theta), sin(theta)); with theta(t) = arcsin(e^{2t})
   they form a supersolution family.
 
-Both facts are verified numerically by `verify_barrier_inequality`.
+Both facts are verified numerically, slice by slice, by `slice_report`;
+`window_reports` runs it over a family's time window.
 """
 from __future__ import annotations
 

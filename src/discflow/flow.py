@@ -12,11 +12,12 @@ run() makes its node buffers once, as a ring of CHECK_BLOCK + 1 rows: each
 row holds a set of complex nodes with their segment lengths and joint
 products, all rows share one scratch set, and each row's partner is the
 next row.  A step reads one row and writes its candidate into the next
-with out= ufuncs.  run() takes a block of up to CHECK_BLOCK candidate
-steps from row 0 and then decides them together with one batched validity
-predicate; the accepted rows are carried forward, the last one into row 0,
-and a rejected row is retried at dt / 2, one step at a time.  Recorded
-states copy the nodes out, so no state aliases a buffer.
+with out= ufuncs.  run() takes every step, a retry included, in a block
+of candidate steps from row 0, decided together by one batched validity
+predicate; the accepted rows are carried forward, the last one into row 0.
+A rejection makes the next block one step long, at half the dt of the
+rejected one.  Recorded states copy the nodes out, so no state aliases a
+buffer.
 """
 from __future__ import annotations
 
@@ -182,15 +183,14 @@ class _NodeBuffer:
     """One row of a run's ring (see _run_buffers): the complex nodes z,
     with their frame (z, seg, joint) and the views of them the explicit
     step reads and writes, all built once.  `nodes` is the (M, 2) float
-    view of z.  `check` is this row alone, and `block` rows 1 up to this
-    one, each as the stack _reason reads; `other` is the row a step from
-    this one writes to, and `scratch` the ring's one scratch set."""
+    view of z.  `block` is rows 1 up to this one, or row 0 alone for row
+    0, as the stack _reason reads; `other` is the row a step from this one
+    writes to, and `scratch` the ring's one scratch set."""
 
     __slots__ = ("z", "seg", "joint", "frame", "nodes", "read", "write",
-                 "check", "block", "other", "scratch")
+                 "block", "other", "scratch")
 
-    def __init__(self, z: np.ndarray, seg: np.ndarray, joint: np.ndarray,
-                 check: tuple, block: tuple | None):
+    def __init__(self, z: np.ndarray, seg: np.ndarray, joint: np.ndarray, block: tuple):
         self.z, self.seg, self.joint = z, seg, joint
         self.frame = (z, seg, joint)
         self.nodes = _as_nodes(z)
@@ -198,7 +198,7 @@ class _NodeBuffer:
         # adjacent segment lengths and the cross products of the joints
         self.read = (z[2:], z[:-2], z[1:-1], seg[:-1], seg[1:], joint.imag)
         self.write = (z, z[1:], z[:-1], seg, joint)
-        self.check, self.block = check, block
+        self.block = block
         self.other: _NodeBuffer | None = None
         self.scratch: tuple | None = None
 
@@ -224,8 +224,8 @@ def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> _NodeBuffer:
         return (zs, zs.imag, seg[lo:hi, :w - 1], js, js.real, js.imag,
                 r[lo:hi, :w], ang[lo:hi, :w - 2])
 
-    ring = [_NodeBuffer(z[i, :w], seg[i, :w - 1], joint[i, :w - 2], stack(i, i + 1, w),
-                        stack(1, i + 1, w) if i else None)
+    ring = [_NodeBuffer(z[i, :w], seg[i, :w - 1], joint[i, :w - 2],
+                        stack(1 if i else 0, i + 1, w))
             for i, w in enumerate([m] + [n + 1] * (rows - 1))]
     for buf, nxt in zip(ring, ring[1:] + ring[:1]):
         buf.other = nxt
@@ -289,16 +289,17 @@ def _reason(rows: tuple) -> tuple[int, str | None]:
     return first, next(why for why, f in zip(_REASONS, fails) if f[first])
 
 
-def _advance_checked(frame: _NodeBuffer, d: float, dt: float, n: int, *,
-                     check: bool = True) -> tuple[_NodeBuffer, str | None, float]:
-    """One explicit step from the buffer `frame` into `frame.other`, plus
-    the validity check; returns (frame.other, the reason it is not an
-    admissible state or None, the area shed by resampling).  The area
+def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
+                     n: int) -> tuple[_NodeBuffer, str | None, float]:
+    """One explicit step from the buffer `frame` into `frame.other`;
+    returns (frame.other, None, the area shed by resampling).  The area
     shed is the corner cutting of the linear interpolant, which the
     area-balance diagnostics add back.  `frame` is not written to, so a
-    rejected step can retry from it.  With check=False the reason is
-    None: the caller decides the candidate later, with others (run()'s
-    blocks).
+    rejected step can retry from it.  run() decides the candidate later,
+    with the rest of its block, by one _reason call; a reason in the
+    second slot (only a stand-in step returns one) rejects the candidate
+    at once.  The name and result are those the benchmark's tracer wraps
+    as flow.step.
 
     The composition is curvature_vectors, re-pinning o and projecting the
     right end, _resample_nodes, projecting again; it runs on the complex
@@ -344,12 +345,7 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float, n: int, *,
     np.abs(e, out=seg)
     np.conjugate(e_lo, out=e_conj)
     np.multiply(e_conj, e_hi, out=joint)
-    return out, _reason(out.check)[1] if check else None, area_pre - _area(w)
-
-
-#: _advance_checked as defined here: the one-shot _advance steps with it
-#: even while run()'s module-level _advance_checked is wrapped
-_kernel = _advance_checked
+    return out, None, area_pre - _area(w)
 
 
 def _advance(nodes: np.ndarray, d: float, dt: float,
@@ -357,7 +353,7 @@ def _advance(nodes: np.ndarray, d: float, dt: float,
     """One explicit step (see _advance_checked) on an (M, 2) node array,
     on buffers of its own; returns the new (n + 1, 2) nodes and the area
     shed by resampling."""
-    out, _, shed = _kernel(_run_buffers(nodes, n), d, dt, n)
+    out, _, shed = _advance_checked(_run_buffers(nodes, n), d, dt, n)
     out.other = None  # unlink the ring (see run())
     return out.nodes, shed
 
@@ -366,7 +362,7 @@ def _step_valid(nodes: np.ndarray) -> str | None:
     """Reason the (M, 2) nodes are not an admissible state, or None."""
     buf = _run_buffers(nodes, nodes.shape[0] - 1)
     buf.other = None  # unlink the ring (see run())
-    return _reason(buf.check)[1]
+    return _reason(buf.block)[1]
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
@@ -399,22 +395,21 @@ def run(cfg: FlowRunConfig,
     """Iterate the flow with adaptive dt until a stop rule fires.
 
     Records one state every `record_every` steps (plus the final state),
-    halves dt up to 20 times on rejected steps, and reports the outcome:
-    convergence to the minimizing arc (d < 1), extinction at o (d = 1),
-    the time horizon, the step budget, an invariant violation, or a state
-    whose diagnostics raise InvalidCurve (not recorded; the run ends).
-    `callback` sees every recorded state after the initial one, the final
-    state included, as it is recorded.  The outcome alone records how the
-    run ended.
+    halves dt up to MAX_DT_RETRIES times on rejected steps, and reports
+    the outcome: convergence to the minimizing arc (d < 1), extinction at
+    o (d = 1), the time horizon, the step budget, an invariant violation,
+    or a state whose diagnostics raise InvalidCurve (not recorded; the run
+    ends).  `callback` sees every recorded state after the initial one,
+    the final state included, as it is recorded.  The outcome alone
+    records how the run ended.
 
-    Steps come in blocks of up to CHECK_BLOCK candidates, none past the
-    next record step or max_steps, with t_end checked before each; one
-    _reason call decides a block.  The candidates before its first
-    inadmissible one are accepted in order, and that step is retried at
-    dt / 2 one step at a time, checked as it is taken.  A rejection makes
-    the next block one step long, and each clean block doubles the length
-    up to CHECK_BLOCK.  So the states, times and events are those of
-    checking every step as it is taken.
+    Every step is taken in a block of up to CHECK_BLOCK candidates, none
+    past the next record step or max_steps, with t_end checked before
+    each; one _reason call decides a block.  The candidates before its
+    first inadmissible one are accepted in order.  That step is rejected
+    and taken again as a block of one at half its dt, until it is
+    accepted or rejected MAX_DT_RETRIES + 1 times.  So the states, times
+    and events are those of checking every step as it is taken.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
@@ -429,7 +424,7 @@ def run(cfg: FlowRunConfig,
     events: list[tuple[float, str]] = []
     shed_accum = 0.0
     outcome: FlowOutcome | None = None
-    length = CHECK_BLOCK
+    halvings = 0  # the rejections of the step about to be taken
 
     while outcome is None:
         if t_end is not None and t >= t_end:
@@ -437,55 +432,44 @@ def run(cfg: FlowRunConfig,
         elif step_i >= max_steps:
             outcome = FlowOutcome(kind="max_steps", time=t)
         else:
-            # candidates from row 0 into rows 1, 2, ..., with the time,
-            # area shed and dt after each; a reason here is the step's own
+            # candidates from row 0 into rows 1, 2, ..., with the time and
+            # area shed after each; a reason here is the step's own
             frame, t_k, shed_k, taken, reason = head, t, shed_accum, [], None
-            for _ in range(min(length, record_every - step_i % record_every,
-                               max_steps - step_i)):
-                dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2
-                candidate, reason, shed = _advance_checked(frame, d, dt, n, check=False)
+            for _ in range(min(1 if halvings else CHECK_BLOCK,
+                               record_every - step_i % record_every, max_steps - step_i)):
+                # scaling by a power of two is exact: dt halved `halvings` times
+                dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2 * 0.5 ** halvings
+                candidate, reason, shed = _advance_checked(frame, d, dt, n)
                 if reason is not None:
                     break
                 frame = candidate
                 t_k += dt
                 shed_k += shed
-                taken.append((t_k, shed_k, dt))
+                taken.append((t_k, shed_k))
                 if t_end is not None and t_k >= t_end:
                     break
             k = len(taken)
             if k:
                 first, why = _reason(frame.block)
                 if why is not None:
-                    k, reason, dt = first, why, taken[first][2]
-                if k:
-                    t, shed_accum, _ = taken[k - 1]
-                    step_i += k
-            frame = ring[k]
-            if reason is None:
-                length = min(2 * length, CHECK_BLOCK)
-            else:
-                length = 1
-                for _ in range(MAX_DT_RETRIES):
-                    events.append((t, f"step_rejected: {reason}"))
-                    dt *= 0.5
-                    candidate, reason, shed = _advance_checked(frame, d, dt, n)
-                    if reason is None:
-                        frame = candidate
-                        t += dt
-                        step_i += 1
-                        shed_accum += shed
-                        break
-                else:
-                    events.append((t, f"step_rejected: {reason}"))
-                    outcome = FlowOutcome(kind="invariant_violation", time=t,
-                                          detail=f"step rejected {MAX_DT_RETRIES + 1} times")
-            if frame is not head:  # every block starts from row 0
-                for row, last in zip(head.frame, frame.frame):
+                    k, reason = first, why
+            if k:
+                t, shed_accum = taken[k - 1]
+                step_i += k
+                halvings = 0
+                # every block starts from row 0
+                for row, last in zip(head.frame, ring[k].frame):
                     row[...] = last
-        if outcome is None:
-            if step_i % record_every:
-                continue
-        elif states[-1].step == step_i:
+            if reason is not None:
+                events.append((t, f"step_rejected: {reason}"))
+                halvings += 1
+                if halvings > MAX_DT_RETRIES:
+                    outcome = FlowOutcome(kind="invariant_violation", time=t,
+                                          detail=f"step rejected {halvings} times")
+        # a block that accepted nothing leaves the last record as it is
+        if outcome is None and (step_i % record_every or states[-1].step == step_i):
+            continue
+        if states[-1].step == step_i:
             break
 
         # every record_every-th state, and the final one; the state holds
@@ -753,17 +737,26 @@ def _typed(kinds: tuple, value):
 
 
 def _number(value) -> float:
-    return float(_typed((int, float), value))
+    """value as a float, if it is a finite number."""
+    if math.isfinite(number := float(_typed((int, float), value))):
+        return number
+    raise ValueError(f"{value!r} is not finite")
 
 
 def _number_or_null(value) -> float | None:
     return None if value is None else _number(value)
 
 
-def _node_count(value) -> int:
-    if _typed((int,), value) >= MIN_SEGMENTS:
+def _positive(value) -> float:
+    if (number := _number(value)) > 0.0:
+        return number
+    raise ValueError(f"{value!r} is not positive")
+
+
+def _int_at_least(least: int, name: str, value) -> int:
+    if _typed((int,), value) >= least:
         return value
-    raise ValueError(f"{value} is below the node minimum {MIN_SEGMENTS}")
+    raise ValueError(f"{value} is below the {name} {least}")
 
 
 def _outcome_kind(value) -> str:
@@ -776,11 +769,13 @@ def _outcome_kind(value) -> str:
 _OUTCOME = {"kind": _outcome_kind, "time": _number_or_null, "detail": partial(_typed, (str,))}
 
 #: the Trajectory fields in manifest.json beside format_version and outcome,
-#: with the check and conversion load_trajectory applies to each
+#: with the check and conversion load_trajectory applies to each: the
+#: values run() can write, d by ProblemConfig's rule
 _MANIFEST = {
-    "d": _number, "n": _node_count, "rho": _number_or_null,
-    "lambda_ref": _number_or_null, "record_every": partial(_typed, (int,)),
-    "dt_safety": _number,
+    "d": lambda value: ProblemConfig(_number(value)).d,
+    "n": partial(_int_at_least, MIN_SEGMENTS, "node minimum"), "rho": _number_or_null,
+    "lambda_ref": _number_or_null, "record_every": partial(_int_at_least, 1, "minimum"),
+    "dt_safety": _positive,
     "events": lambda events: [(_number(t), _typed((str,), name)) for t, name in events],
 }
 
@@ -868,12 +863,14 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
     """Read a directory written by write_trajectory.
 
     Raises ParameterError naming an unreadable file, a manifest of another
-    format_version, a missing or malformed manifest value (n below
-    MIN_SEGMENTS included), a diagnostics.csv whose header is not COLUMNS
-    or whose rows are not finite numbers of that width, or a states.npy
-    that is not a finite float64 array of shape (rows, n + 1, 2): nothing
-    run() cannot write.  Nothing is defaulted.  Each state's nodes are
-    one C-contiguous row of that array.
+    format_version, a missing or malformed manifest value (a non-finite
+    number, a d outside ProblemConfig's domain, n below MIN_SEGMENTS, a
+    record_every below 1 or a dt_safety not above 0 included), a
+    diagnostics.csv whose header is not COLUMNS or whose rows are not
+    finite numbers of that width, or a states.npy that is not a finite
+    float64 array of shape (rows, n + 1, 2): nothing run() cannot write.
+    Nothing is defaulted.  Each state's nodes are one C-contiguous row of
+    that array.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -889,7 +886,7 @@ def load_trajectory(outdir: str | Path) -> Trajectory:
         for key, parse in parsers.items():
             try:
                 obj[key] = parse(obj[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"{path}: malformed {prefix}{key}: {exc}") from exc
     rows = _read_table(outdir / TABLE_FILE)
     states_path = outdir / STATES_FILE

@@ -125,8 +125,8 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
     real = flow._advance_checked
     calls = []
 
-    def counted(frame, d, dt, n, **kw):
-        out, reason, shed = real(frame, d, dt, n, **kw)
+    def counted(frame, d, dt, n):
+        out, reason, shed = real(frame, d, dt, n)
         calls.append(dt)
         return (out, "forced rejection", shed) if len(calls) == reject_call \
             else (out, reason, shed)

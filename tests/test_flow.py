@@ -376,24 +376,32 @@ class TestCarriedFrame:
         assert traj.events == events == []
         self.assert_same_states(traj, ref)
 
-    def test_rejected_candidate_retries_from_unchanged_frame(self, monkeypatch):
-        # the 5th candidate is computed in full and then rejected; the
-        # retry at dt / 2 starts from the same frame
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    @pytest.mark.parametrize("reject_call", [1, 5, 40])
+    def test_rejected_candidate_retries_from_unchanged_frame(self, monkeypatch,
+                                                             reject_call, record_every):
+        # the reject_call-th candidate is computed in full and then
+        # rejected; the retry at dt / 2 starts from the same frame.  Call 1
+        # is step 0, a record step; with record_every 1000, call 40 comes
+        # after a full block of CHECK_BLOCK steps.  reference_run steps
+        # with _advance, so it runs before the monkeypatch
+        ref, events = reference_run(0.5, 64, 2000, reject_call=reject_call)
         real = flow._advance_checked
         dts = []
 
-        def reject_fifth(frame, d, dt, n, **kw):
-            out, reason, shed = real(frame, d, dt, n, **kw)
+        def reject_once(frame, d, dt, n):
+            out, reason, shed = real(frame, d, dt, n)
             dts.append(dt)
-            return (out, "forced rejection", shed) if len(dts) == 5 else (out, reason, shed)
+            return (out, "forced rejection", shed) if len(dts) == reject_call \
+                else (out, reason, shed)
 
-        monkeypatch.setattr(flow, "_advance_checked", reject_fifth)
-        traj = self.run_steps(0.5, 2000)
-        ref, events = reference_run(0.5, 64, 2000, reject_call=5)
-        assert len(dts) == 2001 and dts[5] == 0.5 * dts[4]
+        monkeypatch.setattr(flow, "_advance_checked", reject_once)
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                                 record_every=record_every, max_steps=2000))
+        assert len(dts) == 2001 and dts[reject_call] == 0.5 * dts[reject_call - 1]
         assert traj.events == events
         assert [name for _, name in events] == ["step_rejected: forced rejection"]
-        self.assert_same_states(traj, ref)
+        self.assert_same_states(traj, ref[::record_every])
 
 
 def reference_loop(d, n, max_steps, record_every):
@@ -595,11 +603,21 @@ class TestRunOutcomes:
     def test_invariant_violation_after_retries(self, monkeypatch):
         c = initial_curve(0.3, 0.5, 64)
         cfg = FlowRunConfig(d=0.5, initial=c, n=64, t_end=1.0)
+        # dt from the complex segment lengths, as reference_run takes it
+        z = flow._as_complex(flow.prepare_initial(cfg))
+        dt0 = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / 64) ** 2
+        dts = []
         monkeypatch.setattr(flow, "_advance_checked",
-                            lambda frame, d, dt, n, **kw: (frame, "synthetic failure", 0.0))
+                            lambda frame, d, dt, n: dts.append(dt) or
+                            (frame, "synthetic failure", 0.0))
         traj = run(cfg)
-        assert traj.outcome.kind == "invariant_violation"
-        assert any("step_rejected" in name for _, name in traj.events)
+        assert traj.outcome == flow.FlowOutcome(
+            kind="invariant_violation", time=0.0,
+            detail=f"step rejected {flow.MAX_DT_RETRIES + 1} times")
+        assert traj.events == [(0.0, "step_rejected: synthetic failure")] * \
+            (flow.MAX_DT_RETRIES + 1)
+        assert [s.step for s in traj.states] == [0]
+        assert dts == [dt0 * 2.0 ** -k for k in range(flow.MAX_DT_RETRIES + 1)]
 
     @pytest.mark.parametrize("failing_call, last_step", [(3, 10), (4, 20)])
     def test_invalid_state_ends_at_last_good_record(self, monkeypatch, failing_call,
@@ -1047,11 +1065,28 @@ class TestStrictLoad:
         (lambda m: m["outcome"].update(time=True), "malformed outcome time: True is not"),
         (lambda m: m["outcome"].update(detail=None),
          "malformed outcome detail: None is not str"),
+        # values of the right type that run() cannot write
+        (lambda m: m.update(d=5.0), r"malformed d: d must lie in \(0, 1\], got 5.0"),
+        (lambda m: m.update(d=-1.0), r"malformed d: d must lie in \(0, 1\], got -1.0"),
+        (lambda m: m.update(d=math.nan), "malformed d: nan is not finite"),
+        (lambda m: m.update(d=10 ** 400), "malformed d: int too large to convert to float"),
+        (lambda m: m.update(record_every=0),
+         "malformed record_every: 0 is below the minimum 1"),
+        (lambda m: m.update(dt_safety=-1.0), "malformed dt_safety: -1.0 is not positive"),
+        (lambda m: m.update(dt_safety=math.nan), "malformed dt_safety: nan is not finite"),
+        (lambda m: m.update(rho=math.nan), "malformed rho: nan is not finite"),
+        (lambda m: m.update(lambda_ref=math.inf), "malformed lambda_ref: inf is not finite"),
+        (lambda m: m.update(events=[[math.nan, "step_rejected: x"]]),
+         "malformed events: nan is not finite"),
+        (lambda m: m["outcome"].update(time=-math.inf),
+         "malformed outcome time: -inf is not finite"),
     ], ids=["short_event", "events_number", "d", "n", "dt_safety", "outcome_list",
             "d_true", "n_fraction", "record_every_fraction", "d_string", "n_string",
             "rho_string", "event_name_number", "outcome_kind_number",
             "outcome_kind_unknown", "outcome_time_string", "outcome_time_true",
-            "outcome_detail_null"])
+            "outcome_detail_null", "d_above_1", "d_negative", "d_nan", "d_huge_int",
+            "record_every_0", "dt_safety_negative", "dt_safety_nan", "rho_nan",
+            "lambda_ref_inf", "event_time_nan", "outcome_time_inf"])
     def test_malformed_manifest_value(self, short_run, tmp_path, change, message):
         out = write_trajectory(short_run, tmp_path / "run")
         edit_manifest(out, change)
