@@ -23,7 +23,8 @@ EARLY_THETA = 0.2
 
 MIN_WINDOW_STATES = 10
 
-#: fewest members extract_blowup accepts
+#: fewest members of a blow-up sequence: the least count extract_blowup
+#: takes, and the fewest doubling states it returns
 MIN_BLOWUP_COUNT = 3
 
 
@@ -147,7 +148,7 @@ def extract_blowup(traj: Trajectory, count: int = 8) -> BlowupSequence:
     picked.reverse()
     if len(picked) > count:
         picked = picked[-count:]
-    if len(picked) < 3:
+    if len(picked) < MIN_BLOWUP_COUNT:
         raise InsufficientWindow(
             f"only {len(picked)} doubling states before extinction")
 

@@ -8,14 +8,15 @@ phi = atan2(y, x) of the penultimate node.  Nodes are redistributed to
 uniform arclength after every step, which supplies the tangential degree
 of freedom and keeps the explicit scheme stable at dt <= DT_SAFETY * h^2.
 
-run() makes its node buffers once, as a ring of CHECK_BLOCK + 1 rows: each
-row holds a set of complex nodes with their segment lengths and joint
-products, all rows share one scratch set, and each row's partner is the
-next row.  A step reads one row and writes its candidate into the next
-with out= ufuncs.  run() takes every step, a retry included, in a block
-of candidate steps from row 0, decided together by one batched validity
-predicate; the accepted rows are carried forward, the last one into row 0.
-A rejection makes the next block one step long, at half the dt of the
+run() makes its node buffers once, as a chain of CHECK_BLOCK + 1 rows of
+n + 1 nodes: each row holds a set of complex nodes with their segment
+lengths and joint products, all rows share one scratch set, and each row
+but the last links to the next.  A step reads one row and writes its
+candidate into the next with out= ufuncs.  run() takes every step, a
+retry included, in a block of candidate steps from row 0, decided
+together by one batched validity predicate, the only source of
+rejections; the accepted rows are carried forward, the last one into row
+0.  A rejection makes the next block one step long, at half the dt of the
 rejected one.  Recorded states copy the nodes out, so no state aliases a
 buffer.
 """
@@ -180,12 +181,13 @@ def _project_end(z: np.ndarray) -> None:
 
 
 class _NodeBuffer:
-    """One row of a run's ring (see _run_buffers): the complex nodes z,
+    """One row of a run's chain (see _run_buffers): the complex nodes z,
     with their frame (z, seg, joint) and the views of them the explicit
-    step reads and writes, all built once.  `nodes` is the (M, 2) float
-    view of z.  `block` is rows 1 up to this one, or row 0 alone for row
-    0, as the stack _reason reads; `other` is the row a step from this one
-    writes to, and `scratch` the ring's one scratch set."""
+    step reads and writes, all built once.  `nodes` is the (n + 1, 2)
+    float view of z.  `block` is rows 1 up to this one, or row 0 alone for
+    row 0, as the stack _reason reads; `other` is the row a step from this
+    one writes to (None for the last row), and `scratch` the chain's one
+    scratch set."""
 
     __slots__ = ("z", "seg", "joint", "frame", "nodes", "read", "write",
                  "block", "other", "scratch")
@@ -203,52 +205,48 @@ class _NodeBuffer:
         self.scratch: tuple | None = None
 
 
-def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> _NodeBuffer:
-    """The ring of a run on n segments: `rows` buffers, row i a view of
-    row i of one complex node array and of its segment, joint and check
-    arrays, each row's `other` the next row, cyclically.  Row 0 is loaded
-    with the (M, 2) nodes of the first step and has M nodes, the others
-    n + 1.  Returns row 0; all rows share one scratch set, which
-    _advance_checked unpacks in this order."""
-    m = nodes.shape[0]
-    width = max(m, n + 1)
-    z = np.empty((rows, width), dtype=np.complex128)
-    seg = np.empty((rows, width - 1))
-    joint = np.empty((rows, width - 2), dtype=np.complex128)
-    r = np.empty((rows, width))  # |z|
-    ang = np.empty((rows, width - 2))  # |arg joint|
+def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> list[_NodeBuffer]:
+    """The chain of a run on n segments: `rows` buffers of n + 1 nodes,
+    row i a view of row i of one complex node array and of its segment,
+    joint and check arrays, and row i's `other` row i + 1.  Row 0 is
+    loaded with the (n + 1, 2) nodes of the first step.  Returns the rows;
+    all share one scratch set, which _advance_checked unpacks in this
+    order."""
+    z = np.empty((rows, n + 1), dtype=np.complex128)
+    seg = np.empty((rows, n))
+    joint = np.empty((rows, n - 1), dtype=np.complex128)
+    r = np.empty((rows, n + 1))  # |z|
+    ang = np.empty((rows, n - 1))  # |arg joint|
 
-    def stack(lo: int, hi: int, w: int) -> tuple:
-        # rows lo..hi-1 of w nodes, as _reason reads them
-        zs, js = z[lo:hi, :w], joint[lo:hi, :w - 2]
-        return (zs, zs.imag, seg[lo:hi, :w - 1], js, js.real, js.imag,
-                r[lo:hi, :w], ang[lo:hi, :w - 2])
+    def stack(lo: int, hi: int) -> tuple:
+        # rows lo..hi-1, as _reason reads them
+        zs, js = z[lo:hi], joint[lo:hi]
+        return zs, zs.imag, seg[lo:hi], js, js.real, js.imag, r[lo:hi], ang[lo:hi]
 
-    ring = [_NodeBuffer(z[i, :w], seg[i, :w - 1], joint[i, :w - 2],
-                        stack(1 if i else 0, i + 1, w))
-            for i, w in enumerate([m] + [n + 1] * (rows - 1))]
-    for buf, nxt in zip(ring, ring[1:] + ring[:1]):
+    chain = [_NodeBuffer(z[i], seg[i], joint[i], stack(1 if i else 0, i + 1))
+             for i in range(rows)]
+    for buf, nxt in zip(chain, chain[1:]):
         buf.other = nxt
-    head = ring[0]
+    head = chain[0]
     head.nodes[...] = nodes
     _, head.seg[...], head.joint[...] = _frame(head.z)
-    u = np.empty(m, dtype=np.complex128)  # the nodes before resampling
-    s = np.zeros(m)  # their arclengths; the step writes s[1:]
+    u = np.empty(n + 1, dtype=np.complex128)  # the nodes before resampling
+    s = np.zeros(n + 1)  # their arclengths; the step writes s[1:]
     e = np.empty(n, dtype=np.complex128)  # the candidate's segments
     scratch = (
         # the chord c, its length, the denominators and half_scale
-        np.empty(m - 2, dtype=np.complex128), np.empty(m - 2), np.empty(m - 2),
-        np.empty(m - 2),
+        np.empty(n - 1, dtype=np.complex128), np.empty(n - 1), np.empty(n - 1),
+        np.empty(n - 1),
         u, u[1:-1], u[1:], u[:-1],
-        np.empty(m - 1, dtype=np.complex128), np.empty(m - 1),  # u's segments, lengths
+        np.empty(n, dtype=np.complex128), np.empty(n),  # u's segments, lengths
         s, s[1:],
         # node indices 0..n as floats: the targets are indices * (length / n),
         # bit-identical to np.linspace(0, length, n + 1) on every interior node
         np.arange(n + 1, dtype=np.float64), np.empty(n + 1),
         e, e[:-1], e[1:], np.empty(n - 1, dtype=np.complex128))
-    for buf in ring:
+    for buf in chain:
         buf.scratch = scratch
-    return head
+    return chain
 
 
 #: the reasons _reason gives before the embedding test, in the order it
@@ -290,16 +288,14 @@ def _reason(rows: tuple) -> tuple[int, str | None]:
 
 
 def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
-                     n: int) -> tuple[_NodeBuffer, str | None, float]:
+                     n: int) -> tuple[_NodeBuffer, float]:
     """One explicit step from the buffer `frame` into `frame.other`;
-    returns (frame.other, None, the area shed by resampling).  The area
-    shed is the corner cutting of the linear interpolant, which the
-    area-balance diagnostics add back.  `frame` is not written to, so a
-    rejected step can retry from it.  run() decides the candidate later,
-    with the rest of its block, by one _reason call; a reason in the
-    second slot (only a stand-in step returns one) rejects the candidate
-    at once.  The name and result are those the benchmark's tracer wraps
-    as flow.step.
+    returns (frame.other, the area shed by resampling).  The area shed is
+    the corner cutting of the linear interpolant, which the area-balance
+    diagnostics add back.  `frame` is not written to, so a rejected step
+    can retry from it.  run() decides the candidate later, with the rest
+    of its block, by one _reason call.  The benchmark's tracer wraps this
+    name as flow.step.
 
     The composition is curvature_vectors, re-pinning o and projecting the
     right end, _resample_nodes, projecting again; it runs on the complex
@@ -345,24 +341,21 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
     np.abs(e, out=seg)
     np.conjugate(e_lo, out=e_conj)
     np.multiply(e_conj, e_hi, out=joint)
-    return out, None, area_pre - _area(w)
+    return out, area_pre - _area(w)
 
 
 def _advance(nodes: np.ndarray, d: float, dt: float,
              n: int) -> tuple[np.ndarray, float]:
-    """One explicit step (see _advance_checked) on an (M, 2) node array,
-    on buffers of its own; returns the new (n + 1, 2) nodes and the area
-    shed by resampling."""
-    out, _, shed = _advance_checked(_run_buffers(nodes, n), d, dt, n)
-    out.other = None  # unlink the ring (see run())
+    """One explicit step (see _advance_checked) on an (n + 1, 2) node
+    array, on buffers of its own; returns the new (n + 1, 2) nodes and the
+    area shed by resampling.  Nodes of another count raise ValueError."""
+    out, shed = _advance_checked(_run_buffers(nodes, n)[0], d, dt, n)
     return out.nodes, shed
 
 
 def _step_valid(nodes: np.ndarray) -> str | None:
     """Reason the (M, 2) nodes are not an admissible state, or None."""
-    buf = _run_buffers(nodes, nodes.shape[0] - 1)
-    buf.other = None  # unlink the ring (see run())
-    return _reason(buf.block)[1]
+    return _reason(_run_buffers(nodes, nodes.shape[0] - 1, 1)[0].block)[1]
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
@@ -403,21 +396,21 @@ def run(cfg: FlowRunConfig,
     the final state included, as it is recorded.  The outcome alone
     records how the run ended.
 
-    Every step is taken in a block of up to CHECK_BLOCK candidates, none
-    past the next record step or max_steps, with t_end checked before
-    each; one _reason call decides a block.  The candidates before its
-    first inadmissible one are accepted in order.  That step is rejected
-    and taken again as a block of one at half its dt, until it is
-    accepted or rejected MAX_DT_RETRIES + 1 times.  So the states, times
-    and events are those of checking every step as it is taken.
+    Every step is taken in a block of up to CHECK_BLOCK candidates, from
+    row 0 of the run's chain into rows 1, 2, ..., none past the next
+    record step or max_steps, with t_end checked before each; one _reason
+    call decides a block, and is the only source of rejections.  The
+    candidates before its first inadmissible one are accepted in order.
+    That step is rejected and taken again as a block of one at half its
+    dt, until it is accepted or rejected MAX_DT_RETRIES + 1 times.  So the
+    states, times and events are those of checking every step as it is
+    taken.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
     nodes = prepare_initial(cfg)
-    head = _run_buffers(nodes, n, CHECK_BLOCK + 1)
-    ring = [head]
-    while len(ring) <= CHECK_BLOCK:
-        ring.append(ring[-1].other)
+    rows = _run_buffers(nodes, n, CHECK_BLOCK + 1)
+    head = rows[0]
     t = 0.0
     step_i = 0
     states: list[FlowState] = [_make_state(nodes, d, t, step_i)]
@@ -433,32 +426,25 @@ def run(cfg: FlowRunConfig,
             outcome = FlowOutcome(kind="max_steps", time=t)
         else:
             # candidates from row 0 into rows 1, 2, ..., with the time and
-            # area shed after each; a reason here is the step's own
-            frame, t_k, shed_k, taken, reason = head, t, shed_accum, [], None
+            # area shed after each; the block has at least one
+            frame, t_k, shed_k, taken = head, t, shed_accum, []
             for _ in range(min(1 if halvings else CHECK_BLOCK,
                                record_every - step_i % record_every, max_steps - step_i)):
                 # scaling by a power of two is exact: dt halved `halvings` times
                 dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2 * 0.5 ** halvings
-                candidate, reason, shed = _advance_checked(frame, d, dt, n)
-                if reason is not None:
-                    break
-                frame = candidate
+                frame, shed = _advance_checked(frame, d, dt, n)
                 t_k += dt
                 shed_k += shed
                 taken.append((t_k, shed_k))
                 if t_end is not None and t_k >= t_end:
                     break
-            k = len(taken)
-            if k:
-                first, why = _reason(frame.block)
-                if why is not None:
-                    k, reason = first, why
+            k, reason = _reason(frame.block)
             if k:
                 t, shed_accum = taken[k - 1]
                 step_i += k
                 halvings = 0
                 # every block starts from row 0
-                for row, last in zip(head.frame, ring[k].frame):
+                for row, last in zip(head.frame, rows[k].frame):
                     row[...] = last
             if reason is not None:
                 events.append((t, f"step_rejected: {reason}"))
@@ -494,9 +480,6 @@ def run(cfg: FlowRunConfig,
                 and hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
             outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
 
-    # the ring is a reference cycle: unlink it, so that it is freed when
-    # run() returns and not at the next full garbage collection
-    ring[-1].other = None
     return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
                       record_every=record_every, dt_safety=DT_SAFETY)
 

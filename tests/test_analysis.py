@@ -1,4 +1,5 @@
 """Post-processing: asymptotic fits, blow-up extraction, soliton comparison."""
+import dataclasses
 import math
 import warnings
 
@@ -120,6 +121,14 @@ class TestExtractBlowup:
     def test_requires_extinction(self, converged_run):
         with pytest.raises(NotExtinct):
             extract_blowup(converged_run)
+
+    def test_too_few_doubling_states(self, extinct_run):
+        # the last two states: the earlier one has more than half the
+        # last one's curvature, so only the last is picked
+        cut = dataclasses.replace(extinct_run, states=extinct_run.states[-2:])
+        with pytest.raises(InsufficientWindow,
+                           match="only 1 doubling states before extinction"):
+            extract_blowup(cut)
 
     def test_ladder_structure(self, extinct_run):
         seq = extract_blowup(extinct_run, count=8)

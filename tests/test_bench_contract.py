@@ -120,16 +120,20 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
                                               record_every, max_steps):
     # flow.step_calls is the call count of flow._advance_checked, looked
     # up through the module by run(); the benchmark checks it against the
-    # steps and rejections it reads from the trajectory
+    # steps and rejections it reads from the trajectory.  The reject_call-th
+    # candidate gets a zero segment length, which run()'s check rejects
+    # with the rest of the first block, whose candidates past it are
+    # computed and discarded
     _, workloads = bench
     real = flow._advance_checked
     calls = []
 
     def counted(frame, d, dt, n):
-        out, reason, shed = real(frame, d, dt, n)
+        out, shed = real(frame, d, dt, n)
         calls.append(dt)
-        return (out, "forced rejection", shed) if len(calls) == reject_call \
-            else (out, reason, shed)
+        if len(calls) == reject_call:
+            out.seg[0] = 0.0
+        return out, shed
 
     monkeypatch.setattr(flow, "_advance_checked", counted)
     c = initial_curve(0.3, 0.5, 64)
@@ -138,7 +142,9 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
     counts = workloads.trajectory_counts([traj])
     assert counts["flow.steps"] == max_steps
     assert counts["flow.rejected_steps"] == (reject_call is not None)
-    assert len(calls) == counts["flow.steps"] + counts["flow.rejected_steps"]
+    discarded = 0 if reject_call is None else \
+        min(flow.CHECK_BLOCK, record_every, max_steps) - reject_call
+    assert len(calls) == counts["flow.steps"] + counts["flow.rejected_steps"] + discarded
 
 
 @pytest.mark.parametrize("workload", ["converge", "blowup", "verify"])

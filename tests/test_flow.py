@@ -1,5 +1,6 @@
 """Flow stepper: stationary states, invariants, comparisons, export."""
 import dataclasses
+import gc
 import json
 import math
 import warnings
@@ -139,23 +140,20 @@ class TestFusedStep:
                 assert abs(shed_fast - shed_ref) < 1e-15
         assert flow._step_valid(fast) is None
 
-    def test_resamples_to_requested_node_count(self):
+    def test_other_node_count_raises(self):
+        # a step keeps the node count: every row of a run has n + 1 nodes
         nodes = initial_curve(0.3, 0.5, 64).nodes
-        out, shed = flow._advance(nodes, 0.5, 1e-5, 40)
-        ref, shed_ref = reference_advance(nodes, 0.5, 1e-5, 40)
-        assert out.shape == (41, 2)
-        assert np.abs(out - ref).max() < 1e-12
-        assert abs(shed - shed_ref) < 1e-15
+        with pytest.raises(ValueError, match="could not broadcast"):
+            flow._advance(nodes, 0.5, 1e-5, 40)
 
     def test_checked_step_is_advance_plus_predicate(self):
         nodes = initial_curve(0.3, 0.5, 64).nodes
-        frame = flow._run_buffers(nodes, 64)
+        frame = flow._run_buffers(nodes, 64)[0]
         kept = [a.copy() for a in frame.frame]
-        candidate, reason, shed = flow._advance_checked(frame, 0.5, 1e-5, 64)
+        candidate, shed = flow._advance_checked(frame, 0.5, 1e-5, 64)
         z, seg, joint = candidate.frame
         out_ref, shed_ref = flow._advance(nodes, 0.5, 1e-5, 64)
         out = flow._as_nodes(z)
-        assert reason is None
         assert np.abs(out - out_ref).max() < 1e-13
         assert abs(shed - shed_ref) < 1e-15
         # the candidate's frame is the one built from its nodes, and the
@@ -163,9 +161,8 @@ class TestFusedStep:
         for got, want in zip((z, seg, joint), flow._frame(flow._as_complex(out.copy()))):
             assert np.array_equal(got, want)
         assert all(np.array_equal(a, b) for a, b in zip(frame.frame, kept))
-        # the candidate is the input's partner buffer, and steps back into it
-        assert candidate is frame.other and candidate.other is frame
-        assert flow._advance_checked(candidate, 0.5, 1e-5, 64)[0] is frame
+        # the candidate is the next row of the chain, the last one
+        assert candidate is frame.other and candidate.other is None
 
     def test_coincident_nodes(self):
         nodes = initial_curve(0.3, 0.5, 64).nodes.copy()
@@ -242,10 +239,9 @@ def single_row_reason(nodes):
 
 
 def block_reason(rows):
-    """flow._reason on the (M, 2) rows, loaded into rows 1.. of a ring."""
-    buf = flow._run_buffers(np.zeros_like(rows[0]), len(rows[0]) - 1, len(rows) + 1)
-    for nodes in rows:
-        buf = buf.other
+    """flow._reason on the (M, 2) rows, loaded into rows 1.. of a chain."""
+    chain = flow._run_buffers(np.zeros_like(rows[0]), len(rows[0]) - 1, len(rows) + 1)
+    for buf, nodes in zip(chain[1:], rows):
         buf.nodes[...] = nodes
         with np.errstate(invalid="ignore", over="ignore"):
             _, buf.seg[...], buf.joint[...] = flow._frame(buf.z)
@@ -315,105 +311,23 @@ class TestBlockPredicate:
         assert block_reason(rows) == want
 
 
-def reference_run(d, n, steps, reject_call=None):
-    """run()'s stepping as it was before frames were carried: dt from the
-    complex segment lengths, then _advance, then _step_valid, each on the
-    nodes.  The reject_call-th candidate (counting from 1) is rejected.
-    Returns [(nodes, t, area_shed)] from the initial state on, and the
-    rejection events."""
+#: the reason run() gives a candidate whose first segment length a test
+#: double set to 0
+POISONED = "coincident or non-finite nodes"
+
+
+def reference_loop(d, n, max_steps, record_every=1, poison_call=None):
+    """run() as one step at a time, as it was before frames were carried
+    and steps checked in blocks: dt from the complex segment lengths,
+    _advance, then _step_valid on the candidate's nodes.  The
+    poison_call-th candidate (counting from 1) is rejected as POISONED.  A
+    rejected step is retried at dt / 2, and MAX_DT_RETRIES + 1 rejections
+    of one step end the run as an invariant violation.  No stop rule fires
+    within max_steps.  Returns [(nodes, t, step, area_shed)] for the
+    records, the rejection events and the outcome."""
     nodes = flow.prepare_initial(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n))
     t = shed_sum = 0.0
-    calls = 0
-    states, events = [(nodes, t, shed_sum)], []
-    for _ in range(steps):
-        z = flow._as_complex(nodes)
-        dt = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / n) ** 2
-        while True:
-            candidate, shed = flow._advance(nodes, d, dt, n)
-            reason = flow._step_valid(candidate)
-            calls += 1
-            if calls == reject_call:
-                reason = "forced rejection"
-            if reason is None:
-                break
-            events.append((t, f"step_rejected: {reason}"))
-            dt *= 0.5
-        nodes = candidate
-        t += dt
-        shed_sum += shed
-        states.append((nodes, t, shed_sum))
-    return states, events
-
-
-class TestCarriedFrame:
-    """run() carries each candidate's frame into the next step; it must
-    step exactly as the loop that recomputed everything from the nodes."""
-
-    @staticmethod
-    def run_steps(d, steps, n=64):
-        return run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
-                                 record_every=1, max_steps=steps))
-
-    @staticmethod
-    def assert_same_states(traj, ref):
-        assert len(traj.states) == len(ref)
-        for s, (nodes, t, shed) in zip(traj.states, ref):
-            assert np.array_equal(s.curve.nodes, nodes)
-            assert s.time == t
-            assert s.area_shed == shed
-
-    @pytest.mark.parametrize("d", [0.5, 1.0])
-    def test_run_matches_reference_loop(self, d):
-        ref, events = reference_run(d, 64, 2000)
-        traj = self.run_steps(d, 2000)
-        assert traj.events == events == []
-        self.assert_same_states(traj, ref)
-
-    def test_run_matches_reference_loop_at_blowup_settings(self):
-        # the blowup benchmark's d and node count
-        ref, events = reference_run(1.0, 96, 2000)
-        traj = self.run_steps(1.0, 2000, n=96)
-        assert traj.events == events == []
-        self.assert_same_states(traj, ref)
-
-    @pytest.mark.parametrize("record_every", [1, 1000])
-    @pytest.mark.parametrize("reject_call", [1, 5, 40])
-    def test_rejected_candidate_retries_from_unchanged_frame(self, monkeypatch,
-                                                             reject_call, record_every):
-        # the reject_call-th candidate is computed in full and then
-        # rejected; the retry at dt / 2 starts from the same frame.  Call 1
-        # is step 0, a record step; with record_every 1000, call 40 comes
-        # after a full block of CHECK_BLOCK steps.  reference_run steps
-        # with _advance, so it runs before the monkeypatch
-        ref, events = reference_run(0.5, 64, 2000, reject_call=reject_call)
-        real = flow._advance_checked
-        dts = []
-
-        def reject_once(frame, d, dt, n):
-            out, reason, shed = real(frame, d, dt, n)
-            dts.append(dt)
-            return (out, "forced rejection", shed) if len(dts) == reject_call \
-                else (out, reason, shed)
-
-        monkeypatch.setattr(flow, "_advance_checked", reject_once)
-        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
-                                 record_every=record_every, max_steps=2000))
-        assert len(dts) == 2001 and dts[reject_call] == 0.5 * dts[reject_call - 1]
-        assert traj.events == events
-        assert [name for _, name in events] == ["step_rejected: forced rejection"]
-        self.assert_same_states(traj, ref[::record_every])
-
-
-def reference_loop(d, n, max_steps, record_every):
-    """run() as one step at a time: dt from the complex segment lengths,
-    _advance, then _step_valid on the candidate's nodes; a rejected step
-    is retried at dt / 2, and MAX_DT_RETRIES + 1 rejections of one step
-    end the run as an invariant violation.  No stop rule fires within
-    max_steps.  Returns [(nodes, t, step, area_shed)] for the records,
-    the rejection events and the outcome."""
-    nodes = flow.prepare_initial(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n))
-    t = shed_sum = 0.0
-    step = 0
+    step = calls = 0
     states, events = [(nodes, t, step, shed_sum)], []
     outcome = flow.FlowOutcome(kind="max_steps", time=None)
     while step < max_steps:
@@ -421,7 +335,8 @@ def reference_loop(d, n, max_steps, record_every):
         dt = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / n) ** 2
         for _ in range(flow.MAX_DT_RETRIES + 1):
             candidate, shed = flow._advance(nodes, d, dt, n)
-            reason = flow._step_valid(candidate)
+            calls += 1
+            reason = POISONED if calls == poison_call else flow._step_valid(candidate)
             if reason is None:
                 break
             events.append((t, f"step_rejected: {reason}"))
@@ -439,6 +354,80 @@ def reference_loop(d, n, max_steps, record_every):
     if states[-1][2] != step:
         states.append((nodes, t, step, shed_sum))
     return states, events, outcome
+
+
+def assert_same_states(traj, ref):
+    """The recorded states of traj are those of reference_loop, bit for bit."""
+    assert len(traj.states) == len(ref)
+    for s, (nodes, t, step, shed) in zip(traj.states, ref):
+        assert np.array_equal(s.curve.nodes, nodes)
+        assert (s.time, s.step, s.area_shed) == (t, step, shed)
+
+
+def poison_steps(monkeypatch, poisoned):
+    """Make run() step with the real _advance_checked, zero the first
+    segment length of the candidates of the calls `poisoned` takes
+    (counting from 1), so that run()'s check rejects them as POISONED, and
+    record the (frame, dt) of every call in the returned list."""
+    real, calls = flow._advance_checked, []
+
+    def step(frame, d, dt, n):
+        out, shed = real(frame, d, dt, n)
+        calls.append((frame, dt))
+        if poisoned(len(calls)):
+            out.seg[0] = 0.0
+        return out, shed
+
+    monkeypatch.setattr(flow, "_advance_checked", step)
+    return calls
+
+
+class TestCarriedFrame:
+    """run() carries each candidate's frame into the next step; it must
+    step exactly as the loop that recomputed everything from the nodes."""
+
+    @staticmethod
+    def run_steps(d, steps, n=64):
+        return run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
+                                 record_every=1, max_steps=steps))
+
+    @pytest.mark.parametrize("d", [0.5, 1.0])
+    def test_run_matches_reference_loop(self, d):
+        ref, events, _ = reference_loop(d, 64, 2000)
+        traj = self.run_steps(d, 2000)
+        assert traj.events == events == []
+        assert_same_states(traj, ref)
+
+    def test_run_matches_reference_loop_at_blowup_settings(self):
+        # the blowup benchmark's d and node count
+        ref, events, _ = reference_loop(1.0, 96, 2000)
+        traj = self.run_steps(1.0, 2000, n=96)
+        assert traj.events == events == []
+        assert_same_states(traj, ref)
+
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    @pytest.mark.parametrize("reject_call", [1, 5, 40])
+    def test_rejected_candidate_retries_from_unchanged_frame(self, monkeypatch,
+                                                             reject_call, record_every):
+        # the reject_call-th candidate is computed in full and then
+        # rejected with the rest of its block; the retry at dt / 2 starts
+        # from the same frame, in row 0.  Call 1 is step 0, a record step;
+        # with record_every 1000, call 40 comes after a full block of
+        # CHECK_BLOCK steps.  reference_loop steps with _advance, so it
+        # runs before the monkeypatch
+        ref, events, _ = reference_loop(0.5, 64, 2000, record_every, poison_call=reject_call)
+        calls = poison_steps(monkeypatch, lambda call: call == reject_call)
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                                 record_every=record_every, max_steps=2000))
+        # the block's candidates past the poisoned one are discarded
+        block = min(flow.CHECK_BLOCK, record_every)
+        retry = -(-reject_call // block) * block
+        (head, _), (retry_frame, retry_dt) = calls[0], calls[retry]
+        assert len(calls) == 2001 + retry - reject_call
+        assert retry_frame is head and retry_dt == 0.5 * calls[reject_call - 1][1]
+        assert traj.events == events
+        assert [name for _, name in events] == [f"step_rejected: {POISONED}"]
+        assert_same_states(traj, ref)
 
 
 class TestRealRejections:
@@ -466,10 +455,7 @@ class TestRealRejections:
         assert traj.outcome == outcome
         assert traj.events == events
         assert (len(events), outcome.kind, ref[-1][2]) == self.SEEN[d, safety]
-        assert len(traj.states) == len(ref)
-        for s, (nodes, t, step, shed) in zip(traj.states, ref):
-            assert np.array_equal(s.curve.nodes, nodes)
-            assert (s.time, s.step, s.area_shed) == (t, step, shed)
+        assert_same_states(traj, ref)
 
 
 class TestRunBuffers:
@@ -481,27 +467,36 @@ class TestRunBuffers:
         # record_every 1000: blocks of CHECK_BLOCK steps, the last one cut
         # by max_steps
         real = flow._run_buffers
-        heads = []
+        chains = []
         monkeypatch.setattr(flow, "_run_buffers",
-                            lambda *args: heads.append(real(*args)) or heads[-1])
+                            lambda *args: chains.append(real(*args)) or chains[-1])
         seen = []
         traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
                                  record_every=record_every, max_steps=max_steps),
                    callback=seen.append)
-        # run() unlinks its ring before returning, so the walk ends at None
-        ring = [heads[-1]]
-        while ring[-1].other is not None:
-            ring.append(ring[-1].other)
-        assert len(ring) == flow.CHECK_BLOCK + 1
+        rows = chains[-1]
+        assert len(rows) == flow.CHECK_BLOCK + 1 and rows[-1].other is None
+        assert all(row.other is nxt for row, nxt in zip(rows, rows[1:]))
         assert seen == traj.states[1:]
         for s in traj.states:
-            assert not any(np.shares_memory(s.curve.nodes, row.z) for row in ring)
+            assert not any(np.shares_memory(s.curve.nodes, row.z) for row in rows)
         ref, events, outcome = reference_loop(0.5, 64, max_steps, record_every)
         assert traj.outcome == outcome and traj.events == events == []
-        assert len(traj.states) == len(ref)
-        for s, (nodes, t, step, shed) in zip(traj.states, ref):
-            assert np.array_equal(s.curve.nodes, nodes)
-            assert (s.time, s.step, s.area_shed) == (t, step, shed)
+        assert_same_states(traj, ref)
+
+    def test_a_run_leaves_no_cyclic_garbage(self):
+        # no reference cycle outlives a step or a run: each is freed when
+        # its last reference goes, not at the next full garbage collection
+        nodes = initial_curve(0.3, 0.5, 64).nodes
+        gc.collect()
+        gc.disable()
+        try:
+            run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                              record_every=5, max_steps=100))
+            flow._step_valid(flow._advance(nodes, 0.5, 1e-5, 64)[0])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_buffers_are_per_run_and_never_leak(self):
         c = initial_curve(0.3, 0.5, 64)
@@ -603,21 +598,23 @@ class TestRunOutcomes:
     def test_invariant_violation_after_retries(self, monkeypatch):
         c = initial_curve(0.3, 0.5, 64)
         cfg = FlowRunConfig(d=0.5, initial=c, n=64, t_end=1.0)
-        # dt from the complex segment lengths, as reference_run takes it
+        # dt from the complex segment lengths, as reference_loop takes it
         z = flow._as_complex(flow.prepare_initial(cfg))
         dt0 = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / 64) ** 2
-        dts = []
-        monkeypatch.setattr(flow, "_advance_checked",
-                            lambda frame, d, dt, n: dts.append(dt) or
-                            (frame, "synthetic failure", 0.0))
+        calls = poison_steps(monkeypatch, lambda call: True)
         traj = run(cfg)
         assert traj.outcome == flow.FlowOutcome(
             kind="invariant_violation", time=0.0,
             detail=f"step rejected {flow.MAX_DT_RETRIES + 1} times")
-        assert traj.events == [(0.0, "step_rejected: synthetic failure")] * \
+        assert traj.events == [(0.0, f"step_rejected: {POISONED}")] * \
             (flow.MAX_DT_RETRIES + 1)
         assert [s.step for s in traj.states] == [0]
-        assert dts == [dt0 * 2.0 ** -k for k in range(flow.MAX_DT_RETRIES + 1)]
+        # a first block of CHECK_BLOCK candidates, then one per retry; each
+        # block starts from row 0
+        assert len(calls) == flow.CHECK_BLOCK + flow.MAX_DT_RETRIES
+        head = calls[0][0]
+        assert [dt for frame, dt in calls if frame is head] == \
+            [dt0 * 2.0 ** -k for k in range(flow.MAX_DT_RETRIES + 1)]
 
     @pytest.mark.parametrize("failing_call, last_step", [(3, 10), (4, 20)])
     def test_invalid_state_ends_at_last_good_record(self, monkeypatch, failing_call,
@@ -647,13 +644,24 @@ class TestRunOutcomes:
         assert len(seen) == len(traj.states) - 1
         assert all(a is b for a, b in zip(seen, traj.states[1:]))
 
-    def test_bad_initial_curve_rejected(self):
-        c = unstable_arc(0.5, 64)
-        shifted = c.nodes.copy()
-        shifted[:, 0] += 0.3  # endpoint leaves the circle, o mismatched
-        bad = type(c)(nodes=shifted)
-        with pytest.raises(InvalidCurve):
-            run(FlowRunConfig(d=0.5, initial=bad, n=64, t_end=0.1))
+    #: each refusal of prepare_initial, by the curve that meets it
+    BAD_INITIAL = {"shifted": "does not start at the Dirichlet point",
+                   "off_circle": "initial right endpoint not on the unit circle",
+                   "below_axis": "invalid initial curve: node below the x-axis"}
+
+    @pytest.mark.parametrize("case", BAD_INITIAL)
+    def test_bad_initial_curve_rejected(self, case):
+        if case == "off_circle":
+            nodes = initial_curve(0.3, 0.5, 64).nodes.copy()
+            nodes[-1] *= 1.01
+        else:
+            nodes = unstable_arc(0.5, 64).nodes.copy()
+            if case == "shifted":
+                nodes[:, 0] += 0.3  # endpoint leaves the circle, o mismatched
+            else:
+                nodes[10, 1] = -1e-6
+        with pytest.raises(InvalidCurve, match=self.BAD_INITIAL[case]):
+            run(FlowRunConfig(d=0.5, initial=Curve(nodes=nodes), n=64, t_end=0.1))
 
 
 class TestMonotoneQuantities:
