@@ -10,13 +10,15 @@ of freedom and keeps the explicit scheme stable at dt <= DT_SAFETY * h^2.
 
 run() makes its node buffers once, as a chain of CHECK_BLOCK + 1 rows of
 n + 1 nodes: each row holds a set of complex nodes with their segment
-lengths and joint products, all rows share one scratch set, and each row
-but the last links to the next.  A step reads one row and writes its
-candidate into the next with out= ufuncs.  run() takes every step, a
-retry included, in a block of candidate steps from row 0, decided
-together by one batched validity predicate, the only source of
-rejections; the accepted rows are carried forward, the last one into row
-0.  A rejection makes the next block one step long, at half the dt of the
+lengths and joint products and the nodes before resampling, all rows
+share one scratch set, and each row but the last links to the next.  A
+step reads one row and writes its candidate into the next with out=
+ufuncs; it computes no area.  run() takes every step, a retry included,
+in a block of candidate steps from row 0, decided together by one
+batched validity predicate, the only source of rejections; the accepted
+rows are carried forward, the last one into row 0, and the area they
+shed by resampling is added up in one batched pass over them.  A
+rejection makes the next block one step long, at half the dt of the
 rejected one.  Recorded states copy the nodes out, so no state aliases a
 buffer.
 """
@@ -48,6 +50,7 @@ from .geometry import (
     Curve,
     CurveDiagnostics,
     _area,
+    _areas,
     _as_complex,
     _as_nodes,
     _frame,
@@ -182,25 +185,28 @@ def _project_end(z: np.ndarray) -> None:
 
 class _NodeBuffer:
     """One row of a run's chain (see _run_buffers): the complex nodes z,
-    with their frame (z, seg, joint) and the views of them the explicit
-    step reads and writes, all built once.  `nodes` is the (n + 1, 2)
-    float view of z.  `block` is rows 1 up to this one, or row 0 alone for
-    row 0, as the stack _reason reads; `other` is the row a step from this
-    one writes to (None for the last row), and `scratch` the chain's one
-    scratch set."""
+    with their frame (z, seg, joint), the nodes u the step had before
+    resampling to z, and the views of them the explicit step reads and
+    writes, all built once.  `nodes` is the (n + 1, 2) float view of z.
+    `block` is rows 1 up to this one, or row 0 alone for row 0, as the
+    stack _reason reads, and `sheds` the same rows of u and z, as _sheds
+    reads them; `other` is the row a step from this one writes to (None
+    for the last row), and `scratch` the chain's one scratch set."""
 
     __slots__ = ("z", "seg", "joint", "frame", "nodes", "read", "write",
-                 "block", "other", "scratch")
+                 "block", "sheds", "other", "scratch")
 
-    def __init__(self, z: np.ndarray, seg: np.ndarray, joint: np.ndarray, block: tuple):
+    def __init__(self, z: np.ndarray, seg: np.ndarray, joint: np.ndarray,
+                 u: np.ndarray, block: tuple, sheds: tuple):
         self.z, self.seg, self.joint = z, seg, joint
         self.frame = (z, seg, joint)
         self.nodes = _as_nodes(z)
         # the step reads the chord ends, the interior, the pairs of
         # adjacent segment lengths and the cross products of the joints
         self.read = (z[2:], z[:-2], z[1:-1], seg[:-1], seg[1:], joint.imag)
-        self.write = (z, z[1:], z[:-1], seg, joint)
+        self.write = (z, z[1:], z[:-1], seg, joint, u, u[1:-1], u[1:], u[:-1])
         self.block = block
+        self.sheds = sheds
         self.other: _NodeBuffer | None = None
         self.scratch: tuple | None = None
 
@@ -208,36 +214,36 @@ class _NodeBuffer:
 def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> list[_NodeBuffer]:
     """The chain of a run on n segments: `rows` buffers of n + 1 nodes,
     row i a view of row i of one complex node array and of its segment,
-    joint and check arrays, and row i's `other` row i + 1.  Row 0 is
-    loaded with the (n + 1, 2) nodes of the first step.  Returns the rows;
-    all share one scratch set, which _advance_checked unpacks in this
-    order."""
+    joint, pre-resample node and check arrays, and row i's `other` row
+    i + 1.  Row 0 is loaded with the (n + 1, 2) nodes of the first step.
+    Returns the rows; all share one scratch set, which _advance_checked
+    unpacks in this order."""
     z = np.empty((rows, n + 1), dtype=np.complex128)
     seg = np.empty((rows, n))
     joint = np.empty((rows, n - 1), dtype=np.complex128)
+    u = np.empty((rows, n + 1), dtype=np.complex128)  # the nodes before resampling
     r = np.empty((rows, n + 1))  # |z|
     ang = np.empty((rows, n - 1))  # |arg joint|
 
-    def stack(lo: int, hi: int) -> tuple:
-        # rows lo..hi-1, as _reason reads them
+    def stacks(lo: int, hi: int) -> tuple[tuple, tuple]:
+        # rows lo..hi-1, as _reason and _sheds read them
         zs, js = z[lo:hi], joint[lo:hi]
-        return zs, zs.imag, seg[lo:hi], js, js.real, js.imag, r[lo:hi], ang[lo:hi]
+        return ((zs, zs.imag, seg[lo:hi], js, js.real, js.imag, r[lo:hi], ang[lo:hi]),
+                (u[lo:hi], zs))
 
-    chain = [_NodeBuffer(z[i], seg[i], joint[i], stack(1 if i else 0, i + 1))
+    chain = [_NodeBuffer(z[i], seg[i], joint[i], u[i], *stacks(1 if i else 0, i + 1))
              for i in range(rows)]
     for buf, nxt in zip(chain, chain[1:]):
         buf.other = nxt
     head = chain[0]
     head.nodes[...] = nodes
     _, head.seg[...], head.joint[...] = _frame(head.z)
-    u = np.empty(n + 1, dtype=np.complex128)  # the nodes before resampling
-    s = np.zeros(n + 1)  # their arclengths; the step writes s[1:]
+    s = np.zeros(n + 1)  # the arclengths of u; the step writes s[1:]
     e = np.empty(n, dtype=np.complex128)  # the candidate's segments
     scratch = (
         # the chord c, its length, the denominators and half_scale
         np.empty(n - 1, dtype=np.complex128), np.empty(n - 1), np.empty(n - 1),
         np.empty(n - 1),
-        u, u[1:-1], u[1:], u[:-1],
         np.empty(n, dtype=np.complex128), np.empty(n),  # u's segments, lengths
         s, s[1:],
         # node indices 0..n as floats: the targets are indices * (length / n),
@@ -287,15 +293,14 @@ def _reason(rows: tuple) -> tuple[int, str | None]:
     return first, next(why for why, f in zip(_REASONS, fails) if f[first])
 
 
-def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
-                     n: int) -> tuple[_NodeBuffer, float]:
+def _advance_checked(frame: _NodeBuffer, d: float, dt: float, n: int) -> _NodeBuffer:
     """One explicit step from the buffer `frame` into `frame.other`;
-    returns (frame.other, the area shed by resampling).  The area shed is
-    the corner cutting of the linear interpolant, which the area-balance
-    diagnostics add back.  `frame` is not written to, so a rejected step
-    can retry from it.  run() decides the candidate later, with the rest
-    of its block, by one _reason call.  The benchmark's tracer wraps this
-    name as flow.step.
+    returns frame.other, the candidate, which keeps its nodes before
+    resampling in u.  The step computes no area: run() adds up the area
+    its accepted candidates shed by resampling (see _sheds) after one
+    _reason call has decided them with the rest of their block.  `frame`
+    is not written to, so a rejected step can retry from it.  The
+    benchmark's tracer wraps this name as flow.step.
 
     The composition is curvature_vectors, re-pinning o and projecting the
     right end, _resample_nodes, projecting again; it runs on the complex
@@ -306,8 +311,8 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
     """
     out = frame.other
     z_hi, z_lo, z_mid, seg_lo, seg_hi, cross = frame.read
-    w, w_hi, w_lo, seg, joint = out.write
-    (c, lc, denom, half_scale, u, u_mid, u_hi, u_lo, du, ds, s, s_tail,
+    w, w_hi, w_lo, seg, joint, u, u_mid, u_hi, u_lo = out.write
+    (c, lc, denom, half_scale, du, ds, s, s_tail,
      idx, targets, e, e_lo, e_hi, e_conj) = frame.scratch
     np.subtract(z_hi, z_lo, out=c)
     np.abs(c, out=lc)
@@ -326,7 +331,6 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
     np.add(z_mid, c, out=u_mid)
     u[0] = -d
     _project_end(u)
-    area_pre = _area(u)
 
     np.subtract(u_hi, u_lo, out=du)
     np.abs(du, out=ds)
@@ -341,7 +345,14 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float,
     np.abs(e, out=seg)
     np.conjugate(e_lo, out=e_conj)
     np.multiply(e_conj, e_hi, out=joint)
-    return out, area_pre - _area(w)
+    return out
+
+
+def _sheds(us: np.ndarray, zs: np.ndarray) -> list[float]:
+    """The area each step of a stack of rows shed by resampling its nodes
+    us to zs: the corner cutting of the linear interpolant, which the
+    area-balance diagnostics add back."""
+    return [pre - post for pre, post in zip(_areas(us), _areas(zs))]
 
 
 def _advance(nodes: np.ndarray, d: float, dt: float,
@@ -349,8 +360,8 @@ def _advance(nodes: np.ndarray, d: float, dt: float,
     """One explicit step (see _advance_checked) on an (n + 1, 2) node
     array, on buffers of its own; returns the new (n + 1, 2) nodes and the
     area shed by resampling.  Nodes of another count raise ValueError."""
-    out, shed = _advance_checked(_run_buffers(nodes, n)[0], d, dt, n)
-    return out.nodes, shed
+    out = _advance_checked(_run_buffers(nodes, n)[0], d, dt, n)
+    return out.nodes, _sheds(*out.sheds)[0]
 
 
 def _step_valid(nodes: np.ndarray) -> str | None:
@@ -400,7 +411,8 @@ def run(cfg: FlowRunConfig,
     row 0 of the run's chain into rows 1, 2, ..., none past the next
     record step or max_steps, with t_end checked before each; one _reason
     call decides a block, and is the only source of rejections.  The
-    candidates before its first inadmissible one are accepted in order.
+    candidates before its first inadmissible one are accepted in order,
+    and the areas they shed are added to the running sum in that order.
     That step is rejected and taken again as a block of one at half its
     dt, until it is accepted or rejected MAX_DT_RETRIES + 1 times.  So the
     states, times and events are those of checking every step as it is
@@ -425,22 +437,23 @@ def run(cfg: FlowRunConfig,
         elif step_i >= max_steps:
             outcome = FlowOutcome(kind="max_steps", time=t)
         else:
-            # candidates from row 0 into rows 1, 2, ..., with the time and
-            # area shed after each; the block has at least one
-            frame, t_k, shed_k, taken = head, t, shed_accum, []
+            # candidates from row 0 into rows 1, 2, ..., with the time
+            # after each; the block has at least one
+            frame, t_k, taken = head, t, []
             for _ in range(min(1 if halvings else CHECK_BLOCK,
                                record_every - step_i % record_every, max_steps - step_i)):
                 # scaling by a power of two is exact: dt halved `halvings` times
                 dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2 * 0.5 ** halvings
-                frame, shed = _advance_checked(frame, d, dt, n)
+                frame = _advance_checked(frame, d, dt, n)
                 t_k += dt
-                shed_k += shed
-                taken.append((t_k, shed_k))
+                taken.append(t_k)
                 if t_end is not None and t_k >= t_end:
                     break
             k, reason = _reason(frame.block)
             if k:
-                t, shed_accum = taken[k - 1]
+                t = taken[k - 1]
+                for shed in _sheds(*rows[k].sheds):
+                    shed_accum += shed
                 step_i += k
                 halvings = 0
                 # every block starts from row 0

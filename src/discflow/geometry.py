@@ -244,12 +244,21 @@ def _frame(z: np.ndarray) -> Frame:
     return z, np.abs(e), e[:-1].conj() * e[1:]
 
 
+def _areas(zs: np.ndarray) -> list[float]:
+    """The area of enclosed_area for each row of a (K, M) stack of complex
+    nodes: the shoelace Im(sum conj(z_i) z_{i+1}) plus the exact
+    circle-sector closure.  np.vecdot gives np.vdot's bits on each row;
+    the sector angle is math.atan2's (np.arctan2 can differ from it in
+    the last bit), and the rest is float arithmetic, per row."""
+    end = zs[:, -1]
+    dots = np.vecdot(zs[:, :-1], zs[:, 1:]).imag.tolist()
+    return [0.5 * dot + 0.5 * (math.pi - math.atan2(y, x))
+            for dot, y, x in zip(dots, end.imag.tolist(), end.real.tolist())]
+
+
 def _area(z: np.ndarray) -> float:
-    # shoelace (Im of sum conj(z_i) z_{i+1}) over the complex nodes plus
-    # the exact circle-sector closure of enclosed_area
-    end = z[-1]
-    return 0.5 * np.vdot(z[:-1], z[1:]).imag \
-        + 0.5 * (math.pi - math.atan2(end.imag, end.real))
+    """_areas of the one row z."""
+    return _areas(z[None])[0]
 
 
 def _turns_by_pi(joint: np.ndarray) -> bool:

@@ -129,11 +129,11 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
     calls = []
 
     def counted(frame, d, dt, n):
-        out, shed = real(frame, d, dt, n)
+        out = real(frame, d, dt, n)
         calls.append(dt)
         if len(calls) == reject_call:
             out.seg[0] = 0.0
-        return out, shed
+        return out
 
     monkeypatch.setattr(flow, "_advance_checked", counted)
     c = initial_curve(0.3, 0.5, 64)

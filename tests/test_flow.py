@@ -150,12 +150,12 @@ class TestFusedStep:
         nodes = initial_curve(0.3, 0.5, 64).nodes
         frame = flow._run_buffers(nodes, 64)[0]
         kept = [a.copy() for a in frame.frame]
-        candidate, shed = flow._advance_checked(frame, 0.5, 1e-5, 64)
+        candidate = flow._advance_checked(frame, 0.5, 1e-5, 64)
         z, seg, joint = candidate.frame
         out_ref, shed_ref = flow._advance(nodes, 0.5, 1e-5, 64)
         out = flow._as_nodes(z)
         assert np.abs(out - out_ref).max() < 1e-13
-        assert abs(shed - shed_ref) < 1e-15
+        assert abs(flow._sheds(*candidate.sheds)[0] - shed_ref) < 1e-15
         # the candidate's frame is the one built from its nodes, and the
         # input frame is left as it was
         for got, want in zip((z, seg, joint), flow._frame(flow._as_complex(out.copy()))):
@@ -316,21 +316,22 @@ class TestBlockPredicate:
 POISONED = "coincident or non-finite nodes"
 
 
-def reference_loop(d, n, max_steps, record_every=1, poison_call=None):
+def reference_loop(d, n, max_steps, record_every=1, poison_call=None, t_end=None):
     """run() as one step at a time, as it was before frames were carried
     and steps checked in blocks: dt from the complex segment lengths,
-    _advance, then _step_valid on the candidate's nodes.  The
-    poison_call-th candidate (counting from 1) is rejected as POISONED.  A
-    rejected step is retried at dt / 2, and MAX_DT_RETRIES + 1 rejections
-    of one step end the run as an invariant violation.  No stop rule fires
-    within max_steps.  Returns [(nodes, t, step, area_shed)] for the
+    _advance, then _step_valid on the candidate's nodes, and the area shed
+    summed step by step.  The poison_call-th candidate (counting from 1)
+    is rejected as POISONED.  A rejected step is retried at dt / 2, and
+    MAX_DT_RETRIES + 1 rejections of one step end the run as an invariant
+    violation.  The run ends at t_end, if given, or max_steps; no stop
+    rule fires before.  Returns [(nodes, t, step, area_shed)] for the
     records, the rejection events and the outcome."""
     nodes = flow.prepare_initial(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n))
     t = shed_sum = 0.0
     step = calls = 0
     states, events = [(nodes, t, step, shed_sum)], []
     outcome = flow.FlowOutcome(kind="max_steps", time=None)
-    while step < max_steps:
+    while step < max_steps and (t_end is None or t < t_end):
         z = flow._as_complex(nodes)
         dt = flow.DT_SAFETY * (float(np.abs(z[1:] - z[:-1]).sum()) / n) ** 2
         for _ in range(flow.MAX_DT_RETRIES + 1):
@@ -350,7 +351,8 @@ def reference_loop(d, n, max_steps, record_every=1, poison_call=None):
         if step % record_every == 0:
             states.append((nodes, t, step, shed_sum))
     if outcome.kind == "max_steps":
-        outcome = flow.FlowOutcome(kind="max_steps", time=t)
+        kind = "max_steps" if t_end is None or t < t_end else "max_time"
+        outcome = flow.FlowOutcome(kind=kind, time=t)
     if states[-1][2] != step:
         states.append((nodes, t, step, shed_sum))
     return states, events, outcome
@@ -372,11 +374,11 @@ def poison_steps(monkeypatch, poisoned):
     real, calls = flow._advance_checked, []
 
     def step(frame, d, dt, n):
-        out, shed = real(frame, d, dt, n)
+        out = real(frame, d, dt, n)
         calls.append((frame, dt))
         if poisoned(len(calls)):
             out.seg[0] = 0.0
-        return out, shed
+        return out
 
     monkeypatch.setattr(flow, "_advance_checked", step)
     return calls
@@ -525,6 +527,62 @@ class TestRunBuffers:
             assert np.array_equal(a.curve.nodes, b.curve.nodes)
             assert (a.time, a.step, a.area_shed, a.diagnostics) == \
                 (b.time, b.step, b.area_shed, b.diagnostics)
+
+
+class TestBlockShed:
+    """run() adds up the area its accepted steps shed by resampling in one
+    batched pass per block; the sum must be the one of the per-step
+    formula, bit for bit, however a block ends."""
+
+    @staticmethod
+    def area(z):
+        # enclosed_area's formula on one row of complex nodes, written out
+        end = z[-1]
+        return 0.5 * np.vdot(z[:-1], z[1:]).imag \
+            + 0.5 * (math.pi - math.atan2(end.imag, end.real))
+
+    @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
+    @pytest.mark.parametrize("k", [1, 10, 32])
+    def test_batched_shed_is_the_per_step_formula(self, monkeypatch, d, n, k):
+        # rows 1..k of a real run's chain hold its last full block
+        real = flow._run_buffers
+        chains = []
+        monkeypatch.setattr(flow, "_run_buffers",
+                            lambda *args: chains.append(real(*args)) or chains[-1])
+        run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
+                          record_every=1000, max_steps=3 * flow.CHECK_BLOCK))
+        us, zs = chains[-1][k].sheds
+        assert us.shape == zs.shape == (k, n + 1)
+        sheds = flow._sheds(us, zs)
+        assert sheds == [self.area(u) - self.area(z) for u, z in zip(us, zs)]
+        assert all(shed != 0.0 for shed in sheds)
+
+    @pytest.mark.parametrize("record_every, max_steps, t_end_step, poison_call", [
+        pytest.param(10, 100, None, None, id="record_step"),
+        pytest.param(1000, 2000, 42, None, id="t_end_mid_block"),
+        pytest.param(1000, 45, None, None, id="max_steps_mid_block"),
+        pytest.param(1000, 100, None, 5, id="rejection_mid_block")])
+    def test_recorded_shed_matches_reference_loop(self, monkeypatch, record_every,
+                                                   max_steps, t_end_step, poison_call):
+        # the last block ends at a record step, on a t_end break or at
+        # max_steps CHECK_BLOCK + 13, or the first one is rejected at its
+        # fifth candidate; reference_loop steps with _advance, so it runs
+        # before the monkeypatch
+        t_end = None
+        if t_end_step is not None:
+            times = [t for _, t, _, _ in reference_loop(0.5, 64, t_end_step)[0]]
+            t_end = 0.5 * (times[-2] + times[-1])
+        ref, events, outcome = reference_loop(0.5, 64, max_steps, record_every,
+                                              poison_call, t_end)
+        poison_steps(monkeypatch, lambda call: call == poison_call)
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                                 t_end=t_end, record_every=record_every,
+                                 max_steps=max_steps))
+        last = traj.states[-1].step
+        assert last == (t_end_step or max_steps)
+        assert traj.outcome == outcome and traj.events == events
+        assert len(events) == (poison_call is not None)
+        assert_same_states(traj, ref)
 
 
 class TestRunConfig:
