@@ -16,11 +16,11 @@ step reads one row and writes its candidate into the next with out=
 ufuncs; it computes no area.  run() takes every step, a retry included,
 in a block of candidate steps from row 0, decided together by one
 batched validity predicate, the only source of rejections; the accepted
-rows are carried forward, the last one into row 0, and the area they
-shed by resampling is added up in one batched pass over them.  A
+rows are carried forward, the last one into row 0, the areas they shed
+by resampling are summed in one batched pass, and those at record steps
+get their diagnostics in one batched call on their frames and areas.  A
 rejection makes the next block one step long, at half the dt of the
-rejected one.  Recorded states copy the nodes out, so no state aliases a
-buffer.
+rejected one.  States copy the nodes out, so no state aliases a buffer.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ import os
 import shutil
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -53,12 +54,14 @@ from .geometry import (
     _areas,
     _as_complex,
     _as_nodes,
+    _diagnostics,
     _frame,
     _resample_nodes,
     curvature_profile,  # noqa: F401  (a name the benchmark's tracer wraps here)
     curvature_profiles,
     curve_diagnostics,
     is_embedded,
+    segment_lengths,
 )
 
 def tol_inv(kappa_max: float) -> float:
@@ -188,10 +191,10 @@ class _NodeBuffer:
     with their frame (z, seg, joint), the nodes u the step had before
     resampling to z, and the views of them the explicit step reads and
     writes, all built once.  `nodes` is the (n + 1, 2) float view of z.
-    `block` is rows 1 up to this one, or row 0 alone for row 0, as the
-    stack _reason reads, and `sheds` the same rows of u and z, as _sheds
-    reads them; `other` is the row a step from this one writes to (None
-    for the last row), and `scratch` the chain's one scratch set."""
+    `block` is rows 1 up to this one, or row 0 alone for row 0, as
+    _reason and the records read them, `sheds` the same rows of u and z;
+    `other` is the row a step from this one writes to (None for the last
+    row), and `scratch` the chain's one scratch set."""
 
     __slots__ = ("z", "seg", "joint", "frame", "nodes", "read", "write",
                  "block", "sheds", "other", "scratch")
@@ -226,7 +229,7 @@ def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> list[_NodeBuffer]:
     ang = np.empty((rows, n - 1))  # |arg joint|
 
     def stacks(lo: int, hi: int) -> tuple[tuple, tuple]:
-        # rows lo..hi-1, as _reason and _sheds read them
+        # rows lo..hi-1, as _reason and run()'s shed pass read them
         zs, js = z[lo:hi], joint[lo:hi]
         return ((zs, zs.imag, seg[lo:hi], js, js.real, js.imag, r[lo:hi], ang[lo:hi]),
                 (u[lo:hi], zs))
@@ -348,11 +351,11 @@ def _advance_checked(frame: _NodeBuffer, d: float, dt: float, n: int) -> _NodeBu
     return out
 
 
-def _sheds(us: np.ndarray, zs: np.ndarray) -> list[float]:
+def _sheds(us: np.ndarray, areas: list[float]) -> list[float]:
     """The area each step of a stack of rows shed by resampling its nodes
-    us to zs: the corner cutting of the linear interpolant, which the
-    area-balance diagnostics add back."""
-    return [pre - post for pre, post in zip(_areas(us), _areas(zs))]
+    us to nodes of the given areas (_areas of them): the corner cutting of
+    the linear interpolant, which the area-balance diagnostics add back."""
+    return [pre - post for pre, post in zip(_areas(us), areas)]
 
 
 def _advance(nodes: np.ndarray, d: float, dt: float,
@@ -361,7 +364,7 @@ def _advance(nodes: np.ndarray, d: float, dt: float,
     array, on buffers of its own; returns the new (n + 1, 2) nodes and the
     area shed by resampling.  Nodes of another count raise ValueError."""
     out = _advance_checked(_run_buffers(nodes, n)[0], d, dt, n)
-    return out.nodes, _sheds(*out.sheds)[0]
+    return out.nodes, _sheds(out.sheds[0], _areas(out.sheds[1]))[0]
 
 
 def _step_valid(nodes: np.ndarray) -> str | None:
@@ -402,21 +405,21 @@ def run(cfg: FlowRunConfig,
     halves dt up to MAX_DT_RETRIES times on rejected steps, and reports
     the outcome: convergence to the minimizing arc (d < 1), extinction at
     o (d = 1), the time horizon, the step budget, an invariant violation,
-    or a state whose diagnostics raise InvalidCurve (not recorded; the run
-    ends).  `callback` sees every recorded state after the initial one,
-    the final state included, as it is recorded.  The outcome alone
-    records how the run ended.
+    or a state whose diagnostics refuse it (not recorded; the run ends).
+    `callback` sees every recorded state after the initial one, the final
+    state included, in step order once its block is decided.  The outcome
+    alone records how the run ended.
 
-    Every step is taken in a block of up to CHECK_BLOCK candidates, from
-    row 0 of the run's chain into rows 1, 2, ..., none past the next
-    record step or max_steps, with t_end checked before each; one _reason
-    call decides a block, and is the only source of rejections.  The
-    candidates before its first inadmissible one are accepted in order,
-    and the areas they shed are added to the running sum in that order.
-    That step is rejected and taken again as a block of one at half its
-    dt, until it is accepted or rejected MAX_DT_RETRIES + 1 times.  So the
-    states, times and events are those of checking every step as it is
-    taken.
+    Every step is taken in a block of up to CHECK_BLOCK candidates from
+    row 0 of the run's chain into rows 1, 2, ..., none past max_steps,
+    t_end or a record step where a stop rule may fire.  One _reason call
+    accepts those before the first inadmissible one; of these, the ones at
+    record steps and the last if it ends the run get one _diagnostics
+    call, then are recorded, shown to `callback` and put to the stop rules
+    in step order.  A record that ends the run drops the rows and any
+    rejection after it; else the rejected step is retried as a block of
+    one at half its dt, up to MAX_DT_RETRIES times.  So the output is that
+    of checking and recording each step as it is taken.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
@@ -432,66 +435,76 @@ def run(cfg: FlowRunConfig,
     halvings = 0  # the rejections of the step about to be taken
 
     while outcome is None:
-        if t_end is not None and t >= t_end:
-            outcome = FlowOutcome(kind="max_time", time=t)
-        elif step_i >= max_steps:
-            outcome = FlowOutcome(kind="max_steps", time=t)
+        # records as (row of `stack`, time, step, area shed); `stack`'s areas if known
+        stack, areas, picks, end = head.block, None, [], None
+        if halvings > MAX_DT_RETRIES:
+            end = FlowOutcome(kind="invariant_violation", time=t,
+                              detail=f"step rejected {halvings} times")
         else:
             # candidates from row 0 into rows 1, 2, ..., with the time
-            # after each; the block has at least one
+            # after each; the block has at least one, and ends at t_end
             frame, t_k, taken = head, t, []
-            for _ in range(min(1 if halvings else CHECK_BLOCK,
-                               record_every - step_i % record_every, max_steps - step_i)):
+            for _ in range(min(1 if halvings else CHECK_BLOCK, max_steps - step_i)):
                 # scaling by a power of two is exact: dt halved `halvings` times
                 dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2 * 0.5 ** halvings
                 frame = _advance_checked(frame, d, dt, n)
                 t_k += dt
                 taken.append(t_k)
-                if t_end is not None and t_k >= t_end:
+                # so does a record step whose length or height may meet a stop rule
+                if t_end is not None and t_k >= t_end or \
+                        (step_i + len(taken)) % record_every == 0 and (
+                            segment_lengths(frame.nodes).sum() < EXTINCT_LEN
+                            or d < 1.0 and frame.z.imag.max() < 3.0 * CONVERGED_EPS):
                     break
             k, reason = _reason(frame.block)
             if k:
-                t = taken[k - 1]
-                for shed in _sheds(*rows[k].sheds):
-                    shed_accum += shed
-                step_i += k
-                halvings = 0
+                stack, (us, zs) = rows[k].block, rows[k].sheds
+                areas = _areas(zs)
+                # the running sum after each row, added in step order
+                sums = list(accumulate(_sheds(us, areas), initial=shed_accum))
+                picks = [(j - 1, taken[j - 1], step_i + j, sums[j]) for j in
+                         range(record_every - step_i % record_every, k + 1, record_every)]
+                t, step_i, shed_accum, halvings = taken[k - 1], step_i + k, sums[k], 0
                 # every block starts from row 0
                 for row, last in zip(head.frame, rows[k].frame):
                     row[...] = last
-            if reason is not None:
-                events.append((t, f"step_rejected: {reason}"))
-                halvings += 1
-                if halvings > MAX_DT_RETRIES:
-                    outcome = FlowOutcome(kind="invariant_violation", time=t,
-                                          detail=f"step rejected {halvings} times")
-        # a block that accepted nothing leaves the last record as it is
-        if outcome is None and (step_i % record_every or states[-1].step == step_i):
-            continue
-        if states[-1].step == step_i:
-            break
-
-        # every record_every-th state, and the final one; the state holds
-        # a copy of the buffer's nodes
-        nodes = head.nodes
-        try:
-            state = _make_state(nodes, d, t, step_i, area_shed=shed_accum)
-        except InvalidCurve as exc:
-            outcome = FlowOutcome(kind="invalid_state", time=t, detail=str(exc))
-            break
-        states.append(state)
-        if callback is not None:
-            callback(state)
-        if outcome is not None:
-            break
-        diag = state.diagnostics
-        if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
-            outcome = FlowOutcome(kind="extinct",
-                                  time=t + 0.5 * diag.length / diag.kappa_max)
-        elif d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
-                and diag.kappa_max < CONVERGED_EPS \
-                and hausdorff_to_minimizing_arc(nodes, d) < CONVERGED_EPS:
-            outcome = FlowOutcome(kind="converged_to_minimizer", time=t)
+            if t_end is not None and t >= t_end:
+                end = FlowOutcome(kind="max_time", time=t)
+            elif step_i >= max_steps:
+                end = FlowOutcome(kind="max_steps", time=t)
+        # the final state, unless it is recorded already
+        if end is not None and (picks[-1][2] if picks else states[-1].step) != step_i:
+            picks.append((len(stack[0]) - 1, t, step_i, shed_accum))
+        # one _diagnostics call; each state holds a copy of its row's nodes
+        if picks:
+            z, _, seg, joint = stack[:4]
+            at = [j for j, *_ in picks]
+            diags, refused = _diagnostics(
+                (z[at], seg[at], joint[at]), None if areas is None else [areas[j] for j in at])
+            for (j, t_j, step_j, shed_j), diag in zip(picks, diags):
+                state = FlowState(curve=Curve(nodes=_as_nodes(z[j]).copy()), time=t_j,
+                                  diagnostics=diag, step=step_j, area_shed=shed_j)
+                states.append(state)
+                if callback is not None:
+                    callback(state)
+                if step_j % record_every:  # a final state between records
+                    continue
+                if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
+                    outcome = FlowOutcome(kind="extinct",
+                                          time=t_j + 0.5 * diag.length / diag.kappa_max)
+                elif d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
+                        and diag.kappa_max < CONVERGED_EPS \
+                        and hausdorff_to_minimizing_arc(state.curve.nodes, d) < CONVERGED_EPS:
+                    outcome = FlowOutcome(kind="converged_to_minimizer", time=t_j)
+                if outcome is not None:  # the rows after it are dropped
+                    break
+            if outcome is None and refused is not None:
+                outcome = FlowOutcome(kind="invalid_state", time=picks[len(diags)][1],
+                                      detail=str(refused))
+        if outcome is None and end is None and reason is not None:
+            events.append((t, f"step_rejected: {reason}"))
+            halvings += 1
+        outcome = outcome or end
 
     return Trajectory(d=d, n=n, states=states, events=events, outcome=outcome,
                       record_every=record_every, dt_safety=DT_SAFETY)

@@ -114,7 +114,7 @@ def curvature_vectors(nodes: np.ndarray) -> np.ndarray:
 def curvature_profile(c: Curve) -> CurvatureProfile:
     """Arclength, signed curvature, and unwrapped turning angle per node:
     one row of curvature_profiles."""
-    return CurvatureProfile(*_profile_arrays(_as_complex(c.nodes)))
+    return CurvatureProfile(*_profile_arrays(_frame(_as_complex(c.nodes))))
 
 
 def curvature_profiles(nodes: np.ndarray) -> CurvatureProfile:
@@ -131,19 +131,18 @@ def curvature_profiles(nodes: np.ndarray) -> CurvatureProfile:
     InvalidCurve.  Endpoint curvatures are one-sided quadratic
     extrapolations.
     """
-    return CurvatureProfile(*_profile_arrays(_as_complex(nodes)))
+    return CurvatureProfile(*_profile_arrays(_frame(_as_complex(nodes))))
 
 
-def _profile_arrays(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """s, kappa and theta of the complex nodes z: one curve (M,) or a
-    stack (K, M).  The interior runs as array passes over all curves at
-    once; the endpoint tangents, the first angle and the endpoint
-    extrapolations run per curve on Python scalars (numpy's complex / real
-    and arctan2 can differ from Python's in the last bit), so a curve gets
-    the same bits alone or in any stack."""
+def _profile_arrays(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s, kappa and theta of the frame of one curve (M,) or a stack (K, M).
+    The interior runs as array passes over all curves at once; the
+    endpoint tangents, the first angle and the endpoint extrapolations run
+    per curve on Python scalars (numpy's complex / real and arctan2 can
+    differ from Python's in the last bit), so a curve gets the same bits
+    alone or in any stack."""
+    z, seg, joint = frame
     rows = range(z.shape[0]) if z.ndim == 2 else [()]
-    e = z[..., 1:] - z[..., :-1]
-    seg = np.abs(e)
     if not seg.all():
         raise InvalidCurve("coincident consecutive nodes")
     s = np.empty(z.shape)
@@ -167,17 +166,16 @@ def _profile_arrays(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ti[-1] = _quadratic_derivative_at(*s_tail[:0:-1], 0.0, zb - za, zc - za)
     # unwrapped angle: atan2 of t_0 plus the partial sums of the joint
     # angles arg(conj(t_i) t_{i+1}) in (-pi, pi], as in _turns_by_pi
-    joint = t[..., :-1].conj() * t[..., 1:]
-    np.arctan2(joint.imag, joint.real, out=ang[..., 1:])
+    turn = t[..., :-1].conj() * t[..., 1:]
+    np.arctan2(turn.imag, turn.real, out=ang[..., 1:])
     theta = np.add.accumulate(ang, axis=-1)
     # Menger curvature 2 cross / (|a| |b| |a + b|) on the segments a, b,
     # its sign set by each curve's handedness
-    cross = (e[..., :-1].conj() * e[..., 1:]).imag
-    cross *= np.where(theta[..., -1:] - theta[..., :1] < 0.0, -2.0, 2.0)
+    cross = joint.imag * np.where(theta[..., -1:] - theta[..., :1] < 0.0, -2.0, 2.0)
     denom = seg[..., :-1] * seg[..., 1:]
     denom *= np.abs(t[..., 1:-1])
     kappa = np.empty(z.shape)
-    if denom.min() > 0.0:
+    if denom.min(initial=math.inf) > 0.0:  # an empty stack has no minimum
         np.divide(cross, denom, out=kappa[..., 1:-1])
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -239,9 +237,9 @@ Frame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _frame(z: np.ndarray) -> Frame:
-    """The frame of the complex nodes z (kept as its first entry)."""
-    e = z[1:] - z[:-1]
-    return z, np.abs(e), e[:-1].conj() * e[1:]
+    """The frame of the complex nodes z (kept as its first entry), (M,) or (K, M)."""
+    e = z[..., 1:] - z[..., :-1]
+    return z, np.abs(e), e[..., :-1].conj() * e[..., 1:]
 
 
 def _areas(zs: np.ndarray) -> list[float]:
@@ -324,29 +322,48 @@ def _has_proper_intersection(nodes: np.ndarray) -> bool:
     return False
 
 
+def _diagnostics(frame: Frame, areas: list[float] | None = None
+                 ) -> tuple[list[CurveDiagnostics], InvalidCurve | None]:
+    """curve_diagnostics of the rows of a stacked frame (z, seg, joint)
+    before the first one it refuses, given their _areas or not, and the
+    InvalidCurve of that row or None.  Lengths and end radii take libm's
+    hypot (np.hypot, abs of a complex), not np.abs of a complex array."""
+    z, seg, joint = frame
+    areas, why = _areas(z) if areas is None else areas, None
+    coincident, below = ~seg.all(axis=-1), z.imag.min(axis=-1) < -EPS_GEOM
+    for first, area in enumerate(areas):
+        if coincident[first]:
+            why = "coincident consecutive nodes"
+        elif below[first]:
+            why = "curve must lie in the closed upper half disc"
+        elif not is_embedded((z[first], seg[first], joint[first])):
+            why = "self-intersecting polyline"
+        elif area < -1e-6 or area > 0.5 * math.pi + 1e-6:
+            why = f"enclosed area {area:.6f} outside [0, pi/2]"
+        if why is not None:
+            z, seg, joint = z[:first], seg[:first], joint[:first]
+            break
+    _, kappa, theta = _profile_arrays((z, seg, joint))
+    for i, (end, last) in enumerate(zip(z[:, -1].tolist(), theta[:, -1].tolist())):
+        if abs(abs(end) - 1.0) <= 10.0 * EPS_GEOM:
+            # the endpoint tangent is radial under the Neumann condition, so
+            # the polar angle measures it without the O(h) chord bias of the
+            # one-sided difference; pick the unwrap branch nearest the profile
+            phi = math.atan2(end.imag, end.real)
+            theta[i, -1] = phi + 2.0 * math.pi * round((last - phi) / (2.0 * math.pi))
+    e = z[:, 1:] - z[:, :-1]
+    rows = zip(theta.min(axis=-1).tolist(), theta.max(axis=-1).tolist(),
+               kappa.max(axis=-1).tolist(), areas[:len(z)], z.imag.max(axis=-1).tolist(),
+               np.hypot(e.real, e.imag).sum(axis=-1).tolist())
+    return [CurveDiagnostics(*row) for row in rows], why and InvalidCurve(why)
+
+
 def curve_diagnostics(c: Curve, d: float) -> CurveDiagnostics:
-    prof = curvature_profile(c)
-    area = enclosed_area(c)
-    if area < -1e-6 or area > 0.5 * math.pi + 1e-6:
-        raise InvalidCurve(f"enclosed area {area:.6f} outside [0, pi/2]")
-    theta = prof.theta
-    r_end = float(np.hypot(*c.nodes[-1]))
-    if abs(r_end - 1.0) <= 10.0 * EPS_GEOM:
-        # the endpoint tangent is radial under the Neumann condition, so
-        # the polar angle measures it without the O(h) chord bias of the
-        # one-sided difference; pick the unwrap branch nearest the profile
-        phi = math.atan2(c.nodes[-1, 1], c.nodes[-1, 0])
-        phi += 2.0 * math.pi * round((theta[-1] - phi) / (2.0 * math.pi))
-        theta = theta.copy()
-        theta[-1] = phi
-    return CurveDiagnostics(
-        theta_min=float(theta.min()),
-        theta_max=float(theta.max()),
-        kappa_max=float(prof.kappa.max()),
-        area=area,
-        height_max=float(c.nodes[:, 1].max()),
-        length=float(segment_lengths(c.nodes).sum()),
-    )
+    """_diagnostics of the one curve c, raising its refusal; d is unused."""
+    diags, refused = _diagnostics(_frame(_as_complex(c.nodes)[None]))
+    if refused is not None:
+        raise refused
+    return diags[0]
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_checks_compute_no_single_curve_profiles(monkeypatch, blowup_like):
 
 @pytest.mark.parametrize("reject_call, record_every, max_steps", [
     pytest.param(None, 7, 50, id="None"), pytest.param(3, 7, 50, id="3"),
-    # blocks that reach flow.CHECK_BLOCK steps
+    # blocks with no record step in them
     pytest.param(None, 1000, 100, id="None-block_cap"),
     pytest.param(3, 1000, 100, id="3-block_cap")])
 def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
@@ -143,7 +143,7 @@ def test_step_calls_are_steps_plus_rejections(monkeypatch, bench, reject_call,
     assert counts["flow.steps"] == max_steps
     assert counts["flow.rejected_steps"] == (reject_call is not None)
     discarded = 0 if reject_call is None else \
-        min(flow.CHECK_BLOCK, record_every, max_steps) - reject_call
+        min(flow.CHECK_BLOCK, max_steps) - reject_call
     assert len(calls) == counts["flow.steps"] + counts["flow.rejected_steps"] + discarded
 
 

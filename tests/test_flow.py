@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -155,7 +156,8 @@ class TestFusedStep:
         out_ref, shed_ref = flow._advance(nodes, 0.5, 1e-5, 64)
         out = flow._as_nodes(z)
         assert np.abs(out - out_ref).max() < 1e-13
-        assert abs(flow._sheds(*candidate.sheds)[0] - shed_ref) < 1e-15
+        us, zs = candidate.sheds
+        assert abs(flow._sheds(us, flow._areas(zs))[0] - shed_ref) < 1e-15
         # the candidate's frame is the one built from its nodes, and the
         # input frame is left as it was
         for got, want in zip((z, seg, joint), flow._frame(flow._as_complex(out.copy()))):
@@ -359,11 +361,13 @@ def reference_loop(d, n, max_steps, record_every=1, poison_call=None, t_end=None
 
 
 def assert_same_states(traj, ref):
-    """The recorded states of traj are those of reference_loop, bit for bit."""
+    """The recorded states of traj are those of reference_loop, bit for
+    bit, with the diagnostics curve_diagnostics gives their nodes."""
     assert len(traj.states) == len(ref)
     for s, (nodes, t, step, shed) in zip(traj.states, ref):
         assert np.array_equal(s.curve.nodes, nodes)
         assert (s.time, s.step, s.area_shed) == (t, step, shed)
+        assert s.diagnostics == curve_diagnostics(Curve(nodes=nodes), traj.d)
 
 
 def poison_steps(monkeypatch, poisoned):
@@ -413,16 +417,16 @@ class TestCarriedFrame:
                                                              reject_call, record_every):
         # the reject_call-th candidate is computed in full and then
         # rejected with the rest of its block; the retry at dt / 2 starts
-        # from the same frame, in row 0.  Call 1 is step 0, a record step;
-        # with record_every 1000, call 40 comes after a full block of
-        # CHECK_BLOCK steps.  reference_loop steps with _advance, so it
+        # from the same frame, in row 0.  Blocks run through record steps,
+        # so call 40 comes after a full block of CHECK_BLOCK steps at
+        # either record_every.  reference_loop steps with _advance, so it
         # runs before the monkeypatch
         ref, events, _ = reference_loop(0.5, 64, 2000, record_every, poison_call=reject_call)
         calls = poison_steps(monkeypatch, lambda call: call == reject_call)
         traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
                                  record_every=record_every, max_steps=2000))
         # the block's candidates past the poisoned one are discarded
-        block = min(flow.CHECK_BLOCK, record_every)
+        block = flow.CHECK_BLOCK
         retry = -(-reject_call // block) * block
         (head, _), (retry_frame, retry_dt) = calls[0], calls[retry]
         assert len(calls) == 2001 + retry - reject_call
@@ -553,7 +557,7 @@ class TestBlockShed:
                           record_every=1000, max_steps=3 * flow.CHECK_BLOCK))
         us, zs = chains[-1][k].sheds
         assert us.shape == zs.shape == (k, n + 1)
-        sheds = flow._sheds(us, zs)
+        sheds = flow._sheds(us, flow._areas(zs))
         assert sheds == [self.area(u) - self.area(z) for u, z in zip(us, zs)]
         assert all(shed != 0.0 for shed in sheds)
 
@@ -583,6 +587,173 @@ class TestBlockShed:
         assert traj.outcome == outcome and traj.events == events
         assert len(events) == (poison_call is not None)
         assert_same_states(traj, ref)
+
+
+def chain_of_run(monkeypatch, d, n, **kw):
+    """The chain of rows of a run at d on n segments from initial_curve,
+    as the run left it."""
+    real = flow._run_buffers
+    chains = []
+    with monkeypatch.context() as m:
+        m.setattr(flow, "_run_buffers", lambda *args: chains.append(real(*args)) or chains[-1])
+        run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n, **kw))
+    return chains[-1]
+
+
+def bulged_arc(n):
+    """n + 1 nodes from (-1, 0) to (1, 0) bulging out of the unit disc:
+    embedded and above the x-axis, with an enclosed area below 0."""
+    phi = np.linspace(math.pi, 0.0, n + 1)
+    z = (1.0 + 0.01 * np.sin(phi)) * np.exp(1j * phi)
+    return np.column_stack([z.real, z.imag])
+
+
+def reference_diagnostics(nodes):
+    """curve_diagnostics spelled out as a composition of the geometry
+    routines, one curve at a time: curvature_profile, enclosed_area,
+    segment_lengths, and the polar angle of an end node on the circle."""
+    c = Curve(nodes=nodes)
+    prof, end = curvature_profile(c), nodes[-1]
+    theta = prof.theta.copy()
+    if abs(float(np.hypot(*end)) - 1.0) <= 10.0 * geometry.EPS_GEOM:
+        phi = math.atan2(end[1], end[0])
+        theta[-1] = phi + 2.0 * math.pi * round((theta[-1] - phi) / (2.0 * math.pi))
+    return geometry.CurveDiagnostics(
+        float(theta.min()), float(theta.max()), float(prof.kappa.max()), enclosed_area(c),
+        float(nodes[:, 1].max()), float(segment_lengths(nodes).sum()))
+
+
+class TestBlockRecords:
+    """run() decides the records of a block with one batched diagnostics
+    call, then its stop rules record by record; the diagnostics, states
+    and outcome must be those of deciding each record as it is reached."""
+
+    @staticmethod
+    def one_by_one(z, d):
+        return [curve_diagnostics(Curve(nodes=flow._as_nodes(row).copy()), d) for row in z]
+
+    @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    def test_batched_diagnostics_are_curve_diagnostics(self, monkeypatch, d, n, k):
+        # rows 1..k of a real run's chain hold its last full block
+        chain = chain_of_run(monkeypatch, d, n, record_every=1000,
+                             max_steps=3 * flow.CHECK_BLOCK)
+        z, _, seg, joint = chain[k].block[:4]
+        want = self.one_by_one(z, d)
+        assert want == [reference_diagnostics(flow._as_nodes(row).copy()) for row in z]
+        assert geometry._diagnostics((z, seg, joint)) == (want, None)
+        assert geometry._diagnostics((z, seg, joint), geometry._areas(z)) == (want, None)
+        # a row whose end node is off the circle keeps the profile's end angle
+        off = z.copy()
+        off[k // 2, -1] *= 1.0 + 1e-7
+        assert abs(abs(off[k // 2, -1]) - 1.0) > 10.0 * geometry.EPS_GEOM
+        want = self.one_by_one(off, d)
+        assert want == [reference_diagnostics(flow._as_nodes(row).copy()) for row in off]
+        assert want[k // 2].theta_max != self.one_by_one(z, d)[k // 2].theta_max
+        assert geometry._diagnostics(flow._frame(off)) == (want, None)
+
+    @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
+    @pytest.mark.parametrize("k", [3, 32])
+    @pytest.mark.parametrize("bad, message", [
+        ("coincident", "coincident consecutive nodes"),
+        ("below", "curve must lie in the closed upper half disc"),
+        ("area", r"enclosed area -0\.\d+ outside \[0, pi/2\]"),
+        ("loop", "self-intersecting polyline")])
+    def test_first_refused_row_ends_the_stack(self, monkeypatch, d, n, k, bad, message):
+        # the middle row fails one test of curve_diagnostics, in the order
+        # it makes them
+        chain = chain_of_run(monkeypatch, d, n, record_every=1000,
+                             max_steps=3 * flow.CHECK_BLOCK)
+        z = chain[k].block[0].copy()
+        mid = k // 2
+        nodes = flow._as_nodes(z[mid]).copy()
+        if bad == "coincident":
+            nodes[n // 2] = nodes[n // 2 - 1]
+        elif bad == "below":
+            nodes[n // 2, 1] = -1e-3
+        else:
+            nodes = bulged_arc(n) if bad == "area" else _resample_nodes(TestFusedStep.LOOP, n)
+        z[mid] = flow._as_complex(nodes)
+        with pytest.raises(InvalidCurve, match=message):
+            curve_diagnostics(Curve(nodes=nodes), d)
+        diags, refused = geometry._diagnostics(flow._frame(z))
+        assert diags == self.one_by_one(z[:mid], d)
+        assert isinstance(refused, InvalidCurve)
+        assert re.fullmatch(message, str(refused))
+
+    @pytest.mark.parametrize("record_every", [1, 7, 31, 32, 33, 1000])
+    def test_records_match_reference_loop(self, monkeypatch, record_every):
+        # record steps at every position in a block, and none; the 40th
+        # candidate is rejected
+        ref, events, outcome = reference_loop(1.0, 96, 1010, record_every, poison_call=40)
+        calls = poison_steps(monkeypatch, lambda call: call == 40)
+        traj = run(FlowRunConfig(d=1.0, initial=initial_curve(0.3, 1.0, 96), n=96,
+                                 record_every=record_every, max_steps=1010))
+        assert traj.outcome == outcome and traj.events == events
+        assert len(calls) == 1010 + 1 + flow.CHECK_BLOCK - 8
+        assert_same_states(traj, ref)
+
+    @pytest.mark.parametrize("kind, poison_call, step_calls", [
+        ("extinct", 15, 10), ("extinct", 25, 10), ("extinct_unforeseen", 25, flow.CHECK_BLOCK),
+        ("invalid_state", 32, flow.CHECK_BLOCK)])
+    def test_record_ends_the_run_mid_block(self, monkeypatch, kind, poison_call, step_calls):
+        # the stop rules fire at every record: the first block ends at the
+        # step-10 record, where they may fire, before the poisoned
+        # candidate.  Or, with that cut blinded, the first block runs on to
+        # the poisoned candidate and accepts the records at 10 and 20.  Or
+        # the diagnostics refuse step 20 of a first block of CHECK_BLOCK
+        # candidates that accepts the records at 10, 20 and 30 before the
+        # poisoned one.  Each way the run ends at the first such record,
+        # and no rejection is logged or retried.
+        # reference_loop steps with _advance, so it runs before the
+        # monkeypatch
+        ref = reference_loop(1.0, 96, 20, 10)[0]
+        calls = poison_steps(monkeypatch, lambda call: call == poison_call)
+        stacks = []
+        if kind.startswith("extinct"):
+            monkeypatch.setattr(flow, "EXTINCT_LEN", math.inf)
+            monkeypatch.setattr(flow, "EXTINCT_KAPPA", -math.inf)
+        if kind == "extinct_unforeseen":
+            # the block's length test no longer sees a length below EXTINCT_LEN
+            monkeypatch.setattr(flow, "segment_lengths", lambda nodes: np.array([math.inf]))
+        elif kind == "invalid_state":
+            real = flow._diagnostics
+
+            def diagnostics(frame, areas=None):
+                stacks.append(len(frame[0]))
+                diags, _ = real(frame, areas)
+                return diags[:1], InvalidCurve("self-intersecting polyline")
+
+            monkeypatch.setattr(flow, "_diagnostics", diagnostics)
+        traj = run(FlowRunConfig(d=1.0, initial=initial_curve(0.3, 1.0, 96), n=96,
+                                 record_every=10))
+        assert traj.events == []
+        assert len(calls) == step_calls
+        assert [s.step for s in traj.states] == [0, 10]
+        assert_same_states(traj, ref[:2])
+        if kind.startswith("extinct"):
+            diag = traj.states[-1].diagnostics
+            assert traj.outcome == flow.FlowOutcome(
+                kind="extinct", time=ref[1][1] + 0.5 * diag.length / diag.kappa_max)
+        else:
+            assert stacks == [3]
+            assert traj.outcome == flow.FlowOutcome(
+                kind="invalid_state", time=ref[2][1], detail="self-intersecting polyline")
+
+
+@pytest.mark.parametrize("d, n, record_every, kind", [
+    (1.0, 24, 7, "extinct"), (0.5, 16, 5, "converged_to_minimizer")])
+def test_a_stop_rule_leaves_no_candidate_past_it(monkeypatch, d, n, record_every, kind):
+    # the runs end by a stop rule at a record step inside a block of
+    # CHECK_BLOCK steps; the benchmark counts every step call as a step
+    # or a rejection
+    calls = poison_steps(monkeypatch, lambda call: False)
+    traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
+                             record_every=record_every))
+    last = traj.states[-1].step
+    assert traj.outcome.kind == kind and traj.events == []
+    assert last % record_every == 0 and last % flow.CHECK_BLOCK != 0
+    assert len(calls) == last
 
 
 class TestRunConfig:
@@ -677,19 +848,23 @@ class TestRunOutcomes:
     @pytest.mark.parametrize("failing_call, last_step", [(3, 10), (4, 20)])
     def test_invalid_state_ends_at_last_good_record(self, monkeypatch, failing_call,
                                                     last_step):
-        # records at steps 0, 10 and 20, then the final state at step 25;
-        # the third call fails inside the loop, the fourth in the final
-        # append, and neither failing state is recorded
-        real = flow.curve_diagnostics
+        # records at steps 0, 10 and 20, then the final state at step 25:
+        # the initial state is one row, the one block's records and final
+        # state a stack of three.  The third row fails at a record, the
+        # fourth as the final state, and neither failing state is recorded
+        real = geometry._diagnostics
         calls = []
 
-        def diagnostics(curve, d):
-            calls.append(curve)
-            if len(calls) == failing_call:
-                raise InvalidCurve("enclosed area 1.6 outside [0, pi/2]")
-            return real(curve, d)
+        def diagnostics(frame, areas=None):
+            diags, refused = real(frame, areas)
+            for i, z in enumerate(frame[0]):
+                calls.append(z)
+                if len(calls) == failing_call:
+                    return diags[:i], InvalidCurve("enclosed area 1.6 outside [0, pi/2]")
+            return diags, refused
 
-        monkeypatch.setattr(flow, "curve_diagnostics", diagnostics)
+        monkeypatch.setattr(flow, "_diagnostics", diagnostics)
+        monkeypatch.setattr(geometry, "_diagnostics", diagnostics)
         seen = []
         c = initial_curve(0.3, 0.5, 64)
         traj = run(FlowRunConfig(d=0.5, initial=c, n=64, record_every=10, max_steps=25),
