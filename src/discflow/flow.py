@@ -16,11 +16,14 @@ step reads one row and writes its candidate into the next with out=
 ufuncs; it computes no area.  run() takes every step, a retry included,
 in a block of candidate steps from row 0, decided together by one
 batched validity predicate, the only source of rejections; the accepted
-rows are carried forward, the last one into row 0, the areas they shed
-by resampling are summed in one batched pass, and those at record steps
-get their diagnostics in one batched call on their frames and areas.  A
+rows are carried forward, the last one into row 0, and the areas they
+shed by resampling are summed in one batched pass.  The rows at record
+steps are copied into a stack of up to CHUNK_STATES pending records,
+which get their diagnostics in one batched call (see run()).  A
 rejection makes the next block one step long, at half the dt of the
-rejected one.  States copy the nodes out, so no state aliases a buffer.
+rejected one, and the blocks after it grow back 2, 4, ... up to
+CHECK_BLOCK steps.  States copy the nodes out, so no state aliases a
+buffer.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ from .errors import (
 from .geometry import (
     EPS_GEOM,
     MIN_SEGMENTS,
+    _TURN_FILTER,
     Curve,
     CurveDiagnostics,
     _area,
@@ -263,12 +267,6 @@ def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> list[_NodeBuffer]:
 _REASONS = ("coincident or non-finite nodes", "node below the x-axis",
             "node outside the unit disc")
 
-#: rows whose absolute joint angles sum to this or more get the exact
-#: is_embedded: its own turning gate pi - 1e-9, less 1e-12 for the
-#: rounding of a sum taken over a stack of rows
-_TURN_FILTER = math.pi - 1e-9 - 1e-12
-
-
 def _reason(rows: tuple) -> tuple[int, str | None]:
     """(i, reason) for the first of the stacked rows that is not an
     admissible state, or (number of rows, None).
@@ -397,6 +395,39 @@ def prepare_initial(cfg: FlowRunConfig) -> np.ndarray:
     return nodes
 
 
+def _decide(stack: tuple, pending: list, d: float, record_every: int,
+            states: list[FlowState],
+            callback: Callable[[FlowState], None] | None) -> FlowOutcome | None:
+    """Decide run()'s pending records: one _diagnostics call on the first
+    len(pending) rows of their stacked frames `stack`, with `pending`'s
+    (area, time, step, area shed) each; then record them in step order,
+    each holding a copy of its nodes, show each to `callback` and put it
+    to the stop rules.  Returns the outcome of the first record that ends
+    the run (the records after it are dropped) or of the first refused
+    one; else empties `pending` and returns None."""
+    z, seg, joint = (buf[:len(pending)] for buf in stack)
+    diags, refused = _diagnostics((z, seg, joint), [area for area, *_ in pending])
+    for (_, t_j, step_j, shed_j), z_j, diag in zip(pending, z, diags):
+        state = FlowState(curve=Curve(nodes=_as_nodes(z_j).copy()), time=t_j,
+                          diagnostics=diag, step=step_j, area_shed=shed_j)
+        states.append(state)
+        if callback is not None:
+            callback(state)
+        if step_j % record_every:  # a final state between records
+            continue
+        if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
+            return FlowOutcome(kind="extinct", time=t_j + 0.5 * diag.length / diag.kappa_max)
+        if d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
+                and diag.kappa_max < CONVERGED_EPS \
+                and hausdorff_to_minimizing_arc(state.curve.nodes, d) < CONVERGED_EPS:
+            return FlowOutcome(kind="converged_to_minimizer", time=t_j)
+    if refused is not None:
+        return FlowOutcome(kind="invalid_state", time=pending[len(diags)][1],
+                           detail=str(refused))
+    pending.clear()
+    return None
+
+
 def run(cfg: FlowRunConfig,
         callback: Callable[[FlowState], None] | None = None) -> Trajectory:
     """Iterate the flow with adaptive dt until a stop rule fires.
@@ -407,19 +438,25 @@ def run(cfg: FlowRunConfig,
     o (d = 1), the time horizon, the step budget, an invariant violation,
     or a state whose diagnostics refuse it (not recorded; the run ends).
     `callback` sees every recorded state after the initial one, the final
-    state included, in step order once its block is decided.  The outcome
-    alone records how the run ended.
+    state included, in step order once the chunk that holds it is decided.
+    The outcome alone records how the run ended.
 
-    Every step is taken in a block of up to CHECK_BLOCK candidates from
-    row 0 of the run's chain into rows 1, 2, ..., none past max_steps,
-    t_end or a record step where a stop rule may fire.  One _reason call
-    accepts those before the first inadmissible one; of these, the ones at
-    record steps and the last if it ends the run get one _diagnostics
-    call, then are recorded, shown to `callback` and put to the stop rules
-    in step order.  A record that ends the run drops the rows and any
-    rejection after it; else the rejected step is retried as a block of
-    one at half its dt, up to MAX_DT_RETRIES times.  So the output is that
-    of checking and recording each step as it is taken.
+    Every step is taken in a block of candidates from row 0 of the run's
+    chain into rows 1, 2, ..., none past max_steps, t_end or a record step
+    where a stop rule may fire: CHECK_BLOCK candidates, but one after a
+    rejection and then twice as many as in the block before, up to
+    CHECK_BLOCK.  One _reason call accepts those before the first inadmissible
+    one; of these, the ones at record steps and the last if it ends the
+    run are copied into the pending stack.  The stack is decided (see
+    _decide) once it holds CHUNK_STATES records, and when its block ends
+    the run, ends at a record step where a stop rule may fire or rejects
+    a step.  A record that ends the run drops the records after it, and
+    the steps taken past it are discarded; a rejection is logged only once
+    the records before it are decided, so none is logged after such a
+    record.  Else the rejected step is retried as a block of one at half
+    its dt, up to MAX_DT_RETRIES times.  So the output is that of checking
+    and recording each step as it is taken, although a refused record may
+    be found after more steps were computed.
     """
     d, n, t_end, max_steps = cfg.d, cfg.n, cfg.t_end, cfg.max_steps
     record_every = cfg.record_every
@@ -434,9 +471,15 @@ def run(cfg: FlowRunConfig,
     outcome: FlowOutcome | None = None
     halvings = 0  # the rejections of the step about to be taken
 
+    # the records accepted but not yet decided: their frames, copied out
+    # of the chain into one stack, and (area, time, step, area shed) each
+    stack = tuple(np.empty((CHUNK_STATES, *row.shape), row.dtype) for row in head.frame)
+    pending: list[tuple[float, float, int, float]] = []
+    size = CHECK_BLOCK  # the next block's length: 1 after a rejection, then doubled
+
     while outcome is None:
-        # records as (row of `stack`, time, step, area shed); `stack`'s areas if known
-        stack, areas, picks, end = head.block, None, [], None
+        # records as (frame, area, time, step, area shed)
+        records, end, cut, reason = [], None, False, None
         if halvings > MAX_DT_RETRIES:
             end = FlowOutcome(kind="invariant_violation", time=t,
                               detail=f"step rejected {halvings} times")
@@ -444,26 +487,30 @@ def run(cfg: FlowRunConfig,
             # candidates from row 0 into rows 1, 2, ..., with the time
             # after each; the block has at least one, and ends at t_end
             frame, t_k, taken = head, t, []
-            for _ in range(min(1 if halvings else CHECK_BLOCK, max_steps - step_i)):
+            for _ in range(min(size, max_steps - step_i)):
                 # scaling by a power of two is exact: dt halved `halvings` times
                 dt = DT_SAFETY * (float(np.add.reduce(frame.seg)) / n) ** 2 * 0.5 ** halvings
                 frame = _advance_checked(frame, d, dt, n)
                 t_k += dt
                 taken.append(t_k)
+                if t_end is not None and t_k >= t_end:
+                    break
                 # so does a record step whose length or height may meet a stop rule
-                if t_end is not None and t_k >= t_end or \
-                        (step_i + len(taken)) % record_every == 0 and (
-                            segment_lengths(frame.nodes).sum() < EXTINCT_LEN
-                            or d < 1.0 and frame.z.imag.max() < 3.0 * CONVERGED_EPS):
+                cut = (step_i + len(taken)) % record_every == 0 and (
+                    segment_lengths(frame.nodes).sum() < EXTINCT_LEN
+                    or d < 1.0 and frame.z.imag.max() < 3.0 * CONVERGED_EPS)
+                if cut:
                     break
             k, reason = _reason(frame.block)
+            size = 1 if reason else min(2 * size, CHECK_BLOCK)
             if k:
-                stack, (us, zs) = rows[k].block, rows[k].sheds
+                us, zs = rows[k].sheds
                 areas = _areas(zs)
                 # the running sum after each row, added in step order
                 sums = list(accumulate(_sheds(us, areas), initial=shed_accum))
-                picks = [(j - 1, taken[j - 1], step_i + j, sums[j]) for j in
-                         range(record_every - step_i % record_every, k + 1, record_every)]
+                records = [(rows[j].frame, areas[j - 1], taken[j - 1], step_i + j, sums[j])
+                           for j in range(record_every - step_i % record_every, k + 1,
+                                          record_every)]
                 t, step_i, shed_accum, halvings = taken[k - 1], step_i + k, sums[k], 0
                 # every block starts from row 0
                 for row, last in zip(head.frame, rows[k].frame):
@@ -473,34 +520,22 @@ def run(cfg: FlowRunConfig,
             elif step_i >= max_steps:
                 end = FlowOutcome(kind="max_steps", time=t)
         # the final state, unless it is recorded already
-        if end is not None and (picks[-1][2] if picks else states[-1].step) != step_i:
-            picks.append((len(stack[0]) - 1, t, step_i, shed_accum))
-        # one _diagnostics call; each state holds a copy of its row's nodes
-        if picks:
-            z, _, seg, joint = stack[:4]
-            at = [j for j, *_ in picks]
-            diags, refused = _diagnostics(
-                (z[at], seg[at], joint[at]), None if areas is None else [areas[j] for j in at])
-            for (j, t_j, step_j, shed_j), diag in zip(picks, diags):
-                state = FlowState(curve=Curve(nodes=_as_nodes(z[j]).copy()), time=t_j,
-                                  diagnostics=diag, step=step_j, area_shed=shed_j)
-                states.append(state)
-                if callback is not None:
-                    callback(state)
-                if step_j % record_every:  # a final state between records
-                    continue
-                if diag.length < EXTINCT_LEN and diag.kappa_max > EXTINCT_KAPPA:
-                    outcome = FlowOutcome(kind="extinct",
-                                          time=t_j + 0.5 * diag.length / diag.kappa_max)
-                elif d < 1.0 and diag.height_max < 3.0 * CONVERGED_EPS \
-                        and diag.kappa_max < CONVERGED_EPS \
-                        and hausdorff_to_minimizing_arc(state.curve.nodes, d) < CONVERGED_EPS:
-                    outcome = FlowOutcome(kind="converged_to_minimizer", time=t_j)
-                if outcome is not None:  # the rows after it are dropped
+        if end is not None and step_i != (records[-1][3] if records else
+                                          pending[-1][2] if pending else states[-1].step):
+            records.append((head.frame, _area(head.z), t, step_i, shed_accum))
+        for frame_j, *record in records:
+            for buf, row in zip(stack, frame_j):
+                buf[len(pending)] = row
+            pending.append(record)
+            if len(pending) == CHUNK_STATES:
+                outcome = _decide(stack, pending, d, record_every, states, callback)
+                if outcome is not None:  # the records after it are dropped
                     break
-            if outcome is None and refused is not None:
-                outcome = FlowOutcome(kind="invalid_state", time=picks[len(diags)][1],
-                                      detail=str(refused))
+        # so that every stop rule and refusal ends the run where a run that
+        # decides each record as it is taken would end, and no rejection
+        # after it is logged
+        if outcome is None and pending and (end is not None or cut or reason is not None):
+            outcome = _decide(stack, pending, d, record_every, states, callback)
         if outcome is None and end is None and reason is not None:
             events.append((t, f"step_rejected: {reason}"))
             halvings += 1

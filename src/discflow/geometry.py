@@ -114,7 +114,7 @@ def curvature_vectors(nodes: np.ndarray) -> np.ndarray:
 def curvature_profile(c: Curve) -> CurvatureProfile:
     """Arclength, signed curvature, and unwrapped turning angle per node:
     one row of curvature_profiles."""
-    return CurvatureProfile(*_profile_arrays(_frame(_as_complex(c.nodes))))
+    return _profile(_as_complex(c.nodes))
 
 
 def curvature_profiles(nodes: np.ndarray) -> CurvatureProfile:
@@ -131,47 +131,65 @@ def curvature_profiles(nodes: np.ndarray) -> CurvatureProfile:
     InvalidCurve.  Endpoint curvatures are one-sided quadratic
     extrapolations.
     """
-    return CurvatureProfile(*_profile_arrays(_frame(_as_complex(nodes))))
+    return _profile(_as_complex(nodes))
+
+
+def _profile(z: np.ndarray) -> CurvatureProfile:
+    """The profile of the complex nodes z, (M,) or (K, M), which must have
+    distinct consecutive nodes."""
+    frame = _frame(z)
+    if not frame[1].all():
+        raise InvalidCurve("coincident consecutive nodes")
+    return CurvatureProfile(*_profile_arrays(frame))
+
+
+#: the node indices whose arclengths, positions and interior curvatures
+#: _profile_arrays reads for the endpoint tangents and curvatures
+_S_ENDS = np.array([0, 1, 2, 3, -4, -3, -2, -1])
+_Z_ENDS = np.array([0, 1, 2, -1, -2, -3])
+_K_ENDS = np.array([1, 2, 3, -4, -3, -2])
 
 
 def _profile_arrays(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """s, kappa and theta of the frame of one curve (M,) or a stack (K, M).
-    The interior runs as array passes over all curves at once; the
-    endpoint tangents, the first angle and the endpoint extrapolations run
-    per curve on Python scalars (numpy's complex / real and arctan2 can
-    differ from Python's in the last bit), so a curve gets the same bits
-    alone or in any stack."""
+    """s, kappa and theta of the frame of one curve (M,) or a stack (K, M)
+    with distinct consecutive nodes (its callers refuse the others).
+    The interior runs as array passes over all curves at once.  The
+    endpoint tangents, the first angle and the endpoint extrapolations
+    run on Python scalars (numpy's complex / real and arctan2 can differ
+    from Python's in the last bit), so a curve gets the same bits alone or
+    in any stack: the values they read are taken from the whole stack at
+    once (np.take, then tolist), and each result goes back as one column."""
     z, seg, joint = frame
-    rows = range(z.shape[0]) if z.ndim == 2 else [()]
-    if not seg.all():
-        raise InvalidCurve("coincident consecutive nodes")
+    m = z.shape[-1]
     s = np.empty(z.shape)
     s[..., 0] = 0.0
     np.add.accumulate(seg, axis=-1, out=s[..., 1:])
-    t = np.empty_like(z)
+    t = np.empty(z.shape, dtype=np.complex128)
     np.subtract(z[..., 2:], z[..., :-2], out=t[..., 1:-1])
-    ang = np.empty(z.shape)
-    ends = []  # per curve: the first and the last four arclengths
-    for i in rows:
-        zi, si, ti = z[i], s[i], t[i]
-        s_head, s_tail = si[:4].tolist(), si[-4:].tolist()
-        ends.append((s_head, s_tail))
+    # per curve: the first and the last four arclengths and the first and
+    # the last three nodes (z_1 the last); the results go to (K, M) views
+    s_ends = s.take(_S_ENDS, axis=-1).reshape(-1, 8).tolist()
+    z_ends = z.take(_Z_ENDS, axis=-1).reshape(-1, 6).tolist()
+    heads, tails = [], []
+    for (s0, s1, s2, _, _, s5, s6, s7), (z0, z1, z2, z_1, z_2, z_3) in zip(s_ends, z_ends):
         # node differences from the endpoint (the weights sum to zero):
         # absolute coordinates would cost eps / h of round-off on a short curve
-        za, zb, zc = zi[:3].tolist()
-        t0 = _quadratic_derivative_at(*s_head[:3], 0.0, zb - za, zc - za)
-        ti[0] = t0
-        ang[i][0] = math.atan2(t0.imag, t0.real)
-        za, zb, zc = zi[:-4:-1].tolist()
-        ti[-1] = _quadratic_derivative_at(*s_tail[:0:-1], 0.0, zb - za, zc - za)
+        heads.append(_quadratic_derivative_at(s0, s1, s2, 0.0, z1 - z0, z2 - z0))
+        tails.append(_quadratic_derivative_at(s7, s6, s5, 0.0, z_2 - z_1, z_3 - z_1))
+    t_rows = t.reshape(-1, m)
+    t_rows[:, 0] = heads
+    t_rows[:, -1] = tails
+    ang = np.empty(z.shape)
+    ang.reshape(-1, m)[:, 0] = [math.atan2(t0.imag, t0.real) for t0 in heads]
     # unwrapped angle: atan2 of t_0 plus the partial sums of the joint
     # angles arg(conj(t_i) t_{i+1}) in (-pi, pi], as in _turns_by_pi
-    turn = t[..., :-1].conj() * t[..., 1:]
+    turn = t[..., :-1].conj()
+    turn *= t[..., 1:]
     np.arctan2(turn.imag, turn.real, out=ang[..., 1:])
     theta = np.add.accumulate(ang, axis=-1)
     # Menger curvature 2 cross / (|a| |b| |a + b|) on the segments a, b,
-    # its sign set by each curve's handedness
-    cross = joint.imag * np.where(theta[..., -1:] - theta[..., :1] < 0.0, -2.0, 2.0)
+    # its sign set by each curve's handedness (a - b < 0 iff a < b)
+    cross = joint.imag * np.where(theta[..., -1:] < theta[..., :1], -2.0, 2.0)
     denom = seg[..., :-1] * seg[..., 1:]
     denom *= np.abs(t[..., 1:-1])
     kappa = np.empty(z.shape)
@@ -180,10 +198,14 @@ def _profile_arrays(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
             kappa[..., 1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
-    for i, (s_head, s_tail) in zip(rows, ends):
-        ki = kappa[i]
-        ki[0] = _quadratic_extrapolate(s_head[1:], ki[1:4].tolist(), s_head[0])
-        ki[-1] = _quadratic_extrapolate(s_tail[:-1], ki[-4:-1].tolist(), s_tail[-1])
+    k_rows = kappa.reshape(-1, m)
+    heads, tails = [], []
+    for (s0, s1, s2, s3, s4, s5, s6, s7), (k1, k2, k3, k4, k5, k6) in zip(
+            s_ends, k_rows.take(_K_ENDS, axis=-1).tolist()):
+        heads.append(_quadratic_extrapolate((s1, s2, s3), (k1, k2, k3), s0))
+        tails.append(_quadratic_extrapolate((s4, s5, s6), (k4, k5, k6), s7))
+    k_rows[:, 0] = heads
+    k_rows[:, -1] = tails
     return s, kappa, theta
 
 
@@ -259,6 +281,12 @@ def _area(z: np.ndarray) -> float:
     return _areas(z[None])[0]
 
 
+#: rows of a stack whose absolute joint angles sum to this or more get the
+#: exact is_embedded: its own turning gate pi - 1e-9, less 1e-12 for the
+#: rounding of a sum taken over a stack of rows
+_TURN_FILTER = math.pi - 1e-9 - 1e-12
+
+
 def _turns_by_pi(joint: np.ndarray) -> bool:
     """True iff the unwrapped tangent angle of a polyline ranges over at
     least pi - 1e-9, given its joint products conj(e_i) e_{i+1} of the
@@ -326,34 +354,45 @@ def _diagnostics(frame: Frame, areas: list[float] | None = None
                  ) -> tuple[list[CurveDiagnostics], InvalidCurve | None]:
     """curve_diagnostics of the rows of a stacked frame (z, seg, joint)
     before the first one it refuses, given their _areas or not, and the
-    InvalidCurve of that row or None.  Lengths and end radii take libm's
-    hypot (np.hypot, abs of a complex), not np.abs of a complex array."""
+    InvalidCurve of that row or None.  Rows are refused for coincident
+    nodes, a node below the x-axis, a self-intersection or an area outside
+    [0, pi/2], tested in that order on axis reductions over the stack read
+    as Python values; only a row whose tangent may turn by pi
+    (_TURN_FILTER) goes to the exact is_embedded.  Lengths and end radii
+    take libm's hypot (np.hypot, abs of a complex), not np.abs of a
+    complex array."""
     z, seg, joint = frame
-    areas, why = _areas(z) if areas is None else areas, None
-    coincident, below = ~seg.all(axis=-1), z.imag.min(axis=-1) < -EPS_GEOM
-    for first, area in enumerate(areas):
-        if coincident[first]:
+    areas = _areas(z) if areas is None else areas
+    turns = np.add.reduce(np.abs(np.arctan2(joint.imag, joint.real)), axis=-1)
+    tests = zip(seg.all(axis=-1).tolist(), z.imag.min(axis=-1).tolist(), turns.tolist(), areas)
+    first, why = len(z), None
+    for i, (distinct, y_min, turn, area) in enumerate(tests):
+        if not distinct:
             why = "coincident consecutive nodes"
-        elif below[first]:
+        elif y_min < -EPS_GEOM:
             why = "curve must lie in the closed upper half disc"
-        elif not is_embedded((z[first], seg[first], joint[first])):
+        elif not (turn < _TURN_FILTER or is_embedded((z[i], seg[i], joint[i]))):
             why = "self-intersecting polyline"
         elif area < -1e-6 or area > 0.5 * math.pi + 1e-6:
             why = f"enclosed area {area:.6f} outside [0, pi/2]"
         if why is not None:
-            z, seg, joint = z[:first], seg[:first], joint[:first]
+            first = i
             break
+    z, seg, joint = z[:first], seg[:first], joint[:first]
     _, kappa, theta = _profile_arrays((z, seg, joint))
-    for i, (end, last) in enumerate(zip(z[:, -1].tolist(), theta[:, -1].tolist())):
+    ends = []
+    for end, last in zip(z[:, -1].tolist(), theta[:, -1].tolist()):
         if abs(abs(end) - 1.0) <= 10.0 * EPS_GEOM:
             # the endpoint tangent is radial under the Neumann condition, so
             # the polar angle measures it without the O(h) chord bias of the
             # one-sided difference; pick the unwrap branch nearest the profile
             phi = math.atan2(end.imag, end.real)
-            theta[i, -1] = phi + 2.0 * math.pi * round((last - phi) / (2.0 * math.pi))
+            last = phi + 2.0 * math.pi * round((last - phi) / (2.0 * math.pi))
+        ends.append(last)
+    theta[:, -1] = ends
     e = z[:, 1:] - z[:, :-1]
     rows = zip(theta.min(axis=-1).tolist(), theta.max(axis=-1).tolist(),
-               kappa.max(axis=-1).tolist(), areas[:len(z)], z.imag.max(axis=-1).tolist(),
+               kappa.max(axis=-1).tolist(), areas[:first], z.imag.max(axis=-1).tolist(),
                np.hypot(e.real, e.imag).sum(axis=-1).tolist())
     return [CurveDiagnostics(*row) for row in rows], why and InvalidCurve(why)
 

@@ -436,18 +436,42 @@ class TestCarriedFrame:
         assert_same_states(traj, ref)
 
 
+    def test_blocks_grow_back_after_a_rejection(self, monkeypatch):
+        # call 5 is rejected in the first block of CHECK_BLOCK candidates,
+        # call 42 as the third of the block of 8 that follows the retry and
+        # the blocks of 2 and 4; after each rejection the blocks grow again
+        # 1, 2, 4, ... up to CHECK_BLOCK, and the last is cut at max_steps
+        calls = poison_steps(monkeypatch, lambda call: call in (5, 42))
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                                 record_every=1000, max_steps=200))
+        head = calls[0][0]
+        starts = [i for i, (frame, _) in enumerate(calls) if frame is head]
+        assert [b - a for a, b in zip(starts, starts[1:] + [len(calls)])] == \
+            [32, 1, 2, 4, 8, 1, 2, 4, 8, 16, 32, 32, 32, 32, 28]
+        # 200 steps, 2 rejections and the 27 + 5 candidates past them
+        assert len(calls) == 200 + 2 + 27 + 5
+        assert traj.states[-1].step == 200
+        assert traj.events == [(traj.events[0][0], f"step_rejected: {POISONED}"),
+                               (traj.events[1][0], f"step_rejected: {POISONED}")]
+
+
 class TestRealRejections:
     """Steps the validity predicate itself rejects: a DT_SAFETY above the
     stable bound makes the explicit step overshoot, and run() must halve
     dt, retry and give up exactly as the one-step-at-a-time loop does."""
 
     #: (rejection events, outcome, last step) of each run, as the
-    #: one-step-at-a-time loop gives them
-    SEEN = {(0.5, 0.55): (31, "max_steps", 2000), (0.5, 0.7): (341, "max_steps", 2000),
-            (0.5, 1.0): (1499, "max_steps", 2000), (0.5, 2.0): (3820, "max_steps", 2000),
-            (1.0, 0.55): (68, "max_steps", 2000), (1.0, 0.7): (512, "max_steps", 2000),
-            (1.0, 1.0): (74, "invariant_violation", 79),
-            (1.0, 2.0): (3867, "invariant_violation", 1972)}
+    #: one-step-at-a-time loop gives them, and run()'s step calls: the
+    #: steps, the rejections and the candidates computed past a rejection
+    #: in its block
+    SEEN = {(0.5, 0.55): (31, "max_steps", 2000, 2610),
+            (0.5, 0.7): (341, "max_steps", 2000, 2922),
+            (0.5, 1.0): (1499, "max_steps", 2000, 4524),
+            (0.5, 2.0): (3820, "max_steps", 2000, 7397),
+            (1.0, 0.55): (68, "max_steps", 2000, 2667),
+            (1.0, 0.7): (512, "max_steps", 2000, 3666),
+            (1.0, 1.0): (74, "invariant_violation", 79, 205),
+            (1.0, 2.0): (3867, "invariant_violation", 1972, 7376)}
 
     @pytest.mark.parametrize("safety", [0.55, 0.7, 1.0, 2.0])
     @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
@@ -455,12 +479,15 @@ class TestRealRejections:
         monkeypatch.setattr(flow, "DT_SAFETY", safety)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
-                                     record_every=7, max_steps=2000))
+            # reference_loop steps with _advance, so it runs unpatched
+            with monkeypatch.context() as m:
+                calls = poison_steps(m, lambda call: False)
+                traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
+                                         record_every=7, max_steps=2000))
             ref, events, outcome = reference_loop(d, n, 2000, 7)
         assert traj.outcome == outcome
         assert traj.events == events
-        assert (len(events), outcome.kind, ref[-1][2]) == self.SEEN[d, safety]
+        assert (len(events), outcome.kind, ref[-1][2], len(calls)) == self.SEEN[d, safety]
         assert_same_states(traj, ref)
 
 
@@ -653,19 +680,22 @@ class TestBlockRecords:
         assert geometry._diagnostics(flow._frame(off)) == (want, None)
 
     @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
-    @pytest.mark.parametrize("k", [3, 32])
+    @pytest.mark.parametrize("k, mid", [
+        pytest.param(3, 1, id="3"), pytest.param(32, 16, id="32"),
+        pytest.param(65, 0, id="65-first"), pytest.param(65, 32, id="65-middle"),
+        pytest.param(65, 64, id="65-last")])
     @pytest.mark.parametrize("bad, message", [
         ("coincident", "coincident consecutive nodes"),
         ("below", "curve must lie in the closed upper half disc"),
         ("area", r"enclosed area -0\.\d+ outside \[0, pi/2\]"),
         ("loop", "self-intersecting polyline")])
-    def test_first_refused_row_ends_the_stack(self, monkeypatch, d, n, k, bad, message):
-        # the middle row fails one test of curve_diagnostics, in the order
-        # it makes them
-        chain = chain_of_run(monkeypatch, d, n, record_every=1000,
-                             max_steps=3 * flow.CHECK_BLOCK)
-        z = chain[k].block[0].copy()
-        mid = k // 2
+    def test_first_refused_row_ends_the_stack(self, d, n, k, mid, bad, message):
+        # row `mid` of a stack of the first k states of a run (the first,
+        # a middle or the last row) fails one test of curve_diagnostics, in
+        # the order it makes them
+        traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
+                                 record_every=1, max_steps=k))
+        z = np.stack([flow._as_complex(s.curve.nodes) for s in traj.states[1:]])
         nodes = flow._as_nodes(z[mid]).copy()
         if bad == "coincident":
             nodes[n // 2] = nodes[n // 2 - 1]
@@ -692,6 +722,67 @@ class TestBlockRecords:
         assert traj.outcome == outcome and traj.events == events
         assert len(calls) == 1010 + 1 + flow.CHECK_BLOCK - 8
         assert_same_states(traj, ref)
+
+    @pytest.mark.parametrize("record_every", [1, 3, 63, 64, 65])
+    def test_chunked_records_match_reference_loop(self, record_every):
+        # two full chunks of CHUNK_STATES records, then a third with half
+        # as many and, but at record_every 1, the final state between two
+        # records
+        max_steps = (2 * flow.CHUNK_STATES + flow.CHUNK_STATES // 2) * record_every + 1
+        ref, events, outcome = reference_loop(0.5, 32, max_steps, record_every)
+        seen = []
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 32), n=32,
+                                 record_every=record_every, max_steps=max_steps),
+                   callback=seen.append)
+        assert traj.outcome == outcome and traj.events == events == []
+        assert len(seen) == len(traj.states) - 1
+        assert all(a is b for a, b in zip(seen, traj.states[1:]))
+        assert_same_states(traj, ref)
+
+    def test_refused_record_inside_a_multi_block_chunk(self, monkeypatch):
+        # record_every 3: the first chunk holds the records at steps 3, 6,
+        # ..., 192, taken in six blocks of CHECK_BLOCK steps, and its 40th
+        # (step 120) is refused.  The run has stepped to the end of the
+        # chunk, but ends at the record before the refused one, and the
+        # callback sees no state after it.  reference_loop steps with
+        # _advance, so it runs before the monkeypatch
+        ref = reference_loop(0.5, 64, 120, 3)[0]
+        calls = poison_steps(monkeypatch, lambda call: False)
+        real = flow._diagnostics
+
+        def diagnostics(frame, areas):
+            diags, refused = real(frame, areas)
+            assert refused is None and len(diags) == flow.CHUNK_STATES
+            return diags[:39], InvalidCurve("enclosed area 1.6 outside [0, pi/2]")
+
+        monkeypatch.setattr(flow, "_diagnostics", diagnostics)
+        seen = []
+        traj = run(FlowRunConfig(d=0.5, initial=initial_curve(0.3, 0.5, 64), n=64,
+                                 record_every=3, max_steps=1000), callback=seen.append)
+        assert len(calls) == 3 * flow.CHUNK_STATES == 6 * flow.CHECK_BLOCK
+        assert traj.events == []
+        assert [s.step for s in traj.states] == list(range(0, 118, 3))
+        assert_same_states(traj, ref[:40])
+        assert traj.outcome == flow.FlowOutcome(
+            kind="invalid_state", time=ref[40][1], detail="enclosed area 1.6 outside [0, pi/2]")
+        assert len(seen) == len(traj.states) - 1
+        assert all(a is b for a, b in zip(seen, traj.states[1:]))
+
+    def test_no_diagnostics_call_exceeds_a_chunk(self, monkeypatch):
+        # 200 records after the initial state (which _make_state decides
+        # alone), the last one at max_steps; deciding them per block took
+        # 63 calls of 2 to 4 rows
+        real, sizes = flow._diagnostics, []
+
+        def counted(frame, areas):
+            sizes.append(len(frame[0]))
+            return real(frame, areas)
+
+        monkeypatch.setattr(flow, "_diagnostics", counted)
+        traj = run(FlowRunConfig(d=1.0, initial=initial_curve(0.3, 1.0, 96), n=96,
+                                 record_every=10, max_steps=2000))
+        assert len(traj.states) == 201 and traj.outcome.kind == "max_steps"
+        assert sizes == [flow.CHUNK_STATES] * 3 + [8]
 
     @pytest.mark.parametrize("kind, poison_call, step_calls", [
         ("extinct", 15, 10), ("extinct", 25, 10), ("extinct_unforeseen", 25, flow.CHECK_BLOCK),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discflow.errors import InvalidCurve
+from discflow.flow import minimizing_arc, unstable_arc
 from discflow.geometry import (
     Curve,
     curvature_profile,
@@ -456,6 +457,7 @@ class TestBatchedProfiles:
 
     @staticmethod
     def assert_rows_exact(stack):
+        # equal values with equal signs: a -0.0 where the reference has +0.0 fails
         prof = curvature_profiles(stack)
         assert prof.s.shape == prof.kappa.shape == prof.theta.shape == stack.shape[:2]
         for k, nodes in enumerate(stack):
@@ -463,8 +465,18 @@ class TestBatchedProfiles:
             for got, ref in zip((prof.s[k], prof.kappa[k], prof.theta[k]),
                                 single_curve_profile(nodes)):
                 assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
             for got, ref in zip((one.s, one.kappa, one.theta), single_curve_profile(nodes)):
                 assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @staticmethod
+    def flat_arcs(n):
+        """The two stationary arcs of d = 0.5 and their mirror images in the
+        x-axis: each node and endpoint tangent has a zero imaginary part,
+        +0.0 or -0.0."""
+        arcs = [unstable_arc(0.5, n).nodes, minimizing_arc(0.5, n).nodes]
+        return arcs + [nodes * [1.0, -1.0] for nodes in arcs]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(9, 40).flatmap(lambda n: st.tuples(
@@ -495,6 +507,22 @@ class TestBatchedProfiles:
 
     def test_every_state_of_an_extinct_run(self, extinct_run):
         self.assert_rows_exact(np.stack([s.curve.nodes for s in extinct_run.states]))
+
+    def test_flat_arcs_and_their_mirror_images(self):
+        arcs = self.flat_arcs(64)
+        assert all(np.signbit(nodes[:, 1]).all() for nodes in arcs[2:])
+        self.assert_rows_exact(np.stack(arcs + [nodes[::-1] for nodes in arcs]))
+
+    @pytest.mark.parametrize("k", [1, 2, 64, 65])
+    def test_stacks_of_any_size(self, extinct_run, k):
+        # the unstable arc and its mirror image, then states of a run, each
+        # followed by its mirror image, so that the handedness that sets
+        # the sign of kappa alternates from row to row
+        pool = self.flat_arcs(64)[::2]
+        for s in extinct_run.states[:32]:
+            pool += [s.curve.nodes, s.curve.nodes * [1.0, -1.0]]
+        assert len(pool) >= 65 and pool[-1].shape == pool[0].shape
+        self.assert_rows_exact(np.stack(pool[:k]))
 
     def test_coincident_nodes_in_one_row_raise(self):
         good, _, _ = dn_arc_nodes(0.5, 1.3, 24)
