@@ -14,12 +14,13 @@ lengths and joint products and the nodes before resampling, all rows
 share one scratch set, and each row but the last links to the next.  A
 step reads one row and writes its candidate into the next with out=
 ufuncs; it computes no area.  run() takes every step, a retry included,
-in a block of candidate steps from row 0, decided together by one
-batched validity predicate, the only source of rejections; the accepted
-rows are carried forward, the last one into row 0, and the areas they
-shed by resampling are summed in one batched pass.  The rows at record
-steps are copied into a stack of up to CHUNK_STATES pending records,
-which get their diagnostics in one batched call (see run()).  A
+in a block of candidate steps from row 0, decided together by one call
+of geometry._reason, the one admissibility rule and the only source of
+rejections; the accepted rows are carried forward, the last one into
+row 0, and the areas they shed by resampling are summed in one batched
+pass.  The rows at record steps are copied into a stack of up to
+CHUNK_STATES pending records, a frame stack of the same layout as a
+block, which get their diagnostics in one batched call (see run()).  A
 rejection makes the next block one step long, at half the dt of the
 rejected one, and the blocks after it grow back 2, 4, ... up to
 CHECK_BLOCK steps.  States copy the nodes out, so no state aliases a
@@ -49,9 +50,7 @@ from .errors import (
     ParameterError,
 )
 from .geometry import (
-    EPS_GEOM,
     MIN_SEGMENTS,
-    _TURN_FILTER,
     Curve,
     CurveDiagnostics,
     _area,
@@ -60,11 +59,11 @@ from .geometry import (
     _as_nodes,
     _diagnostics,
     _frame,
+    _reason,
     _resample_nodes,
     curvature_profile,  # noqa: F401  (a name the benchmark's tracer wraps here)
     curvature_profiles,
     curve_diagnostics,
-    is_embedded,
     segment_lengths,
 )
 
@@ -74,10 +73,6 @@ def tol_inv(kappa_max: float) -> float:
     return 1e-3 * (1.0 + kappa_max)
 
 
-#: containment slack during stepping; looser than EPS_GEOM so transient
-#: O(h^2) overshoots next to the boundary node do not reject valid steps
-STEP_CONTAIN_TOL = 1e-7
-
 #: invariant checks apply only after this many steps
 TRANSIENT_STEPS = 10
 
@@ -85,6 +80,12 @@ MAX_DT_RETRIES = 20
 
 #: most candidate steps run() takes before deciding their validity together
 CHECK_BLOCK = 32
+
+#: most recorded states stacked at once: run()'s pending records, decided
+#: by one diagnostics call, and the chunks of the trajectory checks (see
+#: _profile_chunks).  About 100 KB per complex temporary at n = 96, so
+#: neither's memory grows with the trajectory
+CHUNK_STATES = 64
 
 #: explicit step dt = DT_SAFETY * (length / n)^2
 DT_SAFETY = 0.25
@@ -195,10 +196,10 @@ class _NodeBuffer:
     with their frame (z, seg, joint), the nodes u the step had before
     resampling to z, and the views of them the explicit step reads and
     writes, all built once.  `nodes` is the (n + 1, 2) float view of z.
-    `block` is rows 1 up to this one, or row 0 alone for row 0, as
-    _reason and the records read them, `sheds` the same rows of u and z;
-    `other` is the row a step from this one writes to (None for the last
-    row), and `scratch` the chain's one scratch set."""
+    `block` is the frame stack of rows 1 up to this one (empty for row 0),
+    which _reason decides, `sheds` the same rows of u and z; `other` is
+    the row a step from this one writes to (None for the last row), and
+    `scratch` the chain's one scratch set."""
 
     __slots__ = ("z", "seg", "joint", "frame", "nodes", "read", "write",
                  "block", "sheds", "other", "scratch")
@@ -221,24 +222,17 @@ class _NodeBuffer:
 def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> list[_NodeBuffer]:
     """The chain of a run on n segments: `rows` buffers of n + 1 nodes,
     row i a view of row i of one complex node array and of its segment,
-    joint, pre-resample node and check arrays, and row i's `other` row
-    i + 1.  Row 0 is loaded with the (n + 1, 2) nodes of the first step.
-    Returns the rows; all share one scratch set, which _advance_checked
-    unpacks in this order."""
+    joint and pre-resample node arrays, and row i's `other` row i + 1.
+    Row 0 is loaded with the (n + 1, 2) nodes of the first step.  Returns
+    the rows; all share one scratch set, which _advance_checked unpacks in
+    this order."""
     z = np.empty((rows, n + 1), dtype=np.complex128)
     seg = np.empty((rows, n))
     joint = np.empty((rows, n - 1), dtype=np.complex128)
     u = np.empty((rows, n + 1), dtype=np.complex128)  # the nodes before resampling
-    r = np.empty((rows, n + 1))  # |z|
-    ang = np.empty((rows, n - 1))  # |arg joint|
-
-    def stacks(lo: int, hi: int) -> tuple[tuple, tuple]:
-        # rows lo..hi-1, as _reason and run()'s shed pass read them
-        zs, js = z[lo:hi], joint[lo:hi]
-        return ((zs, zs.imag, seg[lo:hi], js, js.real, js.imag, r[lo:hi], ang[lo:hi]),
-                (u[lo:hi], zs))
-
-    chain = [_NodeBuffer(z[i], seg[i], joint[i], u[i], *stacks(1 if i else 0, i + 1))
+    # row i's block and sheds: rows 1..i, as _reason and run()'s shed pass read them
+    chain = [_NodeBuffer(z[i], seg[i], joint[i], u[i],
+                         (z[1:i + 1], seg[1:i + 1], joint[1:i + 1]), (u[1:i + 1], z[1:i + 1]))
              for i in range(rows)]
     for buf, nxt in zip(chain, chain[1:]):
         buf.other = nxt
@@ -260,38 +254,6 @@ def _run_buffers(nodes: np.ndarray, n: int, rows: int = 2) -> list[_NodeBuffer]:
     for buf in chain:
         buf.scratch = scratch
     return chain
-
-
-#: the reasons _reason gives before the embedding test, in the order it
-#: tests them
-_REASONS = ("coincident or non-finite nodes", "node below the x-axis",
-            "node outside the unit disc")
-
-def _reason(rows: tuple) -> tuple[int, str | None]:
-    """(i, reason) for the first of the stacked rows that is not an
-    admissible state, or (number of rows, None).
-
-    A row is not admissible if it has coincident or non-finite nodes, a
-    node below the x-axis, a node outside the unit disc or a
-    self-intersection, tested in that order.  The first three are one
-    axis reduction each over the stack; a row before the first failing
-    one whose tangent may turn by pi goes to the exact is_embedded.
-    """
-    z, y, seg, joint, re, im, r, ang = rows
-    np.abs(z, out=r)
-    np.arctan2(im, re, out=ang)
-    np.abs(ang, out=ang)
-    fails = (~(np.minimum.reduce(seg, axis=1) > 1e-15),
-             np.minimum.reduce(y, axis=1) < -EPS_GEOM,
-             np.square(np.maximum.reduce(r, axis=1)) > 1.0 + 2.0 * STEP_CONTAIN_TOL)
-    bad = fails[0] | fails[1] | fails[2]
-    first = int(bad.argmax()) if bad.any() else len(bad)
-    for i in np.flatnonzero(~(np.add.reduce(ang[:first], axis=1) < _TURN_FILTER)):
-        if not is_embedded((z[i], seg[i], joint[i])):
-            return int(i), "self-intersection"
-    if first == len(bad):
-        return first, None
-    return first, next(why for why, f in zip(_REASONS, fails) if f[first])
 
 
 def _advance_checked(frame: _NodeBuffer, d: float, dt: float, n: int) -> _NodeBuffer:
@@ -367,7 +329,7 @@ def _advance(nodes: np.ndarray, d: float, dt: float,
 
 def _step_valid(nodes: np.ndarray) -> str | None:
     """Reason the (M, 2) nodes are not an admissible state, or None."""
-    return _reason(_run_buffers(nodes, nodes.shape[0] - 1, 1)[0].block)[1]
+    return _reason(_frame(_as_complex(nodes)[None]))[1]
 
 
 def _make_state(nodes: np.ndarray, d: float, time: float, step_i: int,
@@ -581,12 +543,6 @@ class OdeCheckReport:
     @property
     def passed(self) -> bool:
         return self.min_growth_margin >= -TOL_ODE and self.max_barrier_excess <= TOL_ODE
-
-
-#: most recorded states the trajectory checks stack at once: about 100 KB
-#: per complex temporary at n = 96, so a check's memory does not grow with
-#: the trajectory
-CHUNK_STATES = 64
 
 
 def _profile_chunks(states: list[FlowState]):

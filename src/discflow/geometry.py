@@ -23,6 +23,14 @@ EPS_GEOM = 1e-9
 
 MIN_SEGMENTS = 8  # a curve has at least MIN_SEGMENTS + 1 nodes
 
+#: containment slack of the admissibility rule (_reason); looser than
+#: EPS_GEOM so transient O(h^2) overshoots next to the boundary node do not
+#: reject valid steps
+STEP_CONTAIN_TOL = 1e-7
+
+#: _reason's first refusal, the one curvature_profile(s) also make
+_COINCIDENT = "coincident or non-finite nodes"
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -127,19 +135,19 @@ def curvature_profiles(nodes: np.ndarray) -> CurvatureProfile:
     curvature at interior nodes, its sign normalized by each curve's
     overall handedness, so consistently turning (convex) curves report
     kappa >= 0 regardless of traversal direction, while local concavities
-    come out negative.  Collinear triples give 0; coincident nodes raise
-    InvalidCurve.  Endpoint curvatures are one-sided quadratic
-    extrapolations.
+    come out negative.  Collinear triples give 0; coincident or
+    non-finite nodes raise InvalidCurve.  Endpoint curvatures are
+    one-sided quadratic extrapolations.
     """
     return _profile(_as_complex(nodes))
 
 
 def _profile(z: np.ndarray) -> CurvatureProfile:
-    """The profile of the complex nodes z, (M,) or (K, M), which must have
-    distinct consecutive nodes."""
+    """The profile of the complex nodes z, (M,) or (K, M), which must pass
+    the first test of _reason: blow-up members leave the half disc."""
     frame = _frame(z)
-    if not frame[1].all():
-        raise InvalidCurve("coincident consecutive nodes")
+    if not _distinct(frame[1], np.maximum.reduce(np.abs(z), axis=-1)).all():
+        raise InvalidCurve(_COINCIDENT)
     return CurvatureProfile(*_profile_arrays(frame))
 
 
@@ -152,7 +160,7 @@ _K_ENDS = np.array([1, 2, 3, -4, -3, -2])
 
 def _profile_arrays(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """s, kappa and theta of the frame of one curve (M,) or a stack (K, M)
-    with distinct consecutive nodes (its callers refuse the others).
+    with finite, distinct consecutive nodes (its callers refuse the others).
     The interior runs as array passes over all curves at once.  The
     endpoint tangents, the first angle and the endpoint extrapolations
     run on Python scalars (numpy's complex / real and arctan2 can differ
@@ -216,14 +224,14 @@ def enclosed_area(c: Curve) -> float:
     counterclockwise from the curve's right endpoint to (-1, 0), and the
     segment from (-1, 0) back to the Dirichlet point.  The polyline part is
     a shoelace sum; the circle arc contributes its exact sector integral,
-    and the return segment along y = 0 contributes nothing.
+    and the return segment along y = 0 contributes nothing.  A curve that
+    _reason refuses raises InvalidCurve with its reason.
     """
-    if float(c.nodes[:, 1].min()) < -EPS_GEOM:
-        raise InvalidCurve("curve must lie in the closed upper half disc")
-    frame = _frame(_as_complex(c.nodes))
-    if not is_embedded(frame):
-        raise InvalidCurve("self-intersecting polyline")
-    return _area(frame[0])
+    frame = _frame(_as_complex(c.nodes)[None])
+    why = _reason(frame)[1]
+    if why is not None:
+        raise InvalidCurve(why)
+    return _areas(frame[0])[0]
 
 
 def _resample_nodes(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -259,9 +267,12 @@ Frame = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _frame(z: np.ndarray) -> Frame:
-    """The frame of the complex nodes z (kept as its first entry), (M,) or (K, M)."""
+    """The frame of the complex nodes z (kept as its first entry), (M,) or
+    (K, M).  Non-finite nodes give non-finite entries, without a warning:
+    _reason refuses them."""
     e = z[..., 1:] - z[..., :-1]
-    return z, np.abs(e), e[..., :-1].conj() * e[..., 1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return z, np.abs(e), e[..., :-1].conj() * e[..., 1:]
 
 
 def _areas(zs: np.ndarray) -> list[float]:
@@ -269,10 +280,12 @@ def _areas(zs: np.ndarray) -> list[float]:
     nodes: the shoelace Im(sum conj(z_i) z_{i+1}) plus the exact
     circle-sector closure.  np.vecdot gives np.vdot's bits on each row;
     the sector angle is math.atan2's (np.arctan2 can differ from it in
-    the last bit), and the rest is float arithmetic, per row."""
+    the last bit) of |y|, so an end node a hair below the axis at (-1, 0)
+    closes by the short arc, not the whole circle; the rest is float
+    arithmetic, per row."""
     end = zs[:, -1]
     dots = np.vecdot(zs[:, :-1], zs[:, 1:]).imag.tolist()
-    return [0.5 * dot + 0.5 * (math.pi - math.atan2(y, x))
+    return [0.5 * dot + 0.5 * (math.pi - math.atan2(abs(y), x))
             for dot, y, x in zip(dots, end.imag.tolist(), end.real.tolist())]
 
 
@@ -281,9 +294,9 @@ def _area(z: np.ndarray) -> float:
     return _areas(z[None])[0]
 
 
-#: rows of a stack whose absolute joint angles sum to this or more get the
-#: exact is_embedded: its own turning gate pi - 1e-9, less 1e-12 for the
-#: rounding of a sum taken over a stack of rows
+#: rows of a stack whose absolute joint angles sum to this or more get
+#: _reason's exact is_embedded: its own turning gate pi - 1e-9, less 1e-12
+#: for the rounding of a sum taken over a stack of rows
 _TURN_FILTER = math.pi - 1e-9 - 1e-12
 
 
@@ -350,33 +363,58 @@ def _has_proper_intersection(nodes: np.ndarray) -> bool:
     return False
 
 
+def _distinct(seg: np.ndarray, r_max: np.ndarray) -> np.ndarray:
+    """Per row of segment lengths seg, (M - 1,) or (K, M - 1), and of the
+    largest node radius r_max: whether the nodes are finite and no two
+    consecutive ones coincide, that is, whether every segment is finite and
+    longer than 1e-15 (a NaN fails both comparisons).  r_max is the
+    reduction the disc test takes anyway, so finiteness costs no second
+    pass over the segments."""
+    return (np.minimum.reduce(seg, axis=-1) > 1e-15) & (r_max < math.inf)
+
+
+def _reason(frame: Frame) -> tuple[int, str | None]:
+    """(i, reason) for the first row of the stacked frame (z, seg, joint),
+    (K, M), that is not an admissible state, or (K, None): the one rule
+    by which a polyline is a state.
+
+    A row is refused for coincident or non-finite nodes, a node below the
+    x-axis, a node outside the unit disc or a self-intersection, tested in
+    that order.  The first three are axis reductions over the stack; a row
+    before the first that fails them goes to the exact is_embedded only if
+    its tangent may turn by pi (_TURN_FILTER).
+    """
+    z, seg, joint = frame
+    r_max = np.maximum.reduce(np.abs(z), axis=-1)
+    fails = ((_COINCIDENT, ~_distinct(seg, r_max)),
+             ("node below the x-axis", np.minimum.reduce(z.imag, axis=-1) < -EPS_GEOM),
+             ("node outside the unit disc", np.square(r_max) > 1.0 + 2.0 * STEP_CONTAIN_TOL))
+    bad = fails[0][1] | fails[1][1] | fails[2][1]
+    first = int(bad.argmax()) if bad.any() else len(bad)
+    admitted = joint[:first]
+    turns = np.add.reduce(np.abs(np.arctan2(admitted.imag, admitted.real)), axis=-1)
+    for i in np.flatnonzero(~(turns < _TURN_FILTER)):
+        if not is_embedded((z[i], seg[i], joint[i])):
+            return int(i), "self-intersection"
+    if first == len(bad):
+        return first, None
+    return first, next(why for why, fail in fails if fail[first])
+
+
 def _diagnostics(frame: Frame, areas: list[float] | None = None
                  ) -> tuple[list[CurveDiagnostics], InvalidCurve | None]:
     """curve_diagnostics of the rows of a stacked frame (z, seg, joint)
     before the first one it refuses, given their _areas or not, and the
-    InvalidCurve of that row or None.  Rows are refused for coincident
-    nodes, a node below the x-axis, a self-intersection or an area outside
-    [0, pi/2], tested in that order on axis reductions over the stack read
-    as Python values; only a row whose tangent may turn by pi
-    (_TURN_FILTER) goes to the exact is_embedded.  Lengths and end radii
-    take libm's hypot (np.hypot, abs of a complex), not np.abs of a
-    complex array."""
+    InvalidCurve of that row or None.  A row is refused by _reason, or
+    after it for an area outside [0, pi/2]; only the rows _reason admits
+    get an area.  Lengths and end radii take libm's hypot (np.hypot, abs
+    of a complex), not np.abs of a complex array."""
     z, seg, joint = frame
-    areas = _areas(z) if areas is None else areas
-    turns = np.add.reduce(np.abs(np.arctan2(joint.imag, joint.real)), axis=-1)
-    tests = zip(seg.all(axis=-1).tolist(), z.imag.min(axis=-1).tolist(), turns.tolist(), areas)
-    first, why = len(z), None
-    for i, (distinct, y_min, turn, area) in enumerate(tests):
-        if not distinct:
-            why = "coincident consecutive nodes"
-        elif y_min < -EPS_GEOM:
-            why = "curve must lie in the closed upper half disc"
-        elif not (turn < _TURN_FILTER or is_embedded((z[i], seg[i], joint[i]))):
-            why = "self-intersecting polyline"
-        elif area < -1e-6 or area > 0.5 * math.pi + 1e-6:
-            why = f"enclosed area {area:.6f} outside [0, pi/2]"
-        if why is not None:
-            first = i
+    first, why = _reason(frame)
+    areas = _areas(z[:first]) if areas is None else areas[:first]
+    for i, area in enumerate(areas):
+        if area < -1e-6 or area > 0.5 * math.pi + 1e-6:
+            first, why = i, f"enclosed area {area:.6f} outside [0, pi/2]"
             break
     z, seg, joint = z[:first], seg[:first], joint[:first]
     _, kappa, theta = _profile_arrays((z, seg, joint))
@@ -392,7 +430,7 @@ def _diagnostics(frame: Frame, areas: list[float] | None = None
     theta[:, -1] = ends
     e = z[:, 1:] - z[:, :-1]
     rows = zip(theta.min(axis=-1).tolist(), theta.max(axis=-1).tolist(),
-               kappa.max(axis=-1).tolist(), areas[:first], z.imag.max(axis=-1).tolist(),
+               kappa.max(axis=-1).tolist(), areas, z.imag.max(axis=-1).tolist(),
                np.hypot(e.real, e.imag).sum(axis=-1).tolist())
     return [CurveDiagnostics(*row) for row in rows], why and InvalidCurve(why)
 

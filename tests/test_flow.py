@@ -67,6 +67,24 @@ class TestStationaryStates:
         assert traj.outcome.kind == "max_time"
         assert np.abs(traj.states[-1].curve.nodes - c.nodes).max() < 1e-12
 
+    @pytest.mark.parametrize("where", ["heights -0.0", "penultimate below"])
+    def test_minimizing_arc_ending_on_the_axis_from_below(self, where):
+        # the minimizing arc with its heights written as -0.0, or with its
+        # penultimate node 1e-12 below the axis, which the rule admits: the
+        # end at (-1, 0) then sits a hair below the axis, and the area's
+        # circle closure must take the short arc, not the whole circle
+        nodes = minimizing_arc(0.5, 64).nodes.copy()
+        if where == "heights -0.0":
+            nodes[:, 1] = -0.0
+        else:
+            nodes[-2, 1] = -1e-12
+        assert flow._step_valid(nodes) is None
+        traj = run(FlowRunConfig(d=0.5, initial=Curve(nodes=nodes), n=64,
+                                 record_every=10, max_steps=100))
+        assert traj.outcome.kind == "converged_to_minimizer"
+        assert [s.step for s in traj.states] == [0, 10]
+        assert all(abs(s.diagnostics.area) < 1e-12 for s in traj.states)
+
 
 class TestSingleStep:
     @pytest.mark.parametrize("n,halve", [(128, 1.0), (256, 0.5)])
@@ -225,15 +243,15 @@ class TestFusedStep:
 
 def single_row_reason(nodes):
     """The validity predicate on one polyline, as it was before run()
-    checked blocks of steps: the four conditions in order."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        z, seg, joint = flow._frame(flow._as_complex(nodes.copy()))
-    if not (np.minimum.reduce(seg) > 1e-15):
+    checked blocks of steps: the four conditions in order, the first one
+    that every segment is finite and longer than 1e-15."""
+    z, seg, joint = flow._frame(flow._as_complex(nodes.copy()))
+    if not (np.minimum.reduce(seg) > 1e-15 and np.maximum.reduce(seg) < math.inf):
         return "coincident or non-finite nodes"
     if float(np.minimum.reduce(z.imag)) < -geometry.EPS_GEOM:
         return "node below the x-axis"
     r_max = float(np.maximum.reduce(np.abs(z)))
-    if r_max * r_max > 1.0 + 2.0 * flow.STEP_CONTAIN_TOL:
+    if r_max * r_max > 1.0 + 2.0 * geometry.STEP_CONTAIN_TOL:
         return "node outside the unit disc"
     if not geometry.is_embedded((z, seg, joint)):
         return "self-intersection"
@@ -245,8 +263,7 @@ def block_reason(rows):
     chain = flow._run_buffers(np.zeros_like(rows[0]), len(rows[0]) - 1, len(rows) + 1)
     for buf, nodes in zip(chain[1:], rows):
         buf.nodes[...] = nodes
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, buf.seg[...], buf.joint[...] = flow._frame(buf.z)
+        _, buf.seg[...], buf.joint[...] = flow._frame(buf.z)
     return flow._reason(buf.block)
 
 
@@ -570,7 +587,7 @@ class TestBlockShed:
         # enclosed_area's formula on one row of complex nodes, written out
         end = z[-1]
         return 0.5 * np.vdot(z[:-1], z[1:]).imag \
-            + 0.5 * (math.pi - math.atan2(end.imag, end.real))
+            + 0.5 * (math.pi - math.atan2(abs(end.imag), end.real))
 
     @pytest.mark.parametrize("d, n", [(0.5, 64), (1.0, 96)])
     @pytest.mark.parametrize("k", [1, 10, 32])
@@ -629,7 +646,8 @@ def chain_of_run(monkeypatch, d, n, **kw):
 
 def bulged_arc(n):
     """n + 1 nodes from (-1, 0) to (1, 0) bulging out of the unit disc:
-    embedded and above the x-axis, with an enclosed area below 0."""
+    embedded and above the x-axis, with an enclosed area below 0, refused
+    as outside the disc."""
     phi = np.linspace(math.pi, 0.0, n + 1)
     z = (1.0 + 0.01 * np.sin(phi)) * np.exp(1j * phi)
     return np.column_stack([z.real, z.imag])
@@ -665,14 +683,15 @@ class TestBlockRecords:
         # rows 1..k of a real run's chain hold its last full block
         chain = chain_of_run(monkeypatch, d, n, record_every=1000,
                              max_steps=3 * flow.CHECK_BLOCK)
-        z, _, seg, joint = chain[k].block[:4]
+        z, seg, joint = chain[k].block
         want = self.one_by_one(z, d)
         assert want == [reference_diagnostics(flow._as_nodes(row).copy()) for row in z]
         assert geometry._diagnostics((z, seg, joint)) == (want, None)
         assert geometry._diagnostics((z, seg, joint), geometry._areas(z)) == (want, None)
-        # a row whose end node is off the circle keeps the profile's end angle
+        # a row whose end node is off the circle (inside the disc) keeps the
+        # profile's end angle
         off = z.copy()
-        off[k // 2, -1] *= 1.0 + 1e-7
+        off[k // 2, -1] *= 1.0 - 1e-7
         assert abs(abs(off[k // 2, -1]) - 1.0) > 10.0 * geometry.EPS_GEOM
         want = self.one_by_one(off, d)
         assert want == [reference_diagnostics(flow._as_nodes(row).copy()) for row in off]
@@ -685,28 +704,37 @@ class TestBlockRecords:
         pytest.param(65, 0, id="65-first"), pytest.param(65, 32, id="65-middle"),
         pytest.param(65, 64, id="65-last")])
     @pytest.mark.parametrize("bad, message", [
-        ("coincident", "coincident consecutive nodes"),
-        ("below", "curve must lie in the closed upper half disc"),
-        ("area", r"enclosed area -0\.\d+ outside \[0, pi/2\]"),
-        ("loop", "self-intersecting polyline")])
+        ("coincident", "coincident or non-finite nodes"),
+        ("below", "node below the x-axis"),
+        ("outside", "node outside the unit disc"),
+        ("loop", "self-intersection"),
+        ("area", r"enclosed area -0\.\d+ outside \[0, pi/2\]")])
     def test_first_refused_row_ends_the_stack(self, d, n, k, mid, bad, message):
         # row `mid` of a stack of the first k states of a run (the first,
         # a middle or the last row) fails one test of curve_diagnostics, in
-        # the order it makes them
+        # the order it makes them.  No state in the disc has an area
+        # outside [0, pi/2], so that row gets one passed in
         traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, n), n=n,
                                  record_every=1, max_steps=k))
         z = np.stack([flow._as_complex(s.curve.nodes) for s in traj.states[1:]])
         nodes = flow._as_nodes(z[mid]).copy()
+        areas = None
         if bad == "coincident":
             nodes[n // 2] = nodes[n // 2 - 1]
         elif bad == "below":
             nodes[n // 2, 1] = -1e-3
+        elif bad == "outside":
+            nodes = bulged_arc(n)
+        elif bad == "loop":
+            nodes = _resample_nodes(TestFusedStep.LOOP, n)
         else:
-            nodes = bulged_arc(n) if bad == "area" else _resample_nodes(TestFusedStep.LOOP, n)
+            areas = geometry._areas(z)
+            areas[mid] = -0.25
         z[mid] = flow._as_complex(nodes)
-        with pytest.raises(InvalidCurve, match=message):
-            curve_diagnostics(Curve(nodes=nodes), d)
-        diags, refused = geometry._diagnostics(flow._frame(z))
+        if areas is None:
+            with pytest.raises(InvalidCurve, match=message):
+                curve_diagnostics(Curve(nodes=nodes), d)
+        diags, refused = geometry._diagnostics(flow._frame(z), areas)
         assert diags == self.one_by_one(z[:mid], d)
         assert isinstance(refused, InvalidCurve)
         assert re.fullmatch(message, str(refused))
@@ -813,7 +841,7 @@ class TestBlockRecords:
             def diagnostics(frame, areas=None):
                 stacks.append(len(frame[0]))
                 diags, _ = real(frame, areas)
-                return diags[:1], InvalidCurve("self-intersecting polyline")
+                return diags[:1], InvalidCurve("self-intersection")
 
             monkeypatch.setattr(flow, "_diagnostics", diagnostics)
         traj = run(FlowRunConfig(d=1.0, initial=initial_curve(0.3, 1.0, 96), n=96,
@@ -829,7 +857,7 @@ class TestBlockRecords:
         else:
             assert stacks == [3]
             assert traj.outcome == flow.FlowOutcome(
-                kind="invalid_state", time=ref[2][1], detail="self-intersecting polyline")
+                kind="invalid_state", time=ref[2][1], detail="self-intersection")
 
 
 @pytest.mark.parametrize("d, n, record_every, kind", [

@@ -1,5 +1,6 @@
 """Geometry oracles: exact circles, analytic areas, resampling, embedding."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,17 @@ class TestEnclosedArea:
         with pytest.raises(InvalidCurve):
             enclosed_area(Curve(nodes))
 
+    def test_end_a_hair_below_the_axis_closes_by_the_short_arc(self):
+        # the minimizing arc ends at (-1, 0); with its heights written as
+        # -0.0, or its end 1e-12 below the axis, the region above it is
+        # still empty, not the whole disc
+        nodes = minimizing_arc(0.5, 64).nodes.copy()
+        nodes[:, 1] = -0.0
+        assert enclosed_area(Curve(nodes)) == 0.0
+        nodes = minimizing_arc(0.5, 64).nodes.copy()
+        nodes[-1, 1] = -1e-12
+        assert abs(enclosed_area(Curve(nodes))) < 1e-12
+
     def test_stacked_areas_have_the_one_row_bits(self):
         # each row of a stack, or of a view of rows of it, gets the bits of
         # the formula written out on that row alone: np.vdot and math.atan2
@@ -166,7 +178,7 @@ class TestEnclosedArea:
         def area(z):
             end = z[-1]
             return 0.5 * np.vdot(z[:-1], z[1:]).imag \
-                + 0.5 * (math.pi - math.atan2(end.imag, end.real))
+                + 0.5 * (math.pi - math.atan2(abs(end.imag), end.real))
 
         rng = np.random.default_rng(0)
         zs = rng.standard_normal((1000, 65)) + 1j * rng.standard_normal((1000, 65))
@@ -269,6 +281,31 @@ class TestDiagnostics:
         c = Curve(nodes)
         back = parse_csv(curve_to_csv(c))
         assert np.abs(back - c.nodes).max() < 1e-15
+
+
+class TestNonFiniteNodes:
+    """A NaN or infinite node is refused as such by every function that
+    reads a curve, as the stepper refuses it, and without a warning."""
+
+    #: each function on the bad curve; curvature_profiles on a stack of
+    #: the good one, the bad one and the good one
+    CALLS = {"curve_diagnostics": lambda good, bad: curve_diagnostics(Curve(bad), 0.5),
+             "enclosed_area": lambda good, bad: enclosed_area(Curve(bad)),
+             "curvature_profile": lambda good, bad: curvature_profile(Curve(bad)),
+             "curvature_profiles":
+                 lambda good, bad: curvature_profiles(np.stack([good, bad, good]))}
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i, coord", [(0, 0), (7, 0), (7, 1), (-1, 1)])
+    def test_refused_without_a_warning(self, call, value, i, coord):
+        good, _, _ = dn_arc_nodes(0.5, 1.3, 24)
+        bad = good.copy()
+        bad[i, coord] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCurve, match="^coincident or non-finite nodes$"):
+                self.CALLS[call](good, bad)
 
 
 class TestCsv:
@@ -414,8 +451,8 @@ def single_curve_profile(nodes):
     z = np.ascontiguousarray(nodes, dtype=np.float64).view(np.complex128)[:, 0]
     e = z[1:] - z[:-1]
     seg = np.abs(e)
-    if not seg.all():
-        raise InvalidCurve("coincident consecutive nodes")
+    if not (seg.min() > 1e-15 and seg.max() < math.inf):
+        raise InvalidCurve("coincident or non-finite nodes")
     s = np.empty(z.shape[0])
     s[0] = 0.0
     np.add.accumulate(seg, out=s[1:])
@@ -528,5 +565,5 @@ class TestBatchedProfiles:
         good, _, _ = dn_arc_nodes(0.5, 1.3, 24)
         bad = good.copy()
         bad[7] = bad[6]
-        with pytest.raises(InvalidCurve, match="^coincident consecutive nodes$"):
+        with pytest.raises(InvalidCurve, match="^coincident or non-finite nodes$"):
             curvature_profiles(np.stack([good, bad, good]))
