@@ -215,8 +215,8 @@ def cmd_ancient(args) -> int:
         raise ParameterError("every rho must lie in (0, pi/2)")
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         raise ParameterError("rho list must be strictly decreasing")
-    out = _outdir(args)
     lam0 = hc.lambda0(args.d).lambda0
+    out = _outdir(args)
     rows = []
     failures = []
     for rho in rhos:

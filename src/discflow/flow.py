@@ -134,6 +134,7 @@ class FlowRunConfig:
     max_steps: int = 50_000_000
 
     def __post_init__(self):
+        ProblemConfig(self.d)  # the one rule for d
         if self.n < MIN_SEGMENTS:
             raise DomainError(f"need n >= {MIN_SEGMENTS}, got {self.n}")
         if self.record_every < 1:

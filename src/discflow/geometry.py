@@ -83,12 +83,33 @@ def segment_lengths(nodes: np.ndarray) -> np.ndarray:
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def _quadratic_derivative_at(s0, s1, s2, v0, v1, v2):
-    # derivative of the Lagrange quadratic through (s_i, v_i) at s0
+def _py(f, *xs) -> np.ndarray:
+    """math's f on each element of the arrays xs (broadcast together), as
+    a float array: numpy's own ufuncs (arctan2, tanh, ...) can differ from
+    math's in the last bit, and this way a value computed for many curves
+    or lanes at once keeps the bits it has for one."""
+    return np.asarray(np.frompyfunc(f, len(xs), 1)(*xs), dtype=float)
+
+
+def _by_real(c, w):
+    # Python's c / w for complex c and float w: each part of c, plus the
+    # other part times the signed zero 0 / w, divided by w (numpy's complex
+    # division multiplies by a reciprocal)
+    rat, out = 0.0 / w, np.empty(np.shape(c), dtype=np.complex128)
+    out.real = (c.real + c.imag * rat) / w
+    out.imag = (c.imag - c.real * rat) / w
+    return out
+
+
+def _quadratic_derivative_at(sq, zq):
+    # derivative at s0 of the Lagrange quadratic through three (s, z), on
+    # z - z0 (absolute coordinates would cost eps / h on a short curve), in
+    # Python's complex arithmetic, where z0 - z0 is the float 0.0
+    (s0, s1, s2), (z0, z1, z2) = sq, zq
     d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
-    return (v0 * (d01 + d02) / (d01 * d02)
-            - v1 * d02 / (d01 * d12)
-            + v2 * d01 / (d02 * d12))
+    return (0.0 * (d01 + d02) / (d01 * d02)
+            - _by_real((z1 - z0) * d02, d01 * d12)
+            + _by_real((z2 - z0) * d01, d02 * d12))
 
 
 def _quadratic_extrapolate(sq, vq, s_eval):
@@ -151,44 +172,21 @@ def _profile(z: np.ndarray) -> CurvatureProfile:
     return CurvatureProfile(*_profile_arrays(frame))
 
 
-#: the node indices whose arclengths, positions and interior curvatures
-#: _profile_arrays reads for the endpoint tangents and curvatures
-_S_ENDS = np.array([0, 1, 2, 3, -4, -3, -2, -1])
-_Z_ENDS = np.array([0, 1, 2, -1, -2, -3])
-_K_ENDS = np.array([1, 2, 3, -4, -3, -2])
-
-
 def _profile_arrays(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """s, kappa and theta of the frame of one curve (M,) or a stack (K, M)
-    with finite, distinct consecutive nodes (its callers refuse the others).
-    The interior runs as array passes over all curves at once.  The
-    endpoint tangents, the first angle and the endpoint extrapolations
-    run on Python scalars (numpy's complex / real and arctan2 can differ
-    from Python's in the last bit), so a curve gets the same bits alone or
-    in any stack: the values they read are taken from the whole stack at
-    once (np.take, then tolist), and each result goes back as one column."""
+    with finite, distinct consecutive nodes (its callers refuse the others),
+    as array passes over all curves at once; the first angle is _py's."""
     z, seg, joint = frame
-    m = z.shape[-1]
     s = np.empty(z.shape)
     s[..., 0] = 0.0
     np.add.accumulate(seg, axis=-1, out=s[..., 1:])
     t = np.empty(z.shape, dtype=np.complex128)
     np.subtract(z[..., 2:], z[..., :-2], out=t[..., 1:-1])
-    # per curve: the first and the last four arclengths and the first and
-    # the last three nodes (z_1 the last); the results go to (K, M) views
-    s_ends = s.take(_S_ENDS, axis=-1).reshape(-1, 8).tolist()
-    z_ends = z.take(_Z_ENDS, axis=-1).reshape(-1, 6).tolist()
-    heads, tails = [], []
-    for (s0, s1, s2, _, _, s5, s6, s7), (z0, z1, z2, z_1, z_2, z_3) in zip(s_ends, z_ends):
-        # node differences from the endpoint (the weights sum to zero):
-        # absolute coordinates would cost eps / h of round-off on a short curve
-        heads.append(_quadratic_derivative_at(s0, s1, s2, 0.0, z1 - z0, z2 - z0))
-        tails.append(_quadratic_derivative_at(s7, s6, s5, 0.0, z_2 - z_1, z_3 - z_1))
-    t_rows = t.reshape(-1, m)
-    t_rows[:, 0] = heads
-    t_rows[:, -1] = tails
+    # the endpoint tangents of all curves at once (.T puts nodes first)
+    t[..., 0] = _quadratic_derivative_at(s.T[:3], z.T[:3])
+    t[..., -1] = _quadratic_derivative_at(s.T[:-4:-1], z.T[:-4:-1])
     ang = np.empty(z.shape)
-    ang.reshape(-1, m)[:, 0] = [math.atan2(t0.imag, t0.real) for t0 in heads]
+    ang[..., 0] = _py(math.atan2, t[..., 0].imag, t[..., 0].real)
     # unwrapped angle: atan2 of t_0 plus the partial sums of the joint
     # angles arg(conj(t_i) t_{i+1}) in (-pi, pi], as in _turns_by_pi
     turn = t[..., :-1].conj()
@@ -206,14 +204,8 @@ def _profile_arrays(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
             kappa[..., 1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
-    k_rows = kappa.reshape(-1, m)
-    heads, tails = [], []
-    for (s0, s1, s2, s3, s4, s5, s6, s7), (k1, k2, k3, k4, k5, k6) in zip(
-            s_ends, k_rows.take(_K_ENDS, axis=-1).tolist()):
-        heads.append(_quadratic_extrapolate((s1, s2, s3), (k1, k2, k3), s0))
-        tails.append(_quadratic_extrapolate((s4, s5, s6), (k4, k5, k6), s7))
-    k_rows[:, 0] = heads
-    k_rows[:, -1] = tails
+    kappa[..., 0] = _quadratic_extrapolate(s.T[1:4], kappa.T[1:4], s[..., 0])
+    kappa[..., -1] = _quadratic_extrapolate(s.T[-4:-1], kappa.T[-4:-1], s[..., -1])
     return s, kappa, theta
 
 
@@ -418,16 +410,14 @@ def _diagnostics(frame: Frame, areas: list[float] | None = None
             break
     z, seg, joint = z[:first], seg[:first], joint[:first]
     _, kappa, theta = _profile_arrays((z, seg, joint))
-    ends = []
-    for end, last in zip(z[:, -1].tolist(), theta[:, -1].tolist()):
-        if abs(abs(end) - 1.0) <= 10.0 * EPS_GEOM:
-            # the endpoint tangent is radial under the Neumann condition, so
-            # the polar angle measures it without the O(h) chord bias of the
-            # one-sided difference; pick the unwrap branch nearest the profile
-            phi = math.atan2(end.imag, end.real)
-            last = phi + 2.0 * math.pi * round((last - phi) / (2.0 * math.pi))
-        ends.append(last)
-    theta[:, -1] = ends
+    # an end on the circle takes its polar angle (the Neumann tangent is
+    # radial; no O(h) chord bias) on the unwrap branch nearest the profile,
+    # a -0.0 branch as 0.0, as Python's round gives the int 0
+    end, last = z[:, -1], theta[:, -1]
+    phi = _py(math.atan2, end.imag, end.real)
+    branch = np.round((last - phi) / (2.0 * math.pi)) + 0.0
+    on_circle = abs(np.hypot(end.real, end.imag) - 1.0) <= 10.0 * EPS_GEOM
+    theta[:, -1] = np.where(on_circle, phi + 2.0 * math.pi * branch, last)
     e = z[:, 1:] - z[:, :-1]
     rows = zip(theta.min(axis=-1).tolist(), theta.max(axis=-1).tolist(),
                kappa.max(axis=-1).tolist(), areas, z.imag.max(axis=-1).tolist(),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidCurve, ResidualError
-from .geometry import MIN_SEGMENTS, Curve, _resample_nodes, curvature_profile
+from .geometry import MIN_SEGMENTS, Curve, _py, _resample_nodes, curvature_profile
 
 #: radians by which a paired slice's tangent may miss the radial direction
 TANGENT_TOL = 1e-8
@@ -131,8 +131,7 @@ def solve_orthogonal_pairs(thetas, ds) -> list[tuple[float, float]]:
     for theta in thetas:
         if not (0.0 < theta < 0.5 * math.pi):
             raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
-    # math.* per lane, as pairing_function_g takes them: np.tan can differ in the last bit
-    st, ct, tan_th = (np.array(list(map(f, thetas))) for f in (math.sin, math.cos, math.tan))
+    st, ct, tan_th = (_py(f, thetas) for f in (math.sin, math.cos, math.tan))
     ct_d = ct + np.asarray(ds, dtype=float)
     hi = 0.5 * math.pi / st
     lo = 1e-12 * hi
@@ -166,7 +165,10 @@ def tangent_residual(s: HairclipSlice, theta: float) -> float:
 
 
 def lambda0(d: float) -> Eigenvalue:
-    """Positive root of tanh(lam (1 + d)) = lam by bisection on (1e-6, 1)."""
+    """Positive root of tanh(lam (1 + d)) = lam by bisection on (1e-6, 1);
+    the root, about sqrt(3 d), is below it for d under about 3.3e-13: a
+    DomainError.  The residual, O(lam d), does not see the root's relative
+    error, about eps / (2 d) from rounding 1 + d (3e-7 at d = 1e-10)."""
     if not (0.0 < d <= 1.0):
         raise DomainError(f"d must lie in (0, 1], got {d}")
     eig = Eigenvalue(lambda0=float(lambda0_roots(np.array([d]))[0]), d=d)
@@ -176,11 +178,17 @@ def lambda0(d: float) -> Eigenvalue:
 
 
 def lambda0_roots(ds: np.ndarray) -> np.ndarray:
-    """Unchecked lam0 for each offset in ds, in one bisection on (1e-6, 1)."""
-    # math.tanh per lane, as lambda0 takes it: np.tanh can differ in the last bit
-    tanh = np.frompyfunc(math.tanh, 1, 1)
-    return bisect(lambda lam: tanh(lam * (1.0 + ds)).astype(float) - lam > 0.0,
-                  np.full(ds.shape, 1e-6), np.full(ds.shape, 1.0 - 1e-15))
+    """lam0 for each offset in ds, in one bisection on (1e-6, 1), with
+    unchecked residuals; a root below the bracket is a DomainError."""
+    def root_above(lam):  # tanh(lam (1 + d)) - lam decreases through the root
+        return _py(math.tanh, lam * (1.0 + ds)) - lam > 0.0
+
+    lo = np.full(ds.shape, 1e-6)
+    below = ~root_above(lo)
+    if below.any():
+        raise DomainError(f"d = {float(ds[np.argmax(below)])!r} is too small: the root of "
+                          "tanh(lam (1 + d)) = lam lies below the bisection bracket")
+    return bisect(root_above, lo, np.full(ds.shape, 1.0 - 1e-15))
 
 
 def slice_between(s: HairclipSlice, x_hi: float, n_dense: int = 2048) -> np.ndarray:

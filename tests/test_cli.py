@@ -124,8 +124,10 @@ class TestValidation:
         (("flow", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
         (("verify", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
         (("ancient", "--d", "1e-320"), "d = 1e-320 is too small: 1/d overflows"),
+        (("pair", "--theta", "0.6", "--d", "1e-15"), "d = 1e-15 is too small: the root"),
+        (("ancient", "--d", "1e-15"), "d = 1e-15 is too small: the root"),
     ], ids=["pair_theta", "flow_rho", "barriers_d", "pair_d", "flow_d", "verify_d",
-            "ancient_d"])
+            "ancient_d", "pair_lambda0", "ancient_lambda0"])
     def test_too_small_value_writes_nothing(self, argv, message, tmp_path, capsys,
                                             recwarn):
         # a pairing root below the bisection bracket, a d whose 1/d is not

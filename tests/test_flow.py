@@ -1,6 +1,7 @@
 """Flow stepper: stationary states, invariants, comparisons, export."""
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import re
@@ -888,6 +889,16 @@ class TestRunConfig:
         with pytest.raises(DomainError, match="max_steps must be >= 1"):
             FlowRunConfig(d=0.5, initial=c, n=64, max_steps=max_steps)
 
+    @pytest.mark.parametrize("d, message", [
+        (0.0, "d must lie in"), (-0.5, "d must lie in"), (2.0, "d must lie in"),
+        (math.nan, "d must lie in"), (1e-320, "1/d overflows")],
+        ids=["zero", "negative", "above_one", "nan", "1_over_d_overflows"])
+    def test_d_follows_the_problem_rule(self, d, message):
+        # ProblemConfig's rule, as the CLI and load_trajectory apply it; the
+        # initial curve is a valid one, so nothing else refuses d
+        with pytest.raises(DomainError, match=message):
+            FlowRunConfig(d=d, initial=unstable_arc(0.5, 32), n=32)
+
 
 class TestRunOutcomes:
     def test_converges_to_minimizer(self, converged_run):
@@ -1235,6 +1246,35 @@ class TestAreaIdentity:
 
 #: the files of a trajectory directory
 FILES = ["diagnostics.csv", "manifest.json", "states.npy"]
+
+
+class TestTrajectoryBytes:
+    """The sha256 of each trajectory file of two short fixed runs.  The
+    digests hold for one platform (x86-64 Linux, CPython 3.11, numpy 2.4):
+    another libm or numpy may round differently.  A change that alters
+    these bytes on purpose updates DIGESTS and says so in CHANGES.md."""
+
+    DIGESTS = {
+        (0.5, 50, 2000): {
+            "diagnostics.csv": "7944862b38d71ce33ce8fb4256f57eabab62be9b94cd45f3d63c571842c8be31",
+            "manifest.json": "caa39d0a9afc59c4ab84718320cbeaf3108226e7e8f3600ff237874442cbedc9",
+            "states.npy": "5e8e2ddd9c54a023ef5455dfe453e60cdd7c33186e4bf1c71b55d70f8152a43a"},
+        (1.0, 10, 50_000_000): {
+            "diagnostics.csv": "81c35c0f3cd45dd0f99e5c0df8fbdb5668d61336fd23a9b1652558c8e2a67896",
+            "manifest.json": "0b17584896464907316eb0d2f0f2237c43e56bb8a43a8f7d5086d694634681e2",
+            "states.npy": "5fd8a48a1dfd97198ffd835d01928955b0f1c393ed8a70842f209bde8725d7d2"},
+    }
+
+    @pytest.mark.parametrize("d, record_every, max_steps", DIGESTS,
+                             ids=["d0.5-every50-2000steps", "d1-every10-extinct"])
+    def test_digests(self, d, record_every, max_steps, tmp_path):
+        traj = run(FlowRunConfig(d=d, initial=initial_curve(0.3, d, 32), n=32,
+                                 record_every=record_every, max_steps=max_steps))
+        out = write_trajectory(traj, tmp_path / "run")
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
+        assert got == self.DIGESTS[d, record_every, max_steps], (
+            "the trajectory files changed; a change that alters them on purpose "
+            "updates DIGESTS and says so in CHANGES.md")
 
 
 class TestExport:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from discflow.errors import InvalidCurve
 from discflow.flow import minimizing_arc, unstable_arc
 from discflow.geometry import (
+    EPS_GEOM,
     Curve,
     curvature_profile,
     curvature_profiles,
@@ -18,7 +19,10 @@ from discflow.geometry import (
     _area,
     _areas,
     _as_complex,
+    _diagnostics,
     _frame,
+    _profile_arrays,
+    _reason,
     _resample_nodes,
     curve_to_csv,
     enclosed_area,
@@ -567,3 +571,170 @@ class TestBatchedProfiles:
         bad[7] = bad[6]
         with pytest.raises(InvalidCurve, match="^coincident or non-finite nodes$"):
             curvature_profiles(np.stack([good, bad, good]))
+
+
+def loop_derivative_at(s0, s1, s2, v0, v1, v2):
+    d01, d02, d12 = s0 - s1, s0 - s2, s1 - s2
+    return (v0 * (d01 + d02) / (d01 * d02)
+            - v1 * d02 / (d01 * d12)
+            + v2 * d01 / (d02 * d12))
+
+
+def loop_extrapolate(sq, vq, s_eval):
+    (sa, sb, sc), (va, vb, vc) = sq, vq
+    la = (s_eval - sb) * (s_eval - sc) / ((sa - sb) * (sa - sc))
+    lb = (s_eval - sa) * (s_eval - sc) / ((sb - sa) * (sb - sc))
+    lc = (s_eval - sa) * (s_eval - sb) / ((sc - sa) * (sc - sb))
+    return va * la + vb * lb + vc * lc
+
+
+def loop_profile_arrays(frame):
+    """_profile_arrays as it was with per-curve Python loops at the ends:
+    the endpoint tangents (complex / float), the first angle (math.atan2)
+    and the endpoint extrapolations on Python scalars, read from the stack
+    with take and tolist, and written back as one column each."""
+    z, seg, joint = frame
+    m = z.shape[-1]
+    s = np.empty(z.shape)
+    s[..., 0] = 0.0
+    np.add.accumulate(seg, axis=-1, out=s[..., 1:])
+    t = np.empty(z.shape, dtype=np.complex128)
+    np.subtract(z[..., 2:], z[..., :-2], out=t[..., 1:-1])
+    s_ends = s.take([0, 1, 2, 3, -4, -3, -2, -1], axis=-1).reshape(-1, 8).tolist()
+    z_ends = z.take([0, 1, 2, -1, -2, -3], axis=-1).reshape(-1, 6).tolist()
+    heads, tails = [], []
+    for (s0, s1, s2, _, _, s5, s6, s7), (z0, z1, z2, z_1, z_2, z_3) in zip(s_ends, z_ends):
+        heads.append(loop_derivative_at(s0, s1, s2, 0.0, z1 - z0, z2 - z0))
+        tails.append(loop_derivative_at(s7, s6, s5, 0.0, z_2 - z_1, z_3 - z_1))
+    t_rows = t.reshape(-1, m)
+    t_rows[:, 0] = heads
+    t_rows[:, -1] = tails
+    ang = np.empty(z.shape)
+    ang.reshape(-1, m)[:, 0] = [math.atan2(t0.imag, t0.real) for t0 in heads]
+    turn = t[..., :-1].conj()
+    turn *= t[..., 1:]
+    np.arctan2(turn.imag, turn.real, out=ang[..., 1:])
+    theta = np.add.accumulate(ang, axis=-1)
+    cross = joint.imag * np.where(theta[..., -1:] < theta[..., :1], -2.0, 2.0)
+    denom = seg[..., :-1] * seg[..., 1:]
+    denom *= np.abs(t[..., 1:-1])
+    kappa = np.empty(z.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kappa[..., 1:-1] = np.where(denom > 0.0, cross / denom, 0.0)
+    k_rows = kappa.reshape(-1, m)
+    heads, tails = [], []
+    for (s0, s1, s2, s3, s4, s5, s6, s7), (k1, k2, k3, k4, k5, k6) in zip(
+            s_ends, k_rows.take([1, 2, 3, -4, -3, -2], axis=-1).tolist()):
+        heads.append(loop_extrapolate((s1, s2, s3), (k1, k2, k3), s0))
+        tails.append(loop_extrapolate((s4, s5, s6), (k4, k5, k6), s7))
+    k_rows[:, 0] = heads
+    k_rows[:, -1] = tails
+    return s, kappa, theta
+
+
+def loop_diagnostics(frame, areas):
+    """The diagnostics rows of admitted curves as _diagnostics computed
+    them with a per-curve loop for the end angle of an end on the circle."""
+    z = frame[0]
+    _, kappa, theta = loop_profile_arrays(frame)
+    ends = []
+    for end, last in zip(z[:, -1].tolist(), theta[:, -1].tolist()):
+        if abs(abs(end) - 1.0) <= 10.0 * EPS_GEOM:
+            phi = math.atan2(end.imag, end.real)
+            last = phi + 2.0 * math.pi * round((last - phi) / (2.0 * math.pi))
+        ends.append(last)
+    theta[:, -1] = ends
+    e = z[:, 1:] - z[:, :-1]
+    return np.column_stack([theta.min(axis=-1), theta.max(axis=-1), kappa.max(axis=-1), areas,
+                            z.imag.max(axis=-1), np.hypot(e.real, e.imag).sum(axis=-1)])
+
+
+def grid_walks(seed, count, steps):
+    """count polylines of 9 to 20 nodes from (-0.5, 0), each step one of
+    `steps` in units of 1/16, so that many segments, end chords included,
+    are horizontal or vertical; each zero coordinate is +0.0 or -0.0 at
+    random."""
+    rng = np.random.default_rng(seed)
+    walks = []
+    for m in rng.integers(9, 21, count).tolist():
+        moves = np.array(steps)[rng.integers(0, len(steps), m - 1)] / 16.0
+        nodes = np.cumsum(np.vstack([[-0.5, 0.0], moves]), axis=0)
+        zero = nodes == 0.0
+        nodes[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        walks.append(nodes)
+    return walks
+
+
+def states_on_the_circle(seed, count):
+    """The grid walks, folded into the upper half plane and with the last
+    node pushed radially onto the unit circle, that _diagnostics admits."""
+    walks = []
+    for nodes in grid_walks(seed, count, [[1, 0], [0, 1], [0, -1], [1, 1], [1, -1]]):
+        nodes[:, 1] = np.where(nodes[:, 1] == 0.0, nodes[:, 1], np.abs(nodes[:, 1]))
+        if nodes[-1].any():
+            nodes[-1] /= np.hypot(*nodes[-1])
+        if nodes[-1].any() and _diagnostics(_frame(_as_complex(nodes)[None]))[1] is None:
+            walks.append(nodes)
+    return walks
+
+
+class TestArrayEnds:
+    """The array code at the curve ends has the bits, signed zeros
+    included, of the per-curve Python loops it replaced."""
+
+    @staticmethod
+    def assert_bits(got, ref):
+        for a, b in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(np.asarray(a).view(np.int64),
+                                          np.asarray(b).view(np.int64))
+
+    @staticmethod
+    def stacks(curves):
+        # the curves grouped by node count, as stackable groups
+        by_m = {}
+        for nodes in curves:
+            by_m.setdefault(nodes.shape[0], []).append(nodes)
+        return by_m.values()
+
+    @classmethod
+    def assert_profiles_match(cls, curves):
+        for group in cls.stacks(curves):
+            frame = _frame(_as_complex(np.stack(group)))
+            cls.assert_bits(_profile_arrays(frame), loop_profile_arrays(frame))
+            for k in range(len(group)):
+                one = tuple(x[k:k + 1] for x in frame)
+                cls.assert_bits(_profile_arrays(one), loop_profile_arrays(one))
+                cls.assert_bits(_profile_arrays(tuple(x[k] for x in frame)),
+                                (x[0] for x in loop_profile_arrays(one)))
+
+    @classmethod
+    def assert_diagnostics_match(cls, curves):
+        for group in cls.stacks(curves):
+            frame = _frame(_as_complex(np.stack(group)))
+            areas = _areas(frame[0])
+            diags, refused = _diagnostics(frame, areas)
+            assert refused is None
+            want = loop_diagnostics(frame, areas)
+            cls.assert_bits([np.array([d.as_row() for d in diags])], [want])
+            for k in range(len(group)):
+                one = tuple(x[k:k + 1] for x in frame)
+                diags, _ = _diagnostics(one, areas[k:k + 1])
+                cls.assert_bits([np.array(diags[0].as_row())], [want[k]])
+
+    def test_profiles_of_grid_walks(self):
+        walks = grid_walks(11, 120, [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 2]])
+        self.assert_profiles_match([w for nodes in walks for w in
+                                    (nodes, nodes[::-1], nodes * [1.0, -1.0], nodes * [-1.0, 1.0])])
+
+    def test_profiles_of_flat_arcs_and_run_states(self, extinct_run):
+        arcs = TestBatchedProfiles.flat_arcs(48)
+        states = [s.curve.nodes for s in extinct_run.states]
+        self.assert_profiles_match(arcs + [a[::-1] for a in arcs] + states
+                                   + [s[::-1] for s in states])
+
+    def test_diagnostics_of_states_ending_on_the_circle(self, extinct_run):
+        walks = states_on_the_circle(5, 400)
+        assert len(walks) > 100
+        arcs = TestBatchedProfiles.flat_arcs(48)
+        states = [s.curve.nodes for s in extinct_run.states]
+        self.assert_diagnostics_match(walks + arcs + states)

@@ -201,6 +201,15 @@ class TestEigenvalue:
             assert lambda0(d).lambda0 == want
         assert hc.lambda0_roots(np.array(ds)).tolist() == [lambda0(d).lambda0 for d in ds]
 
+    @pytest.mark.parametrize("d", [1e-15, 3e-13])
+    def test_root_below_the_bracket_is_refused(self, d):
+        # the root, about sqrt(3 d), lies below the bisection's 1e-6; the
+        # residual tanh(lam (1 + d)) - lam = O(lam d) would not show the error
+        with pytest.raises(DomainError, match=f"d = {d!r} is too small"):
+            lambda0(d)
+        with pytest.raises(DomainError, match="below the bisection bracket"):
+            hc.lambda0_roots(np.array([0.5, d]))
+
     @pytest.mark.parametrize("d", [0.1, 0.4, 0.8, 1.0])
     def test_bracket_signs(self, d):
         h = lambda lam: math.tanh(lam * (1.0 + d)) - lam
